@@ -6,8 +6,7 @@ at the min-cut rate, while routing cannot; on a random Avalanche-style
 overlay, coded deliveries stay almost always innovative.
 
 Uses the unified simulator entry points — :func:`strategy_showdown` for
-the head-to-head and :func:`run_simulation` for a single seeded run —
-which replaced the deprecated ``compare_strategies``.
+the head-to-head and :func:`run_simulation` for a single seeded run.
 
 Run:
     python examples/p2p_distribution.py

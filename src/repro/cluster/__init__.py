@@ -7,12 +7,12 @@ request to the segment's owner and rebalances deterministically when a
 worker dies.  The cluster speaks the same
 :class:`~repro.serving.ServingEndpoint` surface as a single server.
 
-Two execution substrates sit behind that surface: the default
-in-process cluster (deterministic reference) and ``parallel=True``,
-which hosts each worker in its own OS process with
-:class:`~repro.cluster.shm.BlockRing` shared-memory block buffers and
-an async round-dispatch loop — byte-identical output, real-core wall
-speedup.
+Two execution substrates sit behind that surface, on one round path:
+the default in-process cluster holds each worker's
+:class:`~repro.cluster.worker.LocalWorker` directly, and
+``parallel=True`` hosts each in its own OS process with
+:class:`~repro.cluster.shm.BlockRing` shared-memory block buffers —
+byte-identical output, real-core wall speedup.
 
 Parallel clusters can additionally self-heal: construct with
 ``supervision=SupervisorConfig(...)`` and a
@@ -38,6 +38,7 @@ from repro.cluster.supervisor import (
     WorkerSupervisor,
 )
 from repro.cluster.worker import (
+    LocalWorker,
     WorkerBootstrap,
     WorkerLifecycleStats,
     WorkerProcess,
@@ -51,6 +52,7 @@ __all__ = [
     "ClusterWorkloadReport",
     "DEFAULT_VNODES",
     "HashRing",
+    "LocalWorker",
     "RING_NAME_PREFIX",
     "ServingCluster",
     "SupervisorConfig",

@@ -9,27 +9,32 @@ to the segment's owner.  The cluster implements the same
 :class:`~repro.streaming.client.ClientSession` and
 :func:`~repro.streaming.client.drive_sessions` drive either unchanged.
 
-Execution model — two interchangeable substrates behind one facade:
+Execution model — one round path, two interchangeable worker handles:
 
 * ``parallel=False`` (default): every worker is an in-process
-  :class:`~repro.streaming.server.StreamingServer`.  Rounds run
-  worker-after-worker in one interpreter; deterministic, dependency
-  free, and the byte-exactness reference the parallel mode is compared
-  against.  Real *threads* would add nothing here — the arithmetic
-  below the cost model is NumPy fancy-indexing that serializes on the
-  GIL — which is exactly why scale-out needs processes.
+  :class:`~repro.cluster.worker.LocalWorker`, a
+  :class:`~repro.streaming.server.StreamingServer` that serves each
+  round inside ``start_round``.  Deterministic and dependency free.
+  Real *threads* would add nothing here — the arithmetic below the
+  cost model is NumPy fancy-indexing that serializes on the GIL —
+  which is exactly why scale-out needs processes.
 * ``parallel=True``: every worker is a
   :class:`~repro.cluster.worker.WorkerProcess` — a separate OS process
-  hosting the identical ``StreamingServer`` object graph (same
-  ``default_rng([seed, w])`` stream, same ``worker_id`` stamp), with
-  block payloads crossing the boundary through
-  :class:`~repro.cluster.shm.BlockRing` shared memory and only control
-  messages on the command pipes.  :meth:`ServingCluster.serve_round`
-  becomes an async dispatch loop: it fires every live worker's round,
-  then barriers and merges in ascending worker order — so the output
-  is byte-identical to the serial substrate while the encodes run on
-  real cores.  Parallel clusters own OS resources: :meth:`close` them
-  (or use the cluster as a context manager).
+  hosting the same ``LocalWorker`` (same ``default_rng([seed, w])``
+  stream, same ``worker_id`` stamp), with block payloads crossing the
+  boundary through :class:`~repro.cluster.shm.BlockRing` shared memory
+  and only control messages on the command pipes.  Parallel clusters
+  own OS resources: :meth:`close` them (or use the cluster as a
+  context manager).
+
+Both handles speak one protocol (``start_round`` / ``finish_round`` /
+``view``), and both serve a round through the same
+:meth:`~repro.cluster.worker.LocalWorker.serve_round_spans`.
+:meth:`ServingCluster.begin_round` fires every live worker's round,
+:meth:`ServingCluster.collect_round` barriers and merges in ascending
+worker order, and :meth:`ServingCluster.serve_round` is the two back to
+back — so the output is byte-identical across substrates by
+construction, while the parallel encodes run on real cores.
 
 Timeline model: the workers are *separate simulated devices*, so a
 cluster round's modelled cost is the **critical path** — the maximum of
@@ -71,12 +76,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, fields
 
-import numpy as np
-
 from repro.cluster.ring import DEFAULT_VNODES, HashRing
 from repro.cluster.router import ClusterRouter
 from repro.cluster.supervisor import SupervisorConfig, WorkerSupervisor
-from repro.cluster.worker import WorkerProcess
+from repro.cluster.worker import LocalWorker, WorkerBootstrap, WorkerProcess
 from repro.errors import (
     CapacityError,
     ConfigurationError,
@@ -89,7 +92,6 @@ from repro.kernels.cost_model import EncodeScheme
 from repro.obs.registry import get_registry, merge_snapshots
 from repro.rlnc.block import BlockBatch, Segment
 from repro.rlnc.wire import MAX_WORKER_ID, VERSION, unpack_blocks
-from repro.streaming.server import EagerRoundTicket, StreamingServer
 from repro.streaming.session import MediaProfile, PeerSession
 
 
@@ -292,7 +294,7 @@ class ServingCluster:
         self._per_peer_round_quota = per_peer_round_quota
         self._max_pending_blocks = max_pending_blocks
         self._start_method = start_method
-        self._workers: dict[int, StreamingServer | WorkerProcess] = {}
+        self._workers: dict[int, LocalWorker | WorkerProcess] = {}
         try:
             for worker_id in range(num_workers):
                 self._workers[worker_id] = self._spawn_worker(
@@ -301,8 +303,7 @@ class ServingCluster:
                 )
         except Exception:
             for worker in self._workers.values():
-                if isinstance(worker, WorkerProcess):
-                    worker.shutdown()
+                worker.shutdown()
             raise
         self._router = ClusterRouter(
             HashRing(seed=seed, vnodes=vnodes_per_worker),
@@ -334,7 +335,7 @@ class ServingCluster:
 
     def _spawn_worker(
         self, worker_id: int, chaos=None
-    ) -> StreamingServer | WorkerProcess:
+    ) -> LocalWorker | WorkerProcess:
         """Build one worker (initial spawn and supervisor restarts).
 
         Restarts call this with ``chaos=None`` — a healed victim comes
@@ -345,7 +346,7 @@ class ServingCluster:
         the decoded output identical either way.
         """
         if self.parallel:
-            worker: StreamingServer | WorkerProcess = WorkerProcess(
+            worker: LocalWorker | WorkerProcess = WorkerProcess(
                 worker_id,
                 self.spec,
                 self.profile,
@@ -357,14 +358,16 @@ class ServingCluster:
                 chaos=chaos,
             )
         else:
-            worker = StreamingServer(
-                self.spec,
-                self.profile,
-                scheme=self._scheme,
-                rng=np.random.default_rng([self.seed, worker_id]),
-                per_peer_round_quota=self._per_peer_round_quota,
-                max_pending_blocks=self._max_pending_blocks,
-                worker_id=worker_id,
+            worker = LocalWorker(
+                WorkerBootstrap(
+                    worker_id,
+                    self.spec,
+                    self.profile,
+                    self._scheme,
+                    self.seed,
+                    self._per_peer_round_quota,
+                    self._max_pending_blocks,
+                )
             )
         worker.add_eviction_listener(
             lambda segment_id, wid=worker_id: self._on_worker_eviction(
@@ -390,11 +393,12 @@ class ServingCluster:
     def num_workers(self) -> int:
         return len(self._router.live_workers)
 
-    def worker(self, worker_id: int) -> StreamingServer | WorkerProcess:
-        """A live worker by id (for inspection; raises if dead/unknown).
+    def worker(self, worker_id: int) -> LocalWorker | WorkerProcess:
+        """A live worker's handle by id (raises if dead/unknown).
 
         In-process clusters return the worker's
-        :class:`~repro.streaming.server.StreamingServer`; parallel
+        :class:`~repro.cluster.worker.LocalWorker` (its
+        :class:`~repro.streaming.server.StreamingServer`); parallel
         clusters return its
         :class:`~repro.cluster.worker.WorkerProcess` handle.
         """
@@ -576,8 +580,7 @@ class ServingCluster:
         """Drain one scheduling round on every live worker.
 
         Workers run their rounds independently (separate simulated
-        devices — and in parallel mode, separate OS processes whose
-        rounds are dispatched concurrently and barriered); results
+        devices, and in parallel mode separate OS processes); results
         merge per peer in ascending worker order, so a given cluster
         state always yields the same delivery on either substrate.  The
         round's modelled cost on the parallel timeline is the largest
@@ -598,21 +601,8 @@ class ServingCluster:
         Raises:
             ConfigurationError: on an unknown ``format``.
         """
-        if format not in ("batches", "frames"):
-            raise ConfigurationError(
-                f"unknown serve_round format {format!r}; "
-                "expected 'batches' or 'frames'"
-            )
-        if self.parallel:
-            merged, parallel, serial, blocks, served = self._collect_parallel(
-                self._dispatch_parallel(format, checksum, version)
-            )
-        else:
-            merged, parallel, serial, blocks, served = self._round_serial(
-                format, checksum, version
-            )
-        return self._merge_round(
-            format, merged, parallel, serial, blocks, served
+        return self.collect_round(
+            self.begin_round(format=format, checksum=checksum, version=version)
         )
 
     def begin_round(
@@ -621,17 +611,24 @@ class ServingCluster:
         format: str = "batches",
         checksum: bool = True,
         version: int = VERSION,
-    ) -> object:
+    ) -> "_RoundTicket":
         """Pipelined serving entry: dispatch a round, barrier on it later.
 
-        On the parallel substrate this is the real thing — every live
-        worker's round command is fired and the method returns *without
-        waiting for any reply*, so the per-worker encodes overlap with
-        whatever the caller does next (publishing the previous round's
-        frames, feeding decoders); :meth:`collect_round` is the barrier
-        and produces output byte-identical to :meth:`serve_round`.  On
-        the serial substrate the round runs eagerly and the ticket just
-        parks the result, preserving one driver loop for both modes.
+        Fires ``start_round`` at every live worker handle before any
+        reply is awaited.  A worker process returns at once, so the
+        per-worker encodes overlap with whatever the caller does next
+        (publishing the previous round's frames, feeding decoders); an
+        in-process :class:`~repro.cluster.worker.LocalWorker` serves its
+        round inside the call.  Both pack the round's frames into
+        worker-owned storage (the shared-memory ring, or the worker's
+        wire slots) and :meth:`collect_round` merges the spans.
+        ``format="batches"`` rounds travel as sequence-neutral
+        checksum-free v1 frames, rebuilt into batches at collection, so
+        they leave the v2 wire sequences where they were.
+
+        Under supervision the round is additionally self-healing: the
+        supervisor ticks first (restarting workers whose backoff
+        elapsed, probing silent ones) and down workers are skipped.
 
         At most one round may be in flight per worker (the
         shared-memory ring is bump-allocated per round), so a second
@@ -640,26 +637,57 @@ class ServingCluster:
 
         Returns:
             An opaque ticket for :meth:`collect_round`.
+
+        Raises:
+            ConfigurationError: on an unknown ``format``.
         """
         if format not in ("batches", "frames"):
             raise ConfigurationError(
                 f"unknown serve_round format {format!r}; "
                 "expected 'batches' or 'frames'"
             )
-        if not self.parallel:
-            return EagerRoundTicket(
-                self.serve_round(
-                    format=format, checksum=checksum, version=version
+        supervisor = self.supervisor
+        down: frozenset[int] = frozenset()
+        if supervisor is not None:
+            supervisor.tick()
+            down = frozenset(supervisor.down_workers)
+        if format == "batches":
+            checksum, version, stamp_sequence = False, VERSION, False
+        else:
+            stamp_sequence = True
+        ticket = _RoundTicket(format, down)
+        for wid in self.live_workers:
+            if wid in down:
+                continue
+            worker = self._workers[wid]
+            try:
+                worker.start_round(
+                    checksum=checksum,
+                    version=version,
+                    stamp_sequence=stamp_sequence,
                 )
-            )
-        return self._dispatch_parallel(format, checksum, version)
+            except WorkerCrashError as exc:
+                if supervisor is None:
+                    raise
+                supervisor.note_failure(wid, exc, phase="dispatch")
+                ticket.failed += 1
+                continue
+            ticket.dispatched.append((wid, worker, time.monotonic()))
+        return ticket
 
     def collect_round(
         self, ticket: object
     ) -> dict[int, list[BlockBatch]] | dict[int, memoryview | bytes]:
         """Barrier on a :meth:`begin_round` ticket and merge the round.
 
-        Frames payloads are views into worker shared memory, valid
+        Replies are collected in ascending worker order, which makes
+        the merge deterministic and the same on both substrates.  Under
+        supervision every ``finish_round`` carries the configured round
+        deadline, and a worker that crashes or hangs mid-round is
+        detected and torn down while the merge completes **degraded**
+        on the survivors — the barrier never blocks on a dead pipe.
+
+        Frames payloads are views into worker-owned storage, valid
         until that worker's *next* round — a pipelined driver copies
         them out here, before beginning the following round.
 
@@ -667,37 +695,69 @@ class ServingCluster:
             ConfigurationError: the ticket is foreign or already
                 collected.
         """
-        if isinstance(ticket, EagerRoundTicket):
-            return ticket.take()
-        if not isinstance(ticket, _ParallelRoundTicket):
+        if not isinstance(ticket, _RoundTicket):
             raise ConfigurationError(
                 "collect_round needs the ticket returned by begin_round"
             )
-        merged, parallel, serial, blocks, served = self._collect_parallel(
-            ticket
-        )
-        return self._merge_round(
-            ticket.format, merged, parallel, serial, blocks, served
-        )
-
-    def _merge_round(
-        self,
-        format: str,
-        merged: dict[int, list],
-        parallel: float,
-        serial: float,
-        blocks: int,
-        served: bool,
-    ) -> dict[int, list[BlockBatch]] | dict[int, memoryview | bytes]:
-        """Accumulate a finished round's stats and flatten the merge."""
-        if served:
+        if ticket.taken:
+            raise ConfigurationError("round ticket was already collected")
+        ticket.taken = True
+        supervisor = self.supervisor
+        frames = ticket.format == "frames"
+        failed = ticket.failed
+        merged: dict[int, list] = {}
+        parallel = serial = 0.0
+        blocks = 0
+        for wid, worker, sent_at in ticket.dispatched:
+            try:
+                if supervisor is None:
+                    spans, delta = worker.finish_round()
+                else:
+                    spans, delta = worker.finish_round(
+                        timeout=supervisor.config.round_timeout
+                    )
+            except WorkerCrashError as exc:
+                if supervisor is None:
+                    raise
+                supervisor.note_failure(wid, exc, phase="round")
+                failed += 1
+                continue
+            gpu = delta["gpu_seconds"]
+            parallel = max(parallel, gpu)
+            serial += gpu
+            blocks += int(delta["blocks_served"])
+            for peer_id, peer_spans in spans.items():
+                if frames:
+                    start = peer_spans[0][0]
+                    end = peer_spans[-1][0] + peer_spans[-1][1]
+                    payload: object = worker.view(start, end - start)
+                else:
+                    payload = [
+                        unpack_blocks(worker.view(offset, length), copy=True)
+                        for offset, length in peer_spans
+                    ]
+                merged.setdefault(peer_id, []).append(payload)
+            if supervisor is not None:
+                # Strike on the worker's own wall clock (barrier wait on
+                # an earlier sibling must not be charged to this worker),
+                # and only after the merge: a slow-strike eviction here
+                # closes the ring, and the exported views above pin the
+                # mapping so this round's payloads stay valid.
+                wall = delta.get("round_wall_seconds")
+                supervisor.note_round(
+                    wid,
+                    time.monotonic() - sent_at if wall is None else wall,
+                )
+        if merged:
             self.stats.rounds_served += 1
             self.stats.blocks_served += blocks
             self.stats.gpu_parallel_seconds += parallel
             self.stats.gpu_serial_seconds += serial
             self._m_rounds.inc()
             self._m_blocks.inc(blocks)
-        if format == "batches":
+            if supervisor is not None and (failed or ticket.down):
+                supervisor.note_degraded_round()
+        if not frames:
             return {
                 peer_id: [batch for batches in parts for batch in batches]
                 for peer_id, parts in merged.items()
@@ -710,157 +770,6 @@ class ServingCluster:
             )
             for peer_id, parts in merged.items()
         }
-
-    def _round_serial(
-        self, format: str, checksum: bool, version: int
-    ) -> tuple[dict[int, list], float, float, int, bool]:
-        """One round on the in-process substrate, worker after worker."""
-        merged: dict[int, list] = {}
-        parallel = 0.0
-        serial = 0.0
-        blocks = 0
-        served = False
-        for worker_id in self.live_workers:
-            worker = self._workers[worker_id]
-            before = worker.stats.snapshot()
-            result = worker.serve_round(
-                format=format, checksum=checksum, version=version
-            )
-            delta = worker.stats.delta(before)
-            parallel = max(parallel, delta.gpu_seconds)
-            serial += delta.gpu_seconds
-            blocks += delta.blocks_served
-            served = served or bool(result)
-            for peer_id, payload in result.items():
-                merged.setdefault(peer_id, []).append(payload)
-        return merged, parallel, serial, blocks, served
-
-    def _dispatch_parallel(
-        self, format: str, checksum: bool, version: int
-    ) -> "_ParallelRoundTicket":
-        """Fire one round's commands at every live worker, no waiting.
-
-        Every live worker's round command is dispatched before any
-        reply is awaited, so the per-worker encodes run concurrently on
-        real cores.  Frames land in each worker's shared-memory ring —
-        the reply carries only ``(offset, length)`` spans — and
-        ``format="batches"`` results travel as sequence-neutral
-        checksum-free v1 frames re-hydrated parent-side, so batches
-        rounds leave the v2 wire sequences exactly where a serial
-        cluster would.
-
-        Under supervision the round is additionally self-healing: the
-        supervisor ticks first (restarting workers whose backoff
-        elapsed, probing silent ones) and down workers are skipped.
-        """
-        supervisor = self.supervisor
-        down: frozenset[int] = frozenset()
-        if supervisor is not None:
-            supervisor.tick()
-            down = frozenset(supervisor.down_workers)
-        round_timeout = (
-            supervisor.config.round_timeout if supervisor else None
-        )
-        procs: list[tuple[int, WorkerProcess]] = [
-            (wid, self._workers[wid])
-            for wid in self.live_workers
-            if wid not in down
-        ]
-        frames = format == "frames"
-        dispatched: list[tuple[int, WorkerProcess, float]] = []
-        failed = 0
-        for wid, proc in procs:
-            try:
-                if frames:
-                    proc.start_round(checksum=checksum, version=version)
-                else:
-                    proc.start_round(
-                        checksum=False, version=VERSION, stamp_sequence=False
-                    )
-            except WorkerCrashError as exc:
-                if supervisor is None:
-                    raise
-                supervisor.note_failure(wid, exc, phase="dispatch")
-                failed += 1
-                continue
-            dispatched.append((wid, proc, time.monotonic()))
-        return _ParallelRoundTicket(
-            format=format,
-            frames=frames,
-            dispatched=dispatched,
-            down=down,
-            failed=failed,
-            round_timeout=round_timeout,
-        )
-
-    def _collect_parallel(
-        self, ticket: "_ParallelRoundTicket"
-    ) -> tuple[dict[int, list], float, float, int, bool]:
-        """Barrier on a dispatched round and merge the replies.
-
-        Replies are collected in ascending worker order, which makes
-        the merge deterministic and byte-identical to the serial
-        substrate.  Under supervision every ``finish_round`` carries
-        the configured round deadline, and a worker that crashes or
-        hangs mid-round is detected and torn down while the merge
-        completes **degraded** on the survivors — the barrier never
-        blocks on a dead pipe.
-        """
-        if ticket.taken:
-            raise ConfigurationError("round ticket was already collected")
-        ticket.taken = True
-        supervisor = self.supervisor
-        frames = ticket.frames
-        down = ticket.down
-        failed = ticket.failed
-        round_timeout = ticket.round_timeout
-        merged: dict[int, list] = {}
-        parallel = 0.0
-        serial = 0.0
-        blocks = 0
-        served = False
-        for wid, proc, sent_at in ticket.dispatched:
-            try:
-                if supervisor is None:
-                    spans, delta = proc.finish_round()
-                else:
-                    spans, delta = proc.finish_round(timeout=round_timeout)
-            except WorkerCrashError as exc:
-                if supervisor is None:
-                    raise
-                supervisor.note_failure(wid, exc, phase="round")
-                failed += 1
-                continue
-            wall = delta.pop("round_wall_seconds", None)
-            gpu = delta["gpu_seconds"]
-            parallel = max(parallel, gpu)
-            serial += gpu
-            blocks += int(delta["blocks_served"])
-            served = served or bool(spans)
-            for peer_id, peer_spans in spans.items():
-                if frames:
-                    start = peer_spans[0][0]
-                    end = peer_spans[-1][0] + peer_spans[-1][1]
-                    payload: object = proc.view(start, end - start)
-                else:
-                    payload = [
-                        unpack_blocks(proc.view(offset, length), copy=True)
-                        for offset, length in peer_spans
-                    ]
-                merged.setdefault(peer_id, []).append(payload)
-            if supervisor is not None:
-                # Strike on the worker's own wall clock (barrier wait on
-                # an earlier sibling must not be charged to this worker),
-                # and only after the merge: a slow-strike eviction here
-                # closes the ring, and the exported views above pin the
-                # mapping so this round's payloads stay valid.
-                supervisor.note_round(
-                    wid,
-                    time.monotonic() - sent_at if wall is None else wall,
-                )
-        if supervisor is not None and served and (failed or down):
-            supervisor.note_degraded_round()
-        return merged, parallel, serial, blocks, served
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -875,8 +784,7 @@ class ServingCluster:
             return
         self._closed = True
         for worker in self._workers.values():
-            if isinstance(worker, WorkerProcess):
-                worker.shutdown()
+            worker.shutdown()
 
     def __enter__(self) -> "ServingCluster":
         return self
@@ -954,9 +862,8 @@ class ServingCluster:
         if self.parallel:
             sent = received = 0
             for worker in self._workers.values():
-                if isinstance(worker, WorkerProcess):
-                    sent += worker.control_bytes_sent
-                    received += worker.control_bytes_received
+                sent += worker.control_bytes_sent
+                received += worker.control_bytes_received
             own["counters"]["cluster_control_bytes_sent"] = float(sent)
             own["counters"]["cluster_control_bytes_received"] = float(received)
         if self.supervisor is not None:
@@ -1043,8 +950,7 @@ class ServingCluster:
             for peer_id, view in self._peers.items():
                 view._attach(worker_id, worker.connect(peer_id))
         except Exception:
-            if isinstance(worker, WorkerProcess):
-                worker.shutdown()
+            worker.shutdown()
             raise
         self._workers[worker_id] = worker
         if self.supervisor is not None:
@@ -1083,9 +989,7 @@ class ServingCluster:
                 last one while segments are still placed.
         """
         moved = self._router.rebalance(worker_id)
-        victim = self._workers[worker_id]
-        if isinstance(victim, WorkerProcess):
-            victim.shutdown()
+        self._workers[worker_id].shutdown()
         if self.supervisor is not None:
             self.supervisor.forget(worker_id)
         self._finish_eviction(worker_id, moved, removal="removed")
@@ -1115,9 +1019,7 @@ class ServingCluster:
                 last one while segments are still placed.
         """
         moved = self._router.rebalance(worker_id)
-        victim = self._workers[worker_id]
-        if isinstance(victim, WorkerProcess):
-            victim.kill()
+        self._workers[worker_id].kill()
         if self.supervisor is not None:
             # A deliberate kill is an eviction, not an outage: the
             # supervisor must not restart this worker.
@@ -1180,33 +1082,21 @@ class ServingCluster:
         self._m_placed.set(self._router.advertised_segments)
 
 
-class _ParallelRoundTicket:
-    """An in-flight parallel round: dispatched commands awaiting barrier.
+class _RoundTicket:
+    """An in-flight round: dispatched workers awaiting the barrier.
 
-    Created by :meth:`ServingCluster.begin_round` on the process
-    substrate; :meth:`ServingCluster.collect_round` consumes it exactly
-    once.  Holds the dispatch-time supervision snapshot (down workers,
-    dispatch failures, round deadline) so the collect half charges
-    degradation to the round that actually suffered it.
+    Created by :meth:`ServingCluster.begin_round`;
+    :meth:`ServingCluster.collect_round` consumes it exactly once.
+    Holds the dispatch-time supervision snapshot (down workers,
+    dispatch failures) so the collect half charges degradation to the
+    round that actually suffered it.
     """
 
-    __slots__ = ("format", "frames", "dispatched", "down", "failed",
-                 "round_timeout", "taken")
+    __slots__ = ("format", "down", "dispatched", "failed", "taken")
 
-    def __init__(
-        self,
-        *,
-        format: str,
-        frames: bool,
-        dispatched: list[tuple[int, WorkerProcess, float]],
-        down: frozenset[int],
-        failed: int,
-        round_timeout: float | None,
-    ) -> None:
+    def __init__(self, format: str, down: frozenset[int]) -> None:
         self.format = format
-        self.frames = frames
-        self.dispatched = dispatched
         self.down = down
-        self.failed = failed
-        self.round_timeout = round_timeout
+        self.dispatched: list[tuple[int, LocalWorker | WorkerProcess, float]] = []
+        self.failed = 0
         self.taken = False

@@ -54,7 +54,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, fields
 
-from repro.cluster.worker import WorkerProcess
 from repro.errors import (
     ConfigurationError,
     WorkerCrashError,
@@ -271,9 +270,8 @@ class WorkerSupervisor:
         return 0 if state is None else state.restarts_used
 
     def _arm(self, proc) -> None:
-        """Put this supervisor's command deadline on a worker handle."""
-        if isinstance(proc, WorkerProcess):
-            proc.command_timeout = self.config.command_timeout
+        """Put this supervisor's command deadline on a worker process."""
+        proc.command_timeout = self.config.command_timeout
 
     # -- detection ---------------------------------------------------------
 

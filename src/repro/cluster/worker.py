@@ -1,6 +1,19 @@
-"""Process workers: one real :class:`StreamingServer` per OS process.
+"""Cluster workers: one :class:`LocalWorker` server per worker, two handles.
 
-The control/data split the parallel cluster is built on:
+Every cluster worker's server is a :class:`LocalWorker` (a
+:class:`~repro.streaming.server.StreamingServer` seeded with
+``default_rng([seed, w])`` and stamped ``worker_id=w``), built from a
+:class:`WorkerBootstrap`.  The cluster reaches it through one of two
+handles that speak the same round protocol:
+
+* the ``LocalWorker`` itself, in the caller's process (the serial
+  substrate);
+* a :class:`WorkerProcess`, which hosts it in a separate OS process.
+
+Both serve a round through :meth:`LocalWorker.serve_round_spans`, so a
+parallel round is byte-identical to its serial counterpart.
+
+The control/data split of the process handle:
 
 * **Control plane** — a duplex command pipe per worker.  Commands and
   replies are small pickled tuples (requests, round dispatches, stats
@@ -13,15 +26,10 @@ The control/data split the parallel cluster is built on:
   :meth:`~repro.streaming.server.StreamingServer.serve_round_into`.
   Replies carry only ``(offset, length)`` spans into the ring.
 
-Each worker process hosts exactly the object graph the in-process
-cluster would give worker ``w`` — a :class:`StreamingServer` seeded with
-``default_rng([seed, w])`` and stamped ``worker_id=w`` — so a parallel
-round is byte-identical to its serial counterpart.
-
-Round dispatch is split into :meth:`WorkerProcess.start_round` (fire the
-command) and :meth:`WorkerProcess.finish_round` (collect the reply) so
-the cluster can launch every worker's round before waiting on any —
-the async dispatch loop that turns N workers into N cores.
+Round dispatch is split into ``start_round`` (fire the round) and
+``finish_round`` (collect the reply) so the cluster can launch every
+worker's round before waiting on any — the async dispatch loop that
+turns N workers into N cores.
 
 The parent mirrors each worker-resident
 :class:`~repro.streaming.session.PeerSession` in a :class:`_SessionMirror`
@@ -86,10 +94,12 @@ def default_start_method(override: str | None = None) -> str:
 
 @dataclass(frozen=True)
 class WorkerBootstrap:
-    """Everything a worker process needs to build its server (picklable).
+    """Everything a worker needs to build its server (picklable).
 
-    No payload bytes here either: the ring is named, not embedded, and
-    the worker attaches to it by name.
+    :class:`LocalWorker` is built from one directly; a worker process
+    gets one through its command pipe.  No payload bytes here either:
+    the ring is named, not embedded, and a worker process attaches to
+    it by name (in-process workers have no ring).
     """
 
     worker_id: int
@@ -99,9 +109,9 @@ class WorkerBootstrap:
     seed: int
     per_peer_round_quota: int | None
     max_pending_blocks: int | None
-    ring_name: str
-    ring_capacity: int
-    ring_inbox_bytes: int
+    ring_name: str = ""
+    ring_capacity: int = 0
+    ring_inbox_bytes: int = 0
     #: Scheduled process-level fault, if this worker is a chaos victim.
     chaos: WorkerChaosSpec | None = None
 
@@ -133,6 +143,91 @@ class WorkerLifecycleStats:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
+class LocalWorker(StreamingServer):
+    """One cluster worker's server, and its in-process worker handle.
+
+    Every worker's :class:`StreamingServer` is a ``LocalWorker`` built
+    from a :class:`WorkerBootstrap`: seeded with ``default_rng([seed,
+    w])`` and stamped ``worker_id=w``.  A worker process hosts one
+    behind its command pipe; the in-process cluster holds one directly
+    and drives it through the same round protocol as a
+    :class:`WorkerProcess` — :meth:`start_round`, :meth:`finish_round`,
+    :meth:`view`, :meth:`shutdown` and :meth:`kill`.  Both substrates
+    serve each round through :meth:`serve_round_spans`; here it packs
+    into the server's two alternating wire slots instead of a
+    shared-memory ring, so the cluster's dispatch, merge and stats code
+    exists once and the substrates agree byte for byte by construction.
+    """
+
+    def __init__(self, bootstrap: WorkerBootstrap) -> None:
+        super().__init__(
+            bootstrap.spec,
+            bootstrap.profile,
+            scheme=bootstrap.scheme,
+            rng=np.random.default_rng([bootstrap.seed, bootstrap.worker_id]),
+            per_peer_round_quota=bootstrap.per_peer_round_quota,
+            max_pending_blocks=bootstrap.max_pending_blocks,
+            worker_id=bootstrap.worker_id,
+        )
+        self._finished: tuple[dict, dict] | None = None
+
+    def serve_round_spans(
+        self, alloc, checksum: bool, version: int, stamp_sequence: bool
+    ) -> tuple[dict[int, list[tuple[int, int]]], dict]:
+        """Serve one round into ``alloc``'s storage.
+
+        Returns:
+            ``(spans, stats_delta)`` — :meth:`serve_round_into`'s
+            per-peer ``(offset, length)`` spans and the round's
+            :class:`~repro.streaming.server.ServerStats` delta as a dict.
+        """
+        before = self.stats.snapshot()
+        spans = self.serve_round_into(
+            alloc,
+            checksum=checksum,
+            version=version,
+            stamp_sequence=stamp_sequence,
+        )
+        return spans, self.stats.delta(before).as_dict()
+
+    def start_round(
+        self,
+        *,
+        checksum: bool = True,
+        version: int = VERSION,
+        stamp_sequence: bool = True,
+    ) -> None:
+        """Serve one round now; :meth:`finish_round` hands it over."""
+        if self._finished is not None:
+            raise ConfigurationError(
+                f"worker {self.worker_id} already has a round in flight"
+            )
+        self._finished = self.serve_round_spans(
+            self._alloc_wire, checksum, version, stamp_sequence
+        )
+
+    def finish_round(
+        self, timeout: float | None = None
+    ) -> tuple[dict[int, list[tuple[int, int]]], dict]:
+        """The round :meth:`start_round` served (``timeout`` is unused:
+        an in-process round has already finished)."""
+        if self._finished is None:
+            raise ConfigurationError(
+                f"no round in flight on worker {self.worker_id}"
+            )
+        finished, self._finished = self._finished, None
+        return finished
+
+    def view(self, offset: int, length: int) -> memoryview:
+        """Zero-copy view of the last round's output in its wire slot."""
+        return self._wire_packed[offset : offset + length]
+
+    def shutdown(self, timeout: float | None = None) -> None:
+        """Nothing to release: the worker lives in the caller's process."""
+
+    kill = shutdown
+
+
 class _SessionMirror:
     """Parent-side mirror of one worker-resident peer session.
 
@@ -152,7 +247,7 @@ class _SessionMirror:
 
 
 class _WorkerRuntime:
-    """The child-process side: a StreamingServer driven by the pipe."""
+    """The child-process side: a :class:`LocalWorker` driven by the pipe."""
 
     def __init__(self, bootstrap: WorkerBootstrap, conn) -> None:
         self.conn = conn
@@ -161,15 +256,7 @@ class _WorkerRuntime:
             capacity=bootstrap.ring_capacity,
             inbox_bytes=bootstrap.ring_inbox_bytes,
         )
-        self.server = StreamingServer(
-            bootstrap.spec,
-            bootstrap.profile,
-            scheme=bootstrap.scheme,
-            rng=np.random.default_rng([bootstrap.seed, bootstrap.worker_id]),
-            per_peer_round_quota=bootstrap.per_peer_round_quota,
-            max_pending_blocks=bootstrap.max_pending_blocks,
-            worker_id=bootstrap.worker_id,
-        )
+        self.server = LocalWorker(bootstrap)
         self.evicted: list[int] = []
         self.server.add_eviction_listener(self.evicted.append)
         #: last counters reported per peer, for reply diffing
@@ -219,15 +306,7 @@ class _WorkerRuntime:
     def handle(self, tag: str, args: tuple):
         server = self.server
         if tag == "round":
-            checksum, version, stamp_sequence = args
-            before = server.stats.snapshot()
-            spans = server.serve_round_into(
-                self._alloc,
-                checksum=checksum,
-                version=version,
-                stamp_sequence=stamp_sequence,
-            )
-            return spans, server.stats.delta(before).as_dict()
+            return server.serve_round_spans(self._alloc, *args)
         if tag == "request":
             peer_id, segment_id, num_blocks = args
             return server.request_blocks(peer_id, segment_id, num_blocks)
@@ -348,10 +427,10 @@ class WorkerProcess:
     """Parent-side handle on one worker process.
 
     Owns the process, the command pipe and the shared-memory ring; the
-    cluster talks to it with the same verbs it would call on an
-    in-process :class:`StreamingServer` (publish/connect/request/round),
-    plus the split :meth:`start_round`/:meth:`finish_round` pair the
-    async dispatch loop uses.
+    cluster talks to it with the same verbs it calls on an in-process
+    :class:`LocalWorker` (publish/connect/request, and the
+    :meth:`start_round`/:meth:`finish_round`/:meth:`view` round
+    protocol).
 
     Every control byte in and out is accounted in
     :attr:`control_bytes_sent`/:attr:`control_bytes_received` — the

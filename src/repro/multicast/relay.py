@@ -30,7 +30,7 @@ from repro.rlnc.block import BlockBatch, Segment
 from repro.rlnc.recoder import Recoder
 from repro.rlnc.wire import VERSION, VERSION2, pack_blocks, stream_size
 from repro.streaming.scheduler import BlockRequest, ServeRoundScheduler
-from repro.streaming.server import EagerRoundTicket
+from repro.streaming.server import EagerRounds
 from repro.streaming.session import MediaProfile, PeerSession
 
 
@@ -78,7 +78,7 @@ class RelayStats:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-class RelayNode:
+class RelayNode(EagerRounds):
     """A recoding interior node implementing the serving protocol.
 
     Args:
@@ -287,32 +287,6 @@ class RelayNode:
             f"unknown serve_round format {format!r}; "
             "expected 'batches' or 'frames'"
         )
-
-    def begin_round(
-        self,
-        *,
-        format: str = "batches",
-        checksum: bool = True,
-        version: int = VERSION,
-    ) -> object:
-        """Pipelined entry: run this round now, collect its result later.
-
-        A relay recodes synchronously, so the overlap is modelled (the
-        timeline model prices the stages); the ticket protocol matches
-        the cluster's genuinely-concurrent implementation so pipelined
-        drivers treat every endpoint alike.
-        """
-        return EagerRoundTicket(
-            self.serve_round(format=format, checksum=checksum, version=version)
-        )
-
-    def collect_round(self, ticket: object) -> dict:
-        """Barrier on a :meth:`begin_round` ticket; returns its result."""
-        if not isinstance(ticket, EagerRoundTicket):
-            raise ConfigurationError(
-                "collect_round needs the ticket returned by begin_round"
-            )
-        return ticket.take()
 
     def _round_batches(self) -> dict[int, list[BlockBatch]]:
         if not self._queue:

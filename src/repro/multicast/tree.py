@@ -24,6 +24,7 @@ deterministic.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -236,6 +237,19 @@ class MulticastTree:
                 ]
             )
 
+    @functools.cached_property
+    def min_cut_bound(self) -> int:
+        """The source -> leaves multicast capacity of :attr:`graph`.
+
+        A max-flow per leaf; computed on first use and kept, because
+        the topology never changes after construction.
+        """
+        return multicast_capacity(
+            self.graph,
+            "source",
+            [node for node, role in self.graph.nodes(data="role") if role == "leaf"],
+        )
+
     @property
     def leaf_sessions(self) -> list[ClientSession]:
         """Every leaf session, relay-major order."""
@@ -308,11 +322,7 @@ class MulticastTree:
             leaves=len(self.leaf_sessions),
             leaves_complete=True,
             payload_ok=payload_ok,
-            min_cut_bound=multicast_capacity(
-                self.graph,
-                "source",
-                [node for node, role in self.graph.nodes(data="role") if role == "leaf"],
-            ),
+            min_cut_bound=self.min_cut_bound,
             blocks_recoded=sum(r.stats.blocks_recoded for r in self.relays),
             relay_stats={r.name: r.stats.snapshot() for r in self.relays},
         )

@@ -5,8 +5,7 @@ node strategies (coding vs store-and-forward), and a round-based
 distribution simulator measuring time-to-decode against the min-cut
 multicast bound.  The unified entry points are :func:`run_simulation`
 (one seeded run) and :func:`strategy_showdown` (coding vs forwarding on
-identical inputs); :func:`compare_strategies` is a deprecated
-one-release alias of the latter.
+identical inputs).
 """
 
 from repro.p2p.metrics import (
@@ -21,7 +20,6 @@ from repro.p2p.simulator import (
     P2PSimulator,
     SimulationResult,
     Strategy,
-    compare_strategies,
     run_simulation,
     strategy_showdown,
 )
@@ -50,7 +48,6 @@ __all__ = [
     "Strategy",
     "butterfly",
     "coding_advantage",
-    "compare_strategies",
     "distribution_tree",
     "line",
     "min_cut_to",

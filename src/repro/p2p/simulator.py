@@ -252,39 +252,3 @@ def strategy_showdown(
         )
         for strategy in Strategy
     }
-
-
-def compare_strategies(
-    graph: nx.DiGraph,
-    params: CodingParams,
-    *,
-    source,
-    sinks,
-    seed: int = 0,
-    max_rounds: int = 10_000,
-) -> dict[Strategy, SimulationResult]:
-    """Deprecated alias of :func:`strategy_showdown` (one-release shim).
-
-    .. deprecated::
-        The bespoke p2p entry points are folding into the unified
-        simulator facade; call :func:`strategy_showdown` (identical
-        semantics, plus loss/churn knobs) or :func:`run_simulation`
-        for a single strategy.  This alias warns now and will be
-        removed next release.
-    """
-    import warnings
-
-    warnings.warn(
-        "compare_strategies is deprecated; use strategy_showdown "
-        "(same results) or run_simulation for a single strategy",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return strategy_showdown(
-        graph,
-        params,
-        source=source,
-        sinks=sinks,
-        seed=seed,
-        max_rounds=max_rounds,
-    )

@@ -15,10 +15,6 @@ interchangeably::
     endpoint.publish(segment)
     session = ClientSession(endpoint, peer_id=1)
     data = session.fetch_segment(segment.segment_id)
-
-The pre-facade ``StreamingServer.serve_round_frames`` shim completed its
-one-release deprecation grace and has been removed; use
-``serve_round(format="frames", ...)``.
 """
 
 from __future__ import annotations
@@ -90,10 +86,10 @@ class ServingEndpoint(Protocol):
     ) -> object:
         """Start a round pipelined; returns a ticket for collect_round.
 
-        Serial endpoints may run the round eagerly inside this call;
-        the multiprocess cluster genuinely overlaps it with the
-        caller's work.  Either way ``collect_round(ticket)`` yields
-        output byte-identical to a plain ``serve_round``.
+        A server, a relay and an in-process cluster serve the round
+        inside this call; the multiprocess cluster's workers overlap
+        it with the caller's work.  Either way ``collect_round(ticket)``
+        yields output byte-identical to a plain ``serve_round``.
         """
         ...
 

@@ -108,7 +108,72 @@ class ServerStats:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-class StreamingServer:
+class EagerRounds:
+    """The ``begin_round``/``collect_round`` pair of a synchronous endpoint.
+
+    Shared by :class:`StreamingServer` and
+    :class:`~repro.multicast.relay.RelayNode`: the round runs inside
+    ``begin_round`` through the endpoint's own ``serve_round`` and the
+    ticket parks the result.  With double-buffered wire storage behind
+    ``format="frames"``, a pipelined driver can still issue round
+    ``r+1`` before round ``r``'s frames have been consumed, and it
+    drives these endpoints exactly as it drives a
+    :class:`~repro.cluster.ServingCluster`, whose workers overlap the
+    round with the caller's work.
+    """
+
+    def begin_round(
+        self,
+        *,
+        format: str = "batches",
+        checksum: bool = True,
+        version: int = VERSION,
+    ) -> "EagerRoundTicket":
+        """Pipelined serving entry: serve a round now, collect it later.
+
+        Returns:
+            An opaque ticket for :meth:`collect_round`.
+        """
+        return EagerRoundTicket(
+            self.serve_round(format=format, checksum=checksum, version=version)
+        )
+
+    def collect_round(self, ticket: object) -> dict:
+        """Barrier on a :meth:`begin_round` ticket; returns the round.
+
+        Raises:
+            ConfigurationError: the ticket is foreign or already
+                collected.
+        """
+        if not isinstance(ticket, EagerRoundTicket):
+            raise ConfigurationError(
+                "collect_round needs the ticket returned by begin_round"
+            )
+        return ticket.take()
+
+
+class EagerRoundTicket:
+    """A begin_round result computed eagerly, awaiting collection.
+
+    :class:`EagerRounds` endpoints (:class:`StreamingServer` and relays)
+    run a round synchronously inside ``begin_round`` and park the
+    result here; ``collect_round`` hands it over exactly once.
+    """
+
+    __slots__ = ("_result", "_taken")
+
+    def __init__(self, result: dict) -> None:
+        self._result = result
+        self._taken = False
+
+    def take(self) -> dict:
+        if self._taken:
+            raise ConfigurationError("round ticket was already collected")
+        self._taken = True
+        return self._result
+
+
+class StreamingServer(EagerRounds):
     """Serves network-coded media segments to downstream peers.
 
     Args:
@@ -168,6 +233,7 @@ class StreamingServer:
         # pipelined (begin_round/collect_round) serving mode.
         self._wire_buffers = [bytearray(), bytearray()]
         self._wire_slot = 0
+        self._wire_packed = memoryview(b"")
         self.stats = ServerStats()
         # Registry write-through handles, cached once per server so the
         # serve paths pay a plain method call, not a label resolution.
@@ -642,6 +708,19 @@ class StreamingServer:
                         offset += len(packed)
         return spans
 
+    def _alloc_wire(self, total: int) -> tuple[bytearray, int]:
+        """The next of the two alternating wire slots, grown to ``total``.
+
+        The slot packed last stays readable through :attr:`_wire_packed`
+        until the round after next packs over it.
+        """
+        slot = self._wire_slot
+        self._wire_slot = 1 - slot
+        if len(self._wire_buffers[slot]) < total:
+            self._wire_buffers[slot] = bytearray(total)
+        self._wire_packed = memoryview(self._wire_buffers[slot])
+        return self._wire_buffers[slot], 0
+
     def _round_frames(
         self, *, checksum: bool, version: int
     ) -> dict[int, memoryview]:
@@ -655,83 +734,12 @@ class StreamingServer:
         alternate, one previous round's frames remain valid while this
         round packs — the double buffering pipelined serving relies on.
         """
-        slot = self._wire_slot
-        self._wire_slot = (slot + 1) % len(self._wire_buffers)
-
-        def alloc(total: int) -> tuple[bytearray, int]:
-            if len(self._wire_buffers[slot]) < total:
-                self._wire_buffers[slot] = bytearray(total)
-            return self._wire_buffers[slot], 0
-
         spans = self.serve_round_into(
-            alloc, checksum=checksum, version=version
+            self._alloc_wire, checksum=checksum, version=version
         )
-        view = memoryview(self._wire_buffers[slot])
-        frames: dict[int, memoryview] = {}
-        for peer_id, peer_spans in spans.items():
-            start = peer_spans[0][0]
-            end = peer_spans[-1][0] + peer_spans[-1][1]
-            frames[peer_id] = view[start:end]
-        return frames
-
-    def begin_round(
-        self,
-        *,
-        format: str = "batches",
-        checksum: bool = True,
-        version: int = VERSION,
-    ) -> object:
-        """Pipelined serving entry: start a round, collect it later.
-
-        On a single in-process server the encode runs synchronously (the
-        returned ticket already holds the result), but the two-phase
-        protocol — and the double-buffered wire storage backing
-        ``format="frames"`` — lets a pipelined driver issue round
-        ``r+1`` before round ``r``'s frames have been consumed.  The
-        multiprocess :class:`~repro.cluster.ServingCluster` implements
-        the same pair with genuine overlap (workers encode while the
-        driver transmits), so drivers treat every
-        :class:`~repro.serving.ServingEndpoint` alike.
-
-        Returns:
-            An opaque ticket for :meth:`collect_round`.
-        """
-        return EagerRoundTicket(
-            self.serve_round(format=format, checksum=checksum, version=version)
-        )
-
-    def collect_round(self, ticket: object) -> dict:
-        """Barrier on a :meth:`begin_round` ticket; returns the round.
-
-        Raises:
-            ConfigurationError: the ticket is foreign or already
-                collected.
-        """
-        if not isinstance(ticket, EagerRoundTicket):
-            raise ConfigurationError(
-                "collect_round needs the ticket returned by begin_round"
-            )
-        return ticket.take()
-
-
-class EagerRoundTicket:
-    """A begin_round result computed eagerly, awaiting collection.
-
-    Serial endpoints (:class:`StreamingServer`, relays, serial-substrate
-    clusters) run a round synchronously inside ``begin_round`` and park
-    the result here; ``collect_round`` hands it over exactly once.  The
-    class is shared so every eager endpoint raises identical errors on
-    double collection.
-    """
-
-    __slots__ = ("_result", "_taken")
-
-    def __init__(self, result: dict) -> None:
-        self._result = result
-        self._taken = False
-
-    def take(self) -> dict:
-        if self._taken:
-            raise ConfigurationError("round ticket was already collected")
-        self._taken = True
-        return self._result
+        return {
+            peer_id: self._wire_packed[
+                peer_spans[0][0] : peer_spans[-1][0] + peer_spans[-1][1]
+            ]
+            for peer_id, peer_spans in spans.items()
+        }

@@ -17,6 +17,7 @@ from repro.serving import (
 )
 from repro.streaming import MediaProfile, ServerStats, SessionStats
 from repro.streaming.server import EagerRoundTicket
+from tests.cluster.conftest import capped_workers
 
 SMALL_PROFILE = MediaProfile(params=CodingParams(8, 64))
 
@@ -43,7 +44,35 @@ def make_relay():
     return RelayNode(SMALL_PROFILE, rng=np.random.default_rng(0))
 
 
-ENDPOINT_FACTORIES = [make_server, make_cluster, make_relay]
+#: Parallel clusters opened by the running test, closed after it.
+_OPEN_CLUSTERS: list[ServingCluster] = []
+
+
+def make_parallel_cluster():
+    cluster = ServingCluster(
+        GTX280,
+        SMALL_PROFILE,
+        num_workers=capped_workers(2),
+        seed=0,
+        parallel=True,
+    )
+    _OPEN_CLUSTERS.append(cluster)
+    return cluster
+
+
+@pytest.fixture(autouse=True)
+def close_parallel_clusters():
+    yield
+    while _OPEN_CLUSTERS:
+        _OPEN_CLUSTERS.pop().close()
+
+
+ENDPOINT_FACTORIES = [
+    make_server,
+    make_cluster,
+    make_relay,
+    make_parallel_cluster,
+]
 
 
 class TestProtocol:
@@ -109,6 +138,18 @@ class TestPipelinedRounds:
         endpoint.collect_round(ticket)
         with pytest.raises(ConfigurationError, match="already collected"):
             endpoint.collect_round(ticket)
+
+    @pytest.mark.parametrize("factory", [make_cluster, make_parallel_cluster])
+    def test_cluster_allows_one_round_in_flight(self, factory):
+        # Both substrates hold one round per worker until collected.
+        cluster = factory()
+        cluster.publish(make_segment(0))
+        cluster.connect(1)
+        cluster.request_blocks(1, 0, 2)
+        ticket = cluster.begin_round()
+        with pytest.raises(ConfigurationError, match="in flight"):
+            cluster.begin_round()
+        assert len(cluster.collect_round(ticket)[1][0]) == 2
 
     @pytest.mark.parametrize("factory", ENDPOINT_FACTORIES)
     def test_foreign_ticket_rejected(self, factory):

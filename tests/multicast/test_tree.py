@@ -7,7 +7,8 @@ from repro.errors import ConfigurationError, RetryExhaustedError
 from repro.faults import FaultPlan
 from repro.gpu import GTX280
 from repro.multicast import MulticastTree, RelayNode, RelayUplink
-from repro.p2p import distribution_tree
+from repro.multicast import tree as tree_module
+from repro.p2p import distribution_tree, multicast_capacity
 from repro.rlnc import CodingParams, Segment
 from repro.streaming import MediaProfile
 from repro.streaming.server import StreamingServer
@@ -48,6 +49,25 @@ class TestTopology:
 
 
 class TestDistribution:
+    def test_min_cut_is_computed_once_per_tree(self, monkeypatch):
+        calls = []
+
+        def counting(graph, source, sinks):
+            calls.append(source)
+            return multicast_capacity(graph, source, sinks)
+
+        monkeypatch.setattr(tree_module, "multicast_capacity", counting)
+        first, second = make_segment(1), make_segment(2)
+        second = Segment(blocks=second.blocks, segment_id=1)
+        root = make_root(first)
+        root.publish(second)
+        tree = MulticastTree(root, PROFILE, relays=2, leaves_per_relay=2)
+        assert calls == []  # lazy: construction computes nothing
+        reports = [tree.distribute(first), tree.distribute(second)]
+        assert len(calls) == 1
+        assert all(report.payload_ok for report in reports)
+        assert reports[0].min_cut_bound == reports[1].min_cut_bound >= 1
+
     def test_lossless_tree_delivers_every_leaf(self):
         segment = make_segment()
         tree = MulticastTree(

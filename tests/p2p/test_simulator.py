@@ -8,7 +8,6 @@ from repro.p2p import (
     P2PSimulator,
     Strategy,
     butterfly,
-    compare_strategies,
     line,
     random_overlay,
     run_simulation,
@@ -167,26 +166,6 @@ class TestUnifiedEntryPoints:
         assert set(results) == set(Strategy)
         for strategy, result in results.items():
             assert result.strategy is strategy
-
-    def test_compare_strategies_warns_and_forwards(self):
-        # One-release deprecation shim: same results, plus the warning.
-        params = CodingParams(8, 16)
-        with pytest.warns(DeprecationWarning, match="strategy_showdown"):
-            deprecated = compare_strategies(
-                butterfly(), params, source="s", sinks=["t1", "t2"], seed=7
-            )
-        fresh = strategy_showdown(
-            butterfly(), params, source="s", sinks=["t1", "t2"], seed=7
-        )
-        for strategy in Strategy:
-            assert (
-                deprecated[strategy].completion_round
-                == fresh[strategy].completion_round
-            )
-            assert (
-                deprecated[strategy].blocks_sent
-                == fresh[strategy].blocks_sent
-            )
 
 
 class TestValidation:
