@@ -32,7 +32,6 @@ REQUIRED_SECTIONS = frozenset(
         "observability_overhead",
         "cluster_scaleout",
         "cluster_failover",
-        "rotadd_head_to_head",
         "loadtest_scale",
         "multicast_pipeline",
     }

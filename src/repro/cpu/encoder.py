@@ -145,9 +145,7 @@ class CpuEncoder:
         n, k = segment.blocks.shape
         if coefficients is None:
             coefficients = random_matrix(coded_rows, n, rng)
-        payloads = matmul(
-            coefficients, segment.blocks, log_b=segment.log_blocks()
-        )
+        payloads = matmul(coefficients, segment.blocks)
         time = self.estimate_time(
             num_blocks=n, block_size=k, coded_rows=coefficients.shape[0]
         )

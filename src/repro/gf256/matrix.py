@@ -160,9 +160,9 @@ def independent_row_indices(
     """Return indices of the earliest rows forming a full-rank subset.
 
     Greedy earliest-first selection: each candidate row is forward-reduced
-    against the basis built so far (batched over all live pivots via the
-    engine) and accepted iff it is innovative, stopping once ``count``
-    independent rows are found.  This is the row-selection kernel behind
+    against the basis built so far (one engine ``fold_rows`` pass over all
+    live pivots) and accepted iff it is innovative, stopping once
+    ``count`` independent rows are found.  This is the row-selection kernel behind
     the two-stage decoder's retry path: after a singular draw, callers add
     one more block and re-select over the *whole* buffer, so a late
     innovative block can rescue an early dependent prefix.
@@ -188,10 +188,7 @@ def independent_row_indices(
             break
         vector = matrix[index].copy()
         if held:
-            factors = vector[pivot_cols[:held]]
-            live = np.nonzero(factors)[0]
-            if live.size:
-                vector ^= ENGINE.scaled_rows_xor(basis[live], factors[live])
+            ENGINE.fold_rows(vector, basis[:held], vector[pivot_cols[:held]])
         support = np.nonzero(vector)[0]
         if support.size == 0:
             continue
@@ -201,10 +198,7 @@ def independent_row_indices(
             vector = MUL_TABLE[INV[lead]][vector]
         # Keep the basis fully reduced so the batched forward reduction
         # above stays a single pass (pivot columns are disjoint in RREF).
-        column = basis[:held, pivot].copy()
-        targets = np.nonzero(column)[0]
-        if targets.size:
-            basis[targets] ^= ENGINE.scaled_rows(column[targets], vector)
+        ENGINE.axpy_rows(basis[:held], basis[:held, pivot].copy(), vector)
         basis[held] = vector
         pivot_cols[held] = pivot
         chosen.append(index)

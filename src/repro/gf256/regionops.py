@@ -12,13 +12,13 @@ lifecycle:
   canonical :data:`~repro.gf256.tables.MUL_TABLE`;
 * degrade gracefully: any failure (no compiler, read-only filesystem,
   unloadable object) marks the kernel unavailable and the engine falls
-  back to the pure-numpy wide path — never an import error.
+  back to its table formulation — never an import error.
 
 Environment knobs:
 
 * ``REPRO_WIDE_KERNEL=0`` disables the compiled kernel outright (the
-  numpy fallback is then used even where ``cc`` exists — how the test
-  suite cross-validates both wide implementations).
+  table fallback is then used even where ``cc`` exists — how the test
+  suite runs the no-compiler path).
 * ``REPRO_WIDE_KERNEL_CACHE`` overrides the shared-object cache
   directory (default ``~/.cache/repro/regionops``).
 """
@@ -147,7 +147,7 @@ def _check_row_view(array: np.ndarray, name: str) -> int:
     """Validate a 2-D uint8 view with contiguous rows; return row stride."""
     if array.dtype != np.uint8 or array.ndim != 2:
         raise ValueError(f"{name} must be a 2-D uint8 array")
-    if array.shape[1] and array.strides[1] != 1:
+    if array.shape[1] > 1 and array.strides[1] != 1:
         raise ValueError(f"{name} rows must be contiguous")
     return array.strides[0]
 

@@ -86,20 +86,15 @@ def mul_elementwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return MUL_TABLE[a, b]
 
 
-def matmul(
-    a: np.ndarray, b: np.ndarray, *, log_b: np.ndarray | None = None
-) -> np.ndarray:
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product over GF(2^8).
 
     ``a`` is (m, n) and ``b`` is (n, k); the result is (m, k).  This is
     Eq. (1) of the paper when ``a`` is the coefficient matrix and ``b`` the
-    source-block matrix.  Dispatches to the shape-selected backend of the
-    process-wide :class:`repro.gf256.engine.Gf256Engine`; pass ``log_b``
-    (a cached :meth:`~repro.gf256.engine.Gf256Engine.log_encode` of ``b``,
-    e.g. :meth:`repro.rlnc.block.Segment.log_blocks`) to let the log
-    backend skip its per-call preprocessing.
+    source-block matrix.  Runs on the process-wide
+    :class:`repro.gf256.engine.Gf256Engine`.
     """
-    return ENGINE.matmul(a, b, log_b=log_b)
+    return ENGINE.matmul(a, b)
 
 
 def matmul_log_domain(log_a: np.ndarray, log_b: np.ndarray) -> np.ndarray:

@@ -6,29 +6,13 @@ it again.  :func:`best_encode_scheme` turns that into an API: evaluate
 the calibrated model over all schemes for the *actual* device and
 workload (including how many coded rows amortize the preprocessing) and
 return the winner, so callers never hard-code a scheme choice.
-
-:class:`MatmulTuner` applies the same philosophy to the CPU engine's
-matmul backends, but with *measurement* instead of a model: benchmark
-every concrete backend at an exact (m, n, k) shape once, persist the
-ranking to a JSON cache, and answer engine lookups from the cache ever
-after.  Attach one to the engine with
-:meth:`repro.gf256.engine.Gf256Engine.attach_tuner` and ``auto``
-selection consults the measured winner before falling back to its
-built-in heuristic.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import time
 from dataclasses import dataclass
-from pathlib import Path
-
-import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.gf256.engine import BACKENDS, Gf256Engine
 from repro.gpu.spec import DeviceSpec
 from repro.kernels.cost_model import EncodeScheme, encode_stats
 
@@ -84,120 +68,3 @@ def best_encode_scheme(
         scheme=winner, bandwidth=bandwidth, ranking=tuple(ranking)
     )
 
-
-#: Backends the matmul tuner races: every concrete backend.  ``auto`` is
-#: the selector being tuned, not a candidate.
-TUNED_BACKENDS: tuple[str, ...] = tuple(b for b in BACKENDS if b != "auto")
-
-#: Default location of the persisted tune cache.
-DEFAULT_TUNE_CACHE = Path("~/.cache/repro/matmul_tune.json")
-
-#: Environment override for the cache location (CI sandboxes, tests).
-TUNE_CACHE_ENV_VAR = "REPRO_MATMUL_TUNE_CACHE"
-
-
-class MatmulTuner:
-    """Measured per-shape matmul backend selection with a persisted cache.
-
-    ``lookup`` never measures — it answers from the in-memory cache so
-    the engine's hot-path ``select_matmul_backend`` stays cheap.  ``tune``
-    races every backend in :data:`TUNED_BACKENDS` at the exact shape,
-    records per-backend GB/s, persists the cache atomically, and returns
-    the winner; ``ensure`` is the lookup-or-tune composition.  A fresh
-    tuner pointed at an existing cache file answers without re-measuring
-    (``measure_count`` stays zero) — that round trip is CI-enforced.
-
-    A corrupt or unreadable cache file degrades to an empty cache rather
-    than raising: losing tune data costs one re-measurement, never
-    correctness.
-    """
-
-    def __init__(self, cache_path: str | Path | None = None) -> None:
-        if cache_path is None:
-            cache_path = os.environ.get(TUNE_CACHE_ENV_VAR) or DEFAULT_TUNE_CACHE
-        self._path = Path(cache_path).expanduser()
-        self._entries: dict[str, dict] = self._read_cache()
-        self._measure_count = 0
-
-    @property
-    def cache_path(self) -> Path:
-        return self._path
-
-    @property
-    def measure_count(self) -> int:
-        """Timed matmul runs performed by this instance (cache misses)."""
-        return self._measure_count
-
-    @staticmethod
-    def _key(m: int, n: int, k: int) -> str:
-        return f"{m}x{n}x{k}"
-
-    def _read_cache(self) -> dict[str, dict]:
-        try:
-            raw = json.loads(self._path.read_text())
-        except (OSError, ValueError):
-            return {}
-        if not isinstance(raw, dict):
-            return {}
-        entries = {}
-        for key, entry in raw.items():
-            if (
-                isinstance(entry, dict)
-                and entry.get("winner") in TUNED_BACKENDS
-                and isinstance(entry.get("gb_per_s"), dict)
-            ):
-                entries[key] = entry
-        return entries
-
-    def _write_cache(self) -> None:
-        self._path.parent.mkdir(parents=True, exist_ok=True)
-        scratch = self._path.with_name(self._path.name + ".tmp")
-        scratch.write_text(json.dumps(self._entries, indent=2, sort_keys=True))
-        os.replace(scratch, self._path)
-
-    def lookup(self, m: int, n: int, k: int) -> str | None:
-        """Measured winner for the exact shape, or None if never tuned."""
-        entry = self._entries.get(self._key(m, n, k))
-        return entry["winner"] if entry else None
-
-    def ranking(self, m: int, n: int, k: int) -> dict[str, float] | None:
-        """Per-backend GB/s measured for the shape, or None if untuned."""
-        entry = self._entries.get(self._key(m, n, k))
-        return dict(entry["gb_per_s"]) if entry else None
-
-    def tune(self, m: int, n: int, k: int, *, repeats: int = 3) -> str:
-        """Race every backend at (m, n, k), persist, return the winner.
-
-        Throughput is output bytes (``m * k``) over the best of
-        ``repeats`` timed runs, the same definition the hot-path
-        benchmark records.
-        """
-        if min(m, n, k) < 1:
-            raise ConfigurationError("tune shape dims must all be >= 1")
-        if repeats < 1:
-            raise ConfigurationError(f"repeats must be >= 1, got {repeats}")
-        rng = np.random.default_rng(0xC0DEC + m + 31 * n + 997 * k)
-        a = rng.integers(0, 256, size=(m, n), dtype=np.uint8)
-        b = rng.integers(0, 256, size=(n, k), dtype=np.uint8)
-        rates: dict[str, float] = {}
-        for backend in TUNED_BACKENDS:
-            engine = Gf256Engine(backend)
-            engine.matmul(a, b)  # warm-up: table builds, kernel load
-            best = float("inf")
-            for _ in range(repeats):
-                start = time.perf_counter()
-                engine.matmul(a, b)
-                best = min(best, time.perf_counter() - start)
-                self._measure_count += 1
-            rates[backend] = m * k / best / 1e9
-        winner = max(rates, key=rates.get)
-        self._entries[self._key(m, n, k)] = {
-            "winner": winner,
-            "gb_per_s": rates,
-        }
-        self._write_cache()
-        return winner
-
-    def ensure(self, m: int, n: int, k: int) -> str:
-        """Cached winner for the shape, measuring once if missing."""
-        return self.lookup(m, n, k) or self.tune(m, n, k)

@@ -9,12 +9,11 @@ block was produced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.gf256.engine import ENGINE
 
 
 @dataclass(frozen=True)
@@ -196,44 +195,11 @@ class Segment:
 
     blocks: np.ndarray
     segment_id: int = 0
-    original_length: int | None = field(default=None)
-    #: Memoized log-domain transform of ``blocks`` (see :meth:`log_blocks`).
-    _log_cache: np.ndarray | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _log_cache_source: np.ndarray | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    original_length: int | None = None
 
     def __post_init__(self) -> None:
         if self.blocks.dtype != np.uint8 or self.blocks.ndim != 2:
             raise ConfigurationError("segment blocks must be a 2-D uint8 matrix")
-
-    def log_blocks(self) -> np.ndarray:
-        """Return the memoized log-domain transform of the block matrix.
-
-        This is the paper's TB-1 insight (Sec. 5.1.2) applied to the
-        library's own encode path: the transform is computed once per
-        segment and reused for every coded block, instead of being
-        re-derived per encode call.  The result is read-only and in the
-        engine's padded-log format (pass it as ``log_b`` to
-        :func:`repro.gf256.matmul`).
-
-        Cache-invalidation contract: rebinding ``segment.blocks`` to a
-        new array invalidates the cache automatically (the memo is keyed
-        on array identity); mutating the ``blocks`` array *in place*
-        requires an explicit :meth:`invalidate_log_cache` call, because
-        detecting in-place writes would cost as much as the transform.
-        """
-        if self._log_cache is None or self._log_cache_source is not self.blocks:
-            self._log_cache = ENGINE.log_encode(self.blocks)
-            self._log_cache_source = self.blocks
-        return self._log_cache
-
-    def invalidate_log_cache(self) -> None:
-        """Drop the memoized log transform after in-place block mutation."""
-        self._log_cache = None
-        self._log_cache_source = None
 
     @classmethod
     def from_bytes(

@@ -168,8 +168,7 @@ class ProgressiveDecoder:
         # pass: the stored rows are in RREF, so the factors read at the
         # pivot columns are mutually independent and can be captured
         # before the in-place fold mutates the incoming row.  Zero
-        # factors are skipped inside the engine (ENGINE.scaled_rows_xor
-        # is the materializing fallback behind this region op).
+        # factors are skipped inside the engine.
         if held:
             pivots = self._pivot_cols[:held]
             factors = incoming[pivots]

@@ -79,11 +79,7 @@ class Encoder:
             payload = self._segment.blocks[self._emitted].copy()
         else:
             coefficients = self._draw_coefficients(1)[0]
-            payload = matmul(
-                coefficients[None, :],
-                self._segment.blocks,
-                log_b=self._segment.log_blocks(),
-            )[0]
+            payload = matmul(coefficients[None, :], self._segment.blocks)[0]
         self._emitted += 1
         return CodedBlock(
             coefficients=coefficients,
@@ -120,11 +116,7 @@ class Encoder:
             rows.append(self._draw_coefficients(remaining))
             self._emitted += remaining
         coefficients = rows[0] if len(rows) == 1 else np.vstack(rows)
-        payloads = matmul(
-            coefficients,
-            self._segment.blocks,
-            log_b=self._segment.log_blocks(),
-        )
+        payloads = matmul(coefficients, self._segment.blocks)
         return coefficients, payloads
 
     def encode_blocks(self, count: int) -> list[CodedBlock]:

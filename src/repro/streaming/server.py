@@ -358,9 +358,9 @@ class StreamingServer(EagerRounds):
     def evict_segment(self, segment_id: int) -> None:
         """Drop a segment from the device store (e.g. past the live edge).
 
-        Also releases the encoder's device-resident log-domain copy, so a
-        long-running live session does not accumulate preprocessing for
-        segments past the live edge.  Queued requests for the evicted
+        Also drops the segment from the encoder's uploaded set, so a
+        long-running live session holds no reference to segments past
+        the live edge.  Queued requests for the evicted
         segment are dropped (their pending counts are returned to the
         sessions), and every registered eviction listener is notified —
         this is how a cluster router learns to withdraw the segment from

@@ -1,25 +1,16 @@
-"""Equivalence and selection tests for the pluggable GF(2^8) engine.
+"""Equivalence and selection tests for the GF(2^8) engine.
 
-The three multiply backends must be byte-exact against each other and
-against the seed-era scalar reference (``gf_mul_loop``) on randomized
-shapes — this is the cross-validation contract that lets the shape
-heuristic switch backends freely without observable effect.
+The two implementations — the compiled ``wide`` kernel and the
+``table`` oracle — must be byte-exact against each other and against
+the seed-era scalar reference (``gf_mul_loop``) on randomized shapes.
 """
 
 import numpy as np
 import pytest
 
 from repro.errors import FieldError
-from repro.gf256 import gf_mul_loop, regionops
-from repro.gf256.engine import (
-    BACKENDS,
-    EXP_PAD,
-    LOG_PAD,
-    LOG_PAD_SENTINEL,
-    ENGINE,
-    Gf256Engine,
-    multiples_table,
-)
+from repro.gf256 import gf_mul_loop
+from repro.gf256.engine import BACKENDS, ENGINE, Gf256Engine
 from repro.gf256.tables import MUL_TABLE
 
 
@@ -37,39 +28,10 @@ def scalar_reference_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-class TestPaddedTables:
-    def test_sentinel_sums_decode_to_zero(self):
-        assert LOG_PAD[0] == LOG_PAD_SENTINEL
-        # Any sum involving at least one sentinel lands in the zero tail.
-        assert EXP_PAD[LOG_PAD_SENTINEL:].max() == 0
-        assert EXP_PAD.shape[0] == 2 * LOG_PAD_SENTINEL + 1
-
-    def test_padded_gather_matches_mul_table(self):
-        x = np.arange(256, dtype=np.uint8)
-        for c in (0, 1, 2, 3, 0x53, 0xFF):
-            expected = MUL_TABLE[c][x]
-            got = EXP_PAD[LOG_PAD[np.uint8(c)] + LOG_PAD[x]]
-            assert np.array_equal(expected, got)
-
-
-class TestMultiplesTable:
-    def test_all_multiples_of_random_rows(self):
-        rng = np.random.default_rng(11)
-        for _ in range(5):
-            row = rng.integers(0, 256, size=37, dtype=np.uint8)
-            table = multiples_table(row)
-            for c in (0, 1, 2, 5, 128, 255):
-                assert np.array_equal(table[c], MUL_TABLE[c][row]), c
-
-    def test_scratch_reuse(self):
-        rng = np.random.default_rng(12)
-        scratch = np.empty((256, 16), dtype=np.uint8)
-        row_a = rng.integers(0, 256, size=16, dtype=np.uint8)
-        row_b = rng.integers(0, 256, size=16, dtype=np.uint8)
-        multiples_table(row_a, scratch)
-        table_b = multiples_table(row_b, scratch)
-        assert table_b is scratch
-        assert np.array_equal(table_b[3], MUL_TABLE[3][row_b])
+def scalar_reference_row(row: np.ndarray, coefficient: int) -> np.ndarray:
+    return np.array(
+        [gf_mul_loop(coefficient, int(x)) for x in row], dtype=np.uint8
+    )
 
 
 class TestBackendEquivalence:
@@ -90,14 +52,9 @@ class TestBackendEquivalence:
         a = rng.integers(0, 256, size=(m, n), dtype=np.uint8)
         b = rng.integers(0, 256, size=(n, k), dtype=np.uint8)
         expected = scalar_reference_matmul(a, b)
-        for backend in ("table", "log", "bitslice"):
+        for backend in BACKENDS:
             engine = Gf256Engine(backend)
             assert np.array_equal(engine.matmul(a, b), expected), backend
-        # Pre-logged operand path must be byte-identical too.
-        engine = Gf256Engine("log")
-        assert np.array_equal(
-            engine.matmul(a, b, log_b=engine.log_encode(b)), expected
-        )
 
     def test_backends_agree_on_large_random_shapes(self):
         rng = np.random.default_rng(13)
@@ -107,12 +64,10 @@ class TestBackendEquivalence:
             k = int(rng.integers(1, 300))
             a = rng.integers(0, 256, size=(m, n), dtype=np.uint8)
             b = rng.integers(0, 256, size=(n, k), dtype=np.uint8)
-            results = {
-                backend: Gf256Engine(backend).matmul(a, b)
-                for backend in ("table", "log", "bitslice")
-            }
-            assert np.array_equal(results["table"], results["log"])
-            assert np.array_equal(results["table"], results["bitslice"])
+            assert np.array_equal(
+                Gf256Engine("table").matmul(a, b),
+                Gf256Engine("wide").matmul(a, b),
+            )
 
     def test_zero_heavy_operands(self):
         rng = np.random.default_rng(14)
@@ -120,33 +75,37 @@ class TestBackendEquivalence:
         a[a < 128] = 0
         b = rng.integers(0, 256, size=(20, 50), dtype=np.uint8)
         b[:, ::2] = 0
-        results = [
-            Gf256Engine(backend).matmul(a, b)
-            for backend in ("table", "log", "bitslice")
-        ]
-        assert np.array_equal(results[0], results[1])
-        assert np.array_equal(results[0], results[2])
+        assert np.array_equal(
+            Gf256Engine("table").matmul(a, b),
+            Gf256Engine("wide").matmul(a, b),
+        )
 
 
 class TestRowPrimitives:
-    def test_scaled_rows_xor_matches_naive(self):
+    def test_table_fold_rows_matches_scalar_reference(self):
         rng = np.random.default_rng(15)
         rows = rng.integers(0, 256, size=(9, 70), dtype=np.uint8)
         factors = rng.integers(0, 256, size=9, dtype=np.uint8)
-        expected = np.zeros(70, dtype=np.uint8)
+        factors[3] = 0
+        dst = rng.integers(0, 256, size=70, dtype=np.uint8)
+        expected = dst.copy()
         for i in range(9):
-            expected ^= MUL_TABLE[factors[i]][rows[i]]
-        assert np.array_equal(ENGINE.scaled_rows_xor(rows, factors), expected)
+            expected ^= scalar_reference_row(rows[i], int(factors[i]))
+        Gf256Engine("table").fold_rows(dst, rows, factors)
+        assert np.array_equal(dst, expected)
 
-    def test_scaled_rows_matches_naive_both_sizes(self):
+    def test_table_axpy_rows_matches_scalar_reference(self):
         rng = np.random.default_rng(16)
-        # Small (log-gather path) and large (multiples-table path).
         for count, width in ((5, 40), (64, 128)):
             factors = rng.integers(0, 256, size=count, dtype=np.uint8)
-            row = rng.integers(0, 256, size=width, dtype=np.uint8)
-            got = ENGINE.scaled_rows(factors, row)
+            factors[0] = 0
+            src = rng.integers(0, 256, size=width, dtype=np.uint8)
+            dst = rng.integers(0, 256, size=(count, width), dtype=np.uint8)
+            expected = dst.copy()
             for i in range(count):
-                assert np.array_equal(got[i], MUL_TABLE[factors[i]][row])
+                expected[i] ^= scalar_reference_row(src, int(factors[i]))
+            Gf256Engine("table").axpy_rows(dst, factors, src)
+            assert np.array_equal(dst, expected)
 
     def test_mul_scalar(self):
         rng = np.random.default_rng(17)
@@ -155,86 +114,74 @@ class TestRowPrimitives:
 
 
 class TestBackendSelection:
-    def test_env_var_is_honored(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GF_BACKEND", "log")
-        engine = Gf256Engine()
-        assert engine.backend == "log"
-        assert engine.select_matmul_backend(1000, 8, 1000) == "log"
+    def test_catalog_is_wide_then_table(self):
+        assert BACKENDS == ("wide", "table")
+        assert Gf256Engine().backend == "wide"
+        assert ENGINE.backend == "wide"
 
     def test_set_backend_overrides_and_resets(self):
         engine = Gf256Engine("table")
-        assert engine.select_matmul_backend(1000, 8, 1000) == "table"
-        engine.set_backend(None)
-        assert engine.backend == "auto"
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(FieldError):
-            Gf256Engine("simd9000")
-        engine = Gf256Engine()
-        with pytest.raises(FieldError):
-            engine.set_backend("nope")
-
-    def test_unknown_env_backend_raises_listing_catalog(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GF_BACKEND", "quantum")
-        with pytest.raises(FieldError) as excinfo:
-            Gf256Engine()
-        message = str(excinfo.value)
-        for name in BACKENDS:
-            assert name in message
-
-    def test_env_var_reread_per_construction(self, monkeypatch):
-        # The variable is consulted at construction (and on
-        # set_backend(None)), never latched at import time.
-        monkeypatch.setenv("REPRO_GF_BACKEND", "bitslice")
-        assert Gf256Engine().backend == "bitslice"
-        monkeypatch.setenv("REPRO_GF_BACKEND", "table")
-        assert Gf256Engine().backend == "table"
-        engine = Gf256Engine("log")
-        monkeypatch.setenv("REPRO_GF_BACKEND", "wide")
-        engine.set_backend(None)
+        assert engine.backend == "table"
+        engine.set_backend("wide")
         assert engine.backend == "wide"
 
-    def test_heuristic_prefers_wide_kernel_when_available(self, monkeypatch):
-        engine = Gf256Engine("auto")
-        monkeypatch.setattr(regionops, "kernel_available", lambda: True)
-        # The fused region pass has no amortization threshold: every
-        # shape routes to the compiled wide backend.
-        assert engine.select_matmul_backend(256, 128, 4096) == "wide"
-        assert engine.select_matmul_backend(1, 4, 8) == "wide"
-
-    def test_heuristic_shape_dispatch_without_kernel(self, monkeypatch):
-        engine = Gf256Engine("auto")
-        monkeypatch.setattr(regionops, "kernel_available", lambda: False)
-        # Many output rows amortize the multiples tables.
-        assert engine.select_matmul_backend(256, 128, 4096) == "bitslice"
-        # Few rows, cached log operand: log gather.
-        assert (
-            engine.select_matmul_backend(1, 128, 4096, pre_logged=True) == "log"
-        )
-        # Few rows, nothing cached: plain table gather.
-        assert engine.select_matmul_backend(2, 128, 4096) == "table"
-        # Narrow rows never pay the multiples-table build.
-        assert engine.select_matmul_backend(256, 128, 8) == "table"
+    def test_unknown_backend_rejected(self):
+        # The retired backend names fail like any other unknown name.
+        for name in ("simd9000", "auto", "log", "bitslice", None):
+            with pytest.raises(FieldError) as excinfo:
+                Gf256Engine(name)
+            for backend in BACKENDS:
+                assert backend in str(excinfo.value)
+            engine = Gf256Engine()
+            with pytest.raises(FieldError):
+                engine.set_backend(name)
+            assert engine.backend == "wide"
 
     def test_all_backend_names_construct(self):
         for name in BACKENDS:
             assert Gf256Engine(name).backend == name
 
 
-class TestLogEncode:
-    def test_log_encode_is_read_only_padded(self):
-        data = np.arange(16, dtype=np.uint8).reshape(4, 4)
-        encoded = ENGINE.log_encode(data)
-        assert encoded.dtype == np.uint16
-        assert encoded[0, 0] == LOG_PAD_SENTINEL
-        with pytest.raises(ValueError):
-            encoded[0, 0] = 1
-
+class TestInputValidation:
     def test_rejects_non_u8(self):
-        with pytest.raises(FieldError):
-            ENGINE.log_encode(np.zeros((2, 2), dtype=np.uint16))
         with pytest.raises(FieldError):
             ENGINE.matmul(
                 np.zeros((2, 2), dtype=np.uint16),
                 np.zeros((2, 2), dtype=np.uint8),
             )
+        with pytest.raises(FieldError):
+            ENGINE.mul_add_region(
+                np.zeros(4, dtype=np.uint8), np.zeros(4, dtype=np.uint16), 3
+            )
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_rejects_strided_region_rows(self, backend):
+        # The kernel walks a row as len(row) consecutive bytes, so a
+        # strided view would have it write outside the view; both
+        # backends refuse the same inputs.
+        engine = Gf256Engine(backend)
+        host = np.zeros(16, dtype=np.uint8)
+        src = np.ones(8, dtype=np.uint8)
+        matrix = np.zeros((2, 16), dtype=np.uint8)
+        with pytest.raises(FieldError):
+            engine.axpy_rows(matrix[:, ::2], np.ones(2, dtype=np.uint8), src)
+        with pytest.raises(FieldError):
+            engine.fold_rows(src.copy(), matrix[:, ::2], np.ones(2, np.uint8))
+        with pytest.raises(FieldError):
+            engine.matmul(
+                np.ones((2, 2), np.uint8),
+                np.ones((2, 8), np.uint8),
+                out=matrix[:, ::2],
+            )
+        assert not matrix.any()
+        with pytest.raises(FieldError):
+            engine.mul_add_region(host[::2], src, 3)
+        with pytest.raises(FieldError):
+            engine.mul_add_region(src.copy(), host[::2], 3)
+        with pytest.raises(FieldError):
+            engine.fold_rows(
+                host[::2],
+                np.ones((2, 8), dtype=np.uint8),
+                np.ones(2, dtype=np.uint8),
+            )
+        assert not host.any()

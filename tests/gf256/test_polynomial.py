@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.errors import FieldError
 from repro.gf256 import polynomial as gp
 from repro.gf256.tables import GENERATOR, RIJNDAEL_POLY
-from repro.gf65536.tables import GENERATOR_16, POLY_16
 
 polys = st.integers(min_value=1, max_value=1 << 12)
 
@@ -18,7 +17,7 @@ class TestBasics:
         assert gp.degree(1) == 0
         assert gp.degree(0b10) == 1
         assert gp.degree(RIJNDAEL_POLY) == 8
-        assert gp.degree(POLY_16) == 16
+        assert gp.degree(1 << 16) == 16
 
     def test_mod_by_zero_raises(self):
         with pytest.raises(FieldError):
@@ -54,9 +53,6 @@ class TestFieldConstructions:
     def test_rijndael_polynomial_is_irreducible(self):
         assert gp.is_irreducible(RIJNDAEL_POLY)
 
-    def test_gf65536_polynomial_is_irreducible(self):
-        assert gp.is_irreducible(POLY_16)
-
     def test_known_reducible_polynomials_rejected(self):
         # x^8 + 1 = (x+1)^8 over GF(2).
         assert not gp.is_irreducible(0x101)
@@ -65,9 +61,6 @@ class TestFieldConstructions:
 
     def test_generator_0x03_is_primitive_in_gf256(self):
         assert gp.is_primitive_element(GENERATOR, RIJNDAEL_POLY)
-
-    def test_generator_0x03_is_primitive_in_gf65536(self):
-        assert gp.is_primitive_element(GENERATOR_16, POLY_16)
 
     def test_0x02_is_not_primitive_for_rijndael(self):
         """The classic gotcha: x itself has order 51 in the Rijndael

@@ -1,12 +1,12 @@
-"""Property suite for the wide region-op backend and its fallbacks.
+"""Property suite for the wide region-op backend and its fallback.
 
-Cross-validates three implementations against each other and against
-the pinned seed-era reference: the compiled SIMD kernel (when it
-loaded), the uint64 SWAR numpy fallback (forced via
-``REPRO_WIDE_KERNEL=0``), and the plain table backend.  Degenerate
-shapes — zero output rows, k=1, single-block generations, all-zero
-coefficient rows — are pinned explicitly alongside the randomized
-sweep.
+Cross-validates the compiled SIMD kernel (when it loaded), the table
+fallback the wide backend runs without it (forced via
+``REPRO_WIDE_KERNEL=0``), the table oracle, and the pinned seed-era
+reference decoder against each other.  Degenerate shapes — zero output
+rows, k=1, single-block generations, all-zero coefficient rows — and
+misaligned or strided destination views are pinned explicitly alongside
+the randomized sweep.
 """
 
 import numpy as np
@@ -31,11 +31,31 @@ seeds = st.integers(min_value=0, max_value=2**31)
 
 
 @pytest.fixture
-def forced_numpy_fallback(monkeypatch):
-    """Disable the compiled kernel so wide runs its SWAR numpy path."""
-    monkeypatch.setenv(regionops.KERNEL_ENV_VAR, "0")
-    regionops._reset_for_tests()
-    yield
+def kernel_and_fallback(monkeypatch):
+    """Run a computation on the compiled kernel, then without it.
+
+    Yields ``both(compute)``: ``compute()`` must build and return fresh
+    arrays.  It runs once on the kernel (when it loads on this host) and
+    once with ``REPRO_WIDE_KERNEL=0``; the two results must be
+    byte-identical, and the fallback's is returned.
+    """
+
+    def both(compute):
+        with_kernel = compute() if regionops.kernel_available() else None
+        with monkeypatch.context() as patch:
+            patch.setenv(regionops.KERNEL_ENV_VAR, "0")
+            regionops._reset_for_tests()
+            try:
+                assert not regionops.kernel_available()
+                fallback = compute()
+            finally:
+                regionops._reset_for_tests()
+        if with_kernel is not None:
+            for got, expected in zip(fallback, with_kernel):
+                assert np.array_equal(got, expected)
+        return fallback
+
+    yield both
     regionops._reset_for_tests()
 
 
@@ -60,19 +80,31 @@ class TestWideMatmul:
     @settings(
         max_examples=25,
         deadline=None,
-        # The fallback-forcing fixture intentionally spans all examples:
-        # the kernel stays disabled for the whole sweep.
+        # The kernel/fallback fixture spans all examples on purpose:
+        # each example toggles the kernel off and back on itself.
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(shapes, seeds)
     def test_numpy_fallback_matches_table(
-        self, forced_numpy_fallback, shape, seed
+        self, kernel_and_fallback, shape, seed
     ):
         m, n, k = shape
-        assert not regionops.kernel_available()
         a, b = random_operands(m, n, k, seed)
         expected = Gf256Engine("table").matmul(a, b)
-        assert np.array_equal(Gf256Engine("wide").matmul(a, b), expected)
+
+        def compute():
+            engine = Gf256Engine("wide")
+            # A strided destination whose rows start off the word
+            # boundary; the border bytes must survive untouched.
+            host = np.full((m + 1, k + 9), 0xEE, dtype=np.uint8)
+            engine.matmul(a, b, out=host[1:, 3 : 3 + k])
+            return engine.matmul(a, b), host
+
+        product, host = kernel_and_fallback(compute)
+        assert np.array_equal(product, expected)
+        assert np.array_equal(host[1:, 3 : 3 + k], expected)
+        host[1:, 3 : 3 + k] = 0xEE
+        assert (host == 0xEE).all()
 
     def test_zero_output_rows(self):
         a = np.zeros((0, 5), dtype=np.uint8)
@@ -131,7 +163,7 @@ class TestRegionOps:
         Gf256Engine("wide").mul_add_region(dst, src, 0x47)
         assert np.array_equal(host[1:], expected)
 
-    @pytest.mark.parametrize("backend", ("table", "log", "bitslice", "wide"))
+    @pytest.mark.parametrize("backend", ("table", "wide"))
     def test_all_backends_agree_on_region_op(self, backend):
         rng = np.random.default_rng(6)
         dst = rng.integers(0, 256, size=95, dtype=np.uint8)
@@ -188,16 +220,41 @@ class TestRegionOps:
         engine.fold_rows(dst[0], dst[1:], np.zeros(4, dtype=np.uint8))
         assert np.array_equal(dst, before)
 
-    def test_region_ops_without_kernel(self, forced_numpy_fallback):
+    def test_region_ops_without_kernel(self, kernel_and_fallback):
         rng = np.random.default_rng(9)
         dst = rng.integers(0, 256, size=(7, 70), dtype=np.uint8)
         src = rng.integers(0, 256, size=70, dtype=np.uint8)
         factors = rng.integers(0, 256, size=7, dtype=np.uint8)
-        expected = dst.copy()
+        factors[2] = 0
+        axpy_expected = dst.copy()
         for i in range(7):
-            expected[i] ^= MUL_TABLE[factors[i]][src]
-        Gf256Engine("wide").axpy_rows(dst, factors, src)
-        assert np.array_equal(dst, expected)
+            axpy_expected[i] ^= MUL_TABLE[factors[i]][src]
+        fold_expected = src.copy()
+        for i in range(7):
+            fold_expected ^= MUL_TABLE[factors[i]][axpy_expected[i]]
+        region_expected = src ^ MUL_TABLE[0x47][dst[0]]
+
+        def compute():
+            engine = Gf256Engine("wide")
+            # Every destination is a view at an odd offset into a larger
+            # buffer, with strided rows for the 2-D one.
+            axpy_host = np.zeros((7, 75), dtype=np.uint8)
+            axpy_host[:, 3:73] = dst
+            engine.axpy_rows(axpy_host[:, 3:73], factors, src)
+            fold_host = np.zeros(72, dtype=np.uint8)
+            fold_host[1:71] = src
+            engine.fold_rows(fold_host[1:71], axpy_host[:, 3:73], factors)
+            region_host = np.zeros(72, dtype=np.uint8)
+            region_host[1:71] = src
+            engine.mul_add_region(region_host[1:71], dst[0], 0x47)
+            return axpy_host, fold_host, region_host
+
+        axpy_host, fold_host, region_host = kernel_and_fallback(compute)
+        assert np.array_equal(axpy_host[:, 3:73], axpy_expected)
+        assert not axpy_host[:, :3].any() and not axpy_host[:, 73:].any()
+        assert np.array_equal(fold_host[1:71], fold_expected)
+        assert np.array_equal(region_host[1:71], region_expected)
+        assert fold_host[0] == fold_host[71] == region_host[0] == 0
 
 
 class TestDecoderCrossValidation:
@@ -205,7 +262,7 @@ class TestDecoderCrossValidation:
     def global_backend(self, request):
         ENGINE.set_backend(request.param)
         yield request.param
-        ENGINE.set_backend(None)
+        ENGINE.set_backend("wide")
 
     @settings(max_examples=12, deadline=None)
     @given(

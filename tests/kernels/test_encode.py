@@ -192,21 +192,40 @@ class TestCoalescedEncode:
 
 class TestDropSegmentReleasesCache:
     def test_drop_segment_releases_log_cache(self):
-        """Regression: the TB-1 log-domain cache must actually be freed on
-        eviction — no identity-keyed reference may keep it alive."""
+        """Regression: drop_segment must leave no reference to the
+        segment or its block matrix inside the encoder."""
         import gc
         import weakref
 
         segment = make_segment(8, 32)
         encoder = GpuEncoder(GTX280, EncodeScheme.TABLE_5)
         encoder.upload_segment(segment)
-        log_ref = weakref.ref(segment.log_blocks())
         segment_ref = weakref.ref(segment)
+        blocks_ref = weakref.ref(segment.blocks)
         encoder.drop_segment(segment.segment_id)
-        del segment  # the Segment memoizes the transform on itself too
+        del segment
         gc.collect()
-        assert log_ref() is None, "log cache leaked after drop_segment"
         assert segment_ref() is None, "encoder kept the segment alive"
+        assert blocks_ref() is None, "encoder kept the block matrix alive"
+
+    def test_upload_allocates_no_segment_copy(self):
+        """Uploading charges the modelled preprocessing but builds no
+        host-side transform of the blocks: its peak allocation stays
+        well under the segment's own size."""
+        import tracemalloc
+
+        segment = make_segment(128, 4096)
+        size = segment.blocks.nbytes
+        encoder = GpuEncoder(GTX280, EncodeScheme.TABLE_5)
+        tracemalloc.start()
+        try:
+            encoder.upload_segment(segment)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < size / 4, (
+            f"upload_segment peaked at {peak} B for a {size} B segment"
+        )
 
     def test_drop_is_idempotent_and_reupload_works(self):
         segment = make_segment(8, 32)

@@ -1,4 +1,4 @@
-"""Systematic-boundary accounting and log-cache semantics.
+"""Systematic-boundary accounting and in-place segment mutation.
 
 The systematic emission cursor must behave identically whether callers
 drain the encoder one block at a time, in batches, or in any interleaving
@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.gf256 import matmul
-from repro.gf256.engine import ENGINE
 from repro.rlnc import (
     CodedBlock,
     CodingParams,
@@ -101,39 +100,14 @@ class TestSystematicBoundary:
         assert np.array_equal(decoder.recover_segment().blocks, segment.blocks)
 
 
-class TestSegmentLogCache:
-    def test_log_blocks_is_memoized(self):
-        segment = make_segment(4, 8, 71)
-        first = segment.log_blocks()
-        assert segment.log_blocks() is first
-        assert not first.flags.writeable
-
-    def test_rebinding_blocks_invalidates_automatically(self):
-        segment = make_segment(4, 8, 72)
-        stale = segment.log_blocks()
-        segment.blocks = np.zeros((4, 8), dtype=np.uint8)
-        fresh = segment.log_blocks()
-        assert fresh is not stale
-        assert np.array_equal(fresh, ENGINE.log_encode(segment.blocks))
-
-    def test_in_place_mutation_requires_explicit_invalidation(self):
-        segment = make_segment(4, 8, 73)
-        stale = segment.log_blocks()
-        segment.blocks[0, 0] ^= 0xFF
-        # Contract: in-place writes are invisible to the identity check...
-        assert segment.log_blocks() is stale
-        # ...until the caller invalidates, after which the cache refreshes.
-        segment.invalidate_log_cache()
-        assert np.array_equal(
-            segment.log_blocks(), ENGINE.log_encode(segment.blocks)
-        )
-
-    def test_encoder_output_tracks_invalidated_mutation(self):
+class TestSegmentMutation:
+    def test_encoder_output_tracks_in_place_mutation(self):
+        # The encoder multiplies the live block matrix: there is no
+        # derived copy of the segment to go stale after a write.
         segment = make_segment(4, 8, 74)
         encoder = Encoder(segment, np.random.default_rng(75))
-        encoder.encode_block()  # populates the cache
+        encoder.encode_block()
         segment.blocks[:] ^= 0x5A
-        segment.invalidate_log_cache()
         block = encoder.encode_block()
         expected = matmul(block.coefficients[None, :], segment.blocks)[0]
         assert np.array_equal(block.payload, expected)

@@ -307,25 +307,27 @@ class TestRoundByteExactness:
 
 class TestEvictionReleasesCache:
     def test_evict_segment_releases_log_cache(self):
-        """Regression: eviction must release the TB-1 log-domain cache —
-        the encoder may not keep an identity-keyed reference alive."""
+        """Regression: eviction must release every server-side reference
+        to the segment — neither the store nor the encoder may keep the
+        segment or its block matrix alive."""
         import gc
         import weakref
 
         server = make_server()
         segment = make_segment(0)
         server.publish_segment(segment)
-        log_ref = weakref.ref(segment.log_blocks())
-        assert log_ref() is not None
+        segment_ref = weakref.ref(segment)
+        blocks_ref = weakref.ref(segment.blocks)
         server.evict_segment(0)
-        del segment  # the segment object owns the other cache reference
+        del segment
         gc.collect()
-        assert log_ref() is None, "log-domain cache leaked after eviction"
+        assert segment_ref() is None, "segment leaked after eviction"
+        assert blocks_ref() is None, "block matrix leaked after eviction"
 
     def test_session_eviction_mid_retry_gets_clean_capacity_error(self):
         """A session evicted between NACK retries must get a clean
         CapacityError on its next request — never a stale BlockBatch
-        view of the previous round's buffer (extends the log-cache
+        view of the previous round's buffer (extends the eviction-leak
         regression above to the session store)."""
         import gc
         import weakref

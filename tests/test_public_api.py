@@ -17,7 +17,6 @@ PACKAGES = [
     "repro.cluster",
     "repro.cpu",
     "repro.gf256",
-    "repro.gf65536",
     "repro.gpu",
     "repro.kernels",
     "repro.multicast",
