@@ -12,9 +12,10 @@ each corrupt frame the plan injected must show up in the receiver's
 
 Two adapters plug the same plan into both transport layers:
 
-* :meth:`FaultPlan.apply_frames` mangles serialized wire frames
-  (``bytes``/``memoryview``), for the
-  :class:`~repro.streaming.client.ClientSession` wire path;
+* :meth:`FaultPlan.apply_frames` mangles a round of serialized wire
+  frames, held as one ``(m, frame_size)`` byte matrix, for the wire
+  path of both receivers (:class:`~repro.streaming.client.ClientSession`
+  and :class:`~repro.multicast.tree.RelayUplink`);
 * :class:`FaultInjectionChannel` implements the
   :class:`~repro.rlnc.channel.Channel` protocol over
   :class:`~repro.rlnc.block.CodedBlock` streams, composing with the
@@ -211,13 +212,15 @@ class FaultPlan:
             self.counters.delayed += 1
         return False, corrupt_at, duplicate, delay_by
 
-    def _schedule(self, items: Sequence, corrupt) -> list:
-        """Apply per-item faults then delivery-order faults to a batch."""
+    def _schedule(self, items: Sequence, length, corrupt) -> list:
+        """Apply per-item faults then delivery-order faults to a batch.
+
+        ``length(item)`` bounds the corrupted byte offset;
+        ``corrupt(item, offset, bit)`` returns the damaged item.
+        """
         keyed: list[tuple[float, int, object]] = []
         for position, item in enumerate(items):
-            drop, corrupt_at, duplicate, delay_by = self._decide(
-                self._length_of(item)
-            )
+            drop, corrupt_at, duplicate, delay_by = self._decide(length(item))
             if drop:
                 continue
             if corrupt_at is not None:
@@ -240,32 +243,33 @@ class FaultPlan:
     def _flip_bit(self) -> int:
         return 1 << int(self._rng.integers(8))
 
-    @staticmethod
-    def _length_of(item) -> int:
-        if isinstance(item, CodedBlock):
-            return item.num_blocks + item.block_size
-        return len(item)
-
     # -- adapters ----------------------------------------------------------
 
-    def apply_frames(self, frames: Iterable) -> list[bytes]:
-        """Inject faults into serialized wire frames.
+    def apply_frames(self, frames: np.ndarray) -> np.ndarray:
+        """Inject faults into a round of serialized wire frames.
 
-        Accepts ``bytes``/``bytearray``/``memoryview`` items and returns
-        ``bytes`` copies (corruption never mutates the caller's
-        buffers).  This is the wire-path hook: run the server's
-        ``serve_round(format="frames")`` output through it, then hand the
-        survivors to a lenient unpack and compare the receiver's
-        :class:`~repro.rlnc.wire.WireStats` against :attr:`counters`.
+        ``frames`` is the round as an ``(m, frame_size)`` uint8 matrix
+        (see :func:`~repro.rlnc.wire.frame_rows`); the survivors come
+        back as a new matrix in delivery order, and corruption flips a
+        bit in a copy of the row — the caller's matrix is never
+        mutated.  This is the wire-path hook: both receivers run their
+        round through it, then hand the result to
+        :func:`~repro.rlnc.wire.unpack_round`, whose
+        :class:`~repro.rlnc.wire.WireStats` tests compare against
+        :attr:`counters`.
         """
-
-        def corrupt(frame, offset: int, bit: int) -> bytes:
-            mangled = bytearray(frame)
-            mangled[offset % len(mangled)] ^= bit
-            return bytes(mangled)
-
-        items = [bytes(frame) for frame in frames]
-        return self._schedule(items, corrupt)
+        m, size = frames.shape
+        # Rows are scheduled by index; a corrupted row becomes an
+        # (index, offset, bit) flip, applied to the delivered copy.
+        delivered = self._schedule(
+            range(m), lambda _: size, lambda row, at, bit: (row, at % size, bit)
+        )
+        rows = [item if type(item) is int else item[0] for item in delivered]
+        out = frames.take(rows, axis=0)
+        for position, item in enumerate(delivered):
+            if type(item) is tuple:
+                out[position, item[1]] ^= item[2]
+        return out
 
     def apply_blocks(self, blocks: Iterable[CodedBlock]) -> list[CodedBlock]:
         """Inject faults into a coded-block stream (channel-level view).
@@ -290,7 +294,9 @@ class FaultPlan:
                 segment_id=block.segment_id,
             )
 
-        return self._schedule(list(blocks), corrupt)
+        return self._schedule(
+            list(blocks), lambda block: block.num_blocks + block.block_size, corrupt
+        )
 
 
 @dataclass

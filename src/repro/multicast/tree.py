@@ -34,8 +34,16 @@ from repro.faults import FaultPlan
 from repro.multicast.relay import RelayNode, RelayStats
 from repro.obs.trace import trace
 from repro.p2p.topology import distribution_tree, multicast_capacity
-from repro.rlnc.block import BlockBatch, Segment
-from repro.rlnc.wire import VERSION2, WireStats, frame_size, unpack_frame
+from repro.rlnc.block import Segment
+from repro.rlnc.wire import (
+    VERSION2,
+    WireStats,
+    frame_rows,
+    frame_size,
+    unpack_round,
+)
+# perfbench's traced run patches this name: its "rlnc.wire.unpack" boundary.
+from repro.rlnc.wire import unpack_frame  # noqa: F401
 from repro.streaming.client import ClientSession
 from repro.streaming.session import MediaProfile
 
@@ -97,38 +105,29 @@ class RelayUplink:
         self.parent.request_blocks(self.peer_id, segment_id, missing - pending)
 
     def intake(self, segment_id: int, wire_bytes) -> int:
-        """Unpack one round's frames into the relay; returns blocks kept."""
-        if wire_bytes is None or len(wire_bytes) == 0:
-            return 0
-        data = bytes(wire_bytes)
-        count, tail = divmod(len(data), self._frame_bytes)
-        if tail:
-            self.wire.record_malformed()
-        frames = [
-            data[i * self._frame_bytes : (i + 1) * self._frame_bytes]
-            for i in range(count)
-        ]
-        if self.fault_plan is not None and frames:
+        """Unpack one round's frames into the relay; returns blocks kept.
+
+        The round is verified as one frame matrix by
+        :func:`~repro.rlnc.wire.unpack_round`.  An intact frame of
+        another segment — a stale grant from the previous segment's
+        rounds — is dropped uncounted.
+        """
+        frames = frame_rows(wire_bytes, self._frame_bytes, self.wire)
+        if self.fault_plan is not None and len(frames):
             frames = self.fault_plan.apply_frames(frames)
-        coefficients = []
-        payloads = []
-        for frame in frames:
-            try:
-                block, _, _ = unpack_frame(frame, strict=False, stats=self.wire)
-            except Exception:
-                self.wire.record_malformed()
-                continue
-            if block is None or block.segment_id != segment_id:
-                continue
-            coefficients.append(block.coefficients)
-            payloads.append(block.payload)
-        if not coefficients:
+        params = self.relay.profile.params
+        with trace("wire_unpack", peer=self.peer_id):
+            batch, _ = unpack_round(
+                frames,
+                segment_id=segment_id,
+                num_blocks=params.num_blocks,
+                block_size=params.block_size,
+                checksum=self.checksum,
+                version=self.wire_version,
+                stats=self.wire,
+            )
+        if not len(batch):
             return 0
-        batch = BlockBatch(
-            coefficients=np.stack(coefficients),
-            payloads=np.stack(payloads),
-            segment_id=segment_id,
-        )
         return self.relay.ingest(batch)
 
 

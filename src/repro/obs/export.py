@@ -54,7 +54,7 @@ DEFAULT_CATEGORIES: dict[str, tuple[str, ...]] = {
         "two_stage_decode",
         "quarantine_rebuild",
     ),
-    "wire": ("wire_pack", "wire_unpack", "wire_split"),
+    "wire": ("wire_pack", "wire_unpack"),
     "scheduler": ("scheduler_plan",),
 }
 

@@ -39,6 +39,7 @@ from repro.rlnc.wire import (
     digest64,
     encode_frame,
     encode_stream,
+    frame_rows,
     frame_sequence,
     frame_size,
     frame_worker_id,
@@ -47,6 +48,7 @@ from repro.rlnc.wire import (
     stream_size,
     unpack_blocks,
     unpack_frame,
+    unpack_round,
 )
 
 __all__ = [
@@ -76,6 +78,7 @@ __all__ = [
     "encode_frame",
     "encode_stream",
     "expected_extra_blocks",
+    "frame_rows",
     "frame_sequence",
     "frame_size",
     "frame_worker_id",
@@ -90,4 +93,5 @@ __all__ = [
     "stream_size",
     "unpack_blocks",
     "unpack_frame",
+    "unpack_round",
 ]

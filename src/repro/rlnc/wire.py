@@ -52,30 +52,30 @@ Readers accept both versions; writers emit version 1 unless asked for
 ``version=2``, so PR 2 peers parse this writer's default output and
 vice versa.
 
-Integrity failures surface through two *unpack modes*: strict mode
-(default) raises :class:`~repro.errors.IntegrityError` on a checksum
-mismatch and :class:`~repro.errors.WireError` on structural damage
-(bad magic/version, torn frames, length fields that disagree with the
-buffer — the parser bound-checks every length before slicing, so a
-lying header can never over-read or crash inside numpy); lenient mode
-(``strict=False``) drops the damaged frame, counts it in a
-:class:`WireStats`, and keeps going — :func:`decode_stream` even
-resynchronizes on the next magic marker after a frame whose framing is
-unparseable.
+The self-describing readers (:func:`unpack_frame`, :func:`unpack_blocks`,
+:func:`decode_stream`) are strict by default: they raise
+:class:`~repro.errors.IntegrityError` on a checksum mismatch and
+:class:`~repro.errors.WireError` on structural damage (bad
+magic/version, torn frames, length fields that disagree with the buffer
+— every length is bound-checked before slicing, so a lying header can
+never over-read).  The lenient receive path is :func:`unpack_round`: it
+checks every row of a round's ``(m, frame_size)`` byte matrix against
+the receiver's own geometry, so damaged rows (the first included) are
+dropped one by one and counted in a :class:`WireStats`.
 
 Serialization is sized up front and packed in place: :func:`frame_size`
 and :func:`stream_size` tell callers exactly how many bytes a frame or a
 homogeneous batch occupies, :func:`pack_frame_into` writes one frame
 into a caller-supplied buffer through a :class:`memoryview` (no
 intermediate per-field ``bytes()`` copies), and :func:`pack_blocks` /
-:func:`unpack_blocks` move whole :class:`~repro.rlnc.block.BlockBatch`
-matrices through a single contiguous buffer — the batch path writes all
-headers, coefficient rows and payload rows with three strided numpy
-assignments, and the intake path hands back coefficient/payload
-matrices that are zero-copy views into the received buffer.  The
-version-1 batch layout is byte-identical to concatenated
-:func:`encode_frame` output, so old readers can parse new writers'
-individual records.
+:func:`unpack_blocks` / :func:`unpack_round` move whole
+:class:`~repro.rlnc.block.BlockBatch` matrices through a single
+contiguous buffer — the batch path writes all headers, coefficient rows
+and payload rows with three strided numpy assignments, and the intake
+path hands back coefficient/payload matrices that are zero-copy views
+into the received buffer.  The version-1 batch layout is byte-identical
+to concatenated :func:`encode_frame` output, so old readers can parse
+new writers' individual records.
 """
 
 from __future__ import annotations
@@ -105,6 +105,12 @@ _DIGEST = struct.Struct(">Q")
 #: v2 header bytes are zero-padded to this width for the digest.
 _HEADER2_PAD = 24
 _SEQ_OFFSET = 18  # big-endian u32 sequence inside the v2 header
+#: The header bits a receiver checks against its own geometry: magic,
+#: version, the checksum flag, n and k.
+_FRAMING_MASK = np.frombuffer(
+    _HEADER.pack(b"\xff" * 4, 0xFF, FLAG_CHECKSUM, 0, 0xFFFFFFFF, 0xFFFFFFFF),
+    dtype=np.uint8,
+)
 
 #: Fixed seed for the digest weight stream ("RLNC" as an integer) —
 #: part of the wire format, never change it.
@@ -550,26 +556,6 @@ def _parse_header(view: memoryview, offset: int):
     return version, flags, segment_id, n, k, sequence, header.size
 
 
-def _verify_frame(view: memoryview, offset: int, version: int, header_size: int,
-                  n: int, k: int) -> bool:
-    """Check one frame's integrity trailer; the frame must be in bounds."""
-    body_end = offset + header_size + n + k
-    if version == VERSION:
-        (stored,) = _CRC.unpack_from(view, body_end)
-        return stored == zlib.crc32(view[offset:body_end]) & 0xFFFFFFFF
-    (stored,) = _DIGEST.unpack_from(view, body_end)
-    coefficients = np.frombuffer(
-        view, dtype=np.uint8, count=n, offset=offset + header_size
-    )
-    payload = np.frombuffer(
-        view, dtype=np.uint8, count=k, offset=offset + header_size + n
-    )
-    computed = digest64(
-        bytes(view[offset : offset + header_size]), coefficients, payload
-    )
-    return stored == computed
-
-
 def unpack_frame(
     data,
     offset: int = 0,
@@ -600,7 +586,9 @@ def unpack_frame(
             f"needs {size} bytes, {len(view) - offset} remain"
         )
     _wire_counter("wire_bytes_unpacked").inc(size)
-    if has_checksum and not _verify_frame(view, offset, version, header_size, n, k):
+    frame = np.frombuffer(view, dtype=np.uint8, count=size, offset=offset)
+    _, intact = _verify_rows(frame.reshape(1, size), version, n, k, has_checksum)
+    if not intact[0]:
         if strict:
             raise IntegrityError(
                 f"checksum mismatch in frame at offset {offset} "
@@ -609,12 +597,8 @@ def unpack_frame(
         if stats is not None:
             stats.record_checksum_failure()
         return None, size, sequence
-    coefficients = np.frombuffer(
-        view, dtype=np.uint8, count=n, offset=offset + header_size
-    ).copy()
-    payload = np.frombuffer(
-        view, dtype=np.uint8, count=k, offset=offset + header_size + n
-    ).copy()
+    coefficients = frame[header_size : header_size + n].copy()
+    payload = frame[header_size + n : header_size + n + k].copy()
     if stats is not None:
         stats.record_ok()
     return (
@@ -626,135 +610,153 @@ def unpack_frame(
     )
 
 
-def unpack_blocks(
-    data,
+def frame_rows(data, frame_bytes: int, stats: WireStats | None = None) -> np.ndarray:
+    """View a receive buffer as an ``(m, frame_bytes)`` uint8 matrix, no copy.
+
+    A torn tail is left out and counted once as malformed in ``stats``;
+    ``None`` or an empty buffer gives zero rows.
+    """
+    if data is None or len(data) == 0:
+        return np.empty((0, frame_bytes), dtype=np.uint8)
+    flat = np.frombuffer(data, dtype=np.uint8)
+    count, tail = divmod(flat.size, frame_bytes)
+    if tail and stats is not None:
+        stats.record_malformed()
+    return flat[: count * frame_bytes].reshape(count, frame_bytes)
+
+
+def _verify_rows(
+    frames: np.ndarray, version: int, n: int, k: int, checksum: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(framed, intact)`` masks over an (m, frame_size) frame matrix.
+
+    A *framed* row carries the given magic, version, checksum flag, n
+    and k; an *intact* row is framed and its trailer (if any) verifies.
+    The segment id, worker stamp and sequence are left to the trailer,
+    which covers them.
+    """
+    header_size = _header_struct(version).size
+    flag = FLAG_CHECKSUM if checksum else 0
+    expected = np.frombuffer(_HEADER.pack(MAGIC, version, flag, 0, n, k), np.uint8)
+    mismatch = (frames[:, : _HEADER.size] ^ expected) & _FRAMING_MASK
+    framed = ~mismatch.any(axis=1)
+    if not checksum:
+        return framed, framed
+    body = header_size + n + k
+    if version == VERSION:
+        stored = np.ascontiguousarray(frames[:, body:]).view(">u4").reshape(-1)
+        intact = framed.copy()
+        for row in np.flatnonzero(framed):
+            intact[row] = stored[row] == zlib.crc32(frames[row, :body])
+        return framed, intact
+    digests = _digest64_rows(
+        frames[:, :header_size],
+        frames[:, header_size : header_size + n],
+        frames[:, header_size + n : body],
+    )
+    stored = np.ascontiguousarray(frames[:, body:]).view(">u8").reshape(-1)
+    return framed, framed & (stored == digests)
+
+
+def _segment_rows(frames: np.ndarray, segment_id: int) -> np.ndarray:
+    expected = np.frombuffer(segment_id.to_bytes(4, "big"), np.uint8)
+    return np.all(frames[:, 6:10] == expected, axis=1)
+
+
+def _rows_batch(frames, keep, header_size, n, k, segment_id, copy=False):
+    """The kept rows' coefficient and payload columns as one batch."""
+    coefficients = frames[:, header_size : header_size + n]
+    payloads = frames[:, header_size + n : header_size + n + k]
+    if not keep.all():
+        coefficients, payloads = coefficients[keep], payloads[keep]
+    elif copy:
+        coefficients, payloads = coefficients.copy(), payloads.copy()
+    return BlockBatch(coefficients, payloads, segment_id)
+
+
+def unpack_round(
+    frames: np.ndarray,
     *,
-    copy: bool = False,
-    strict: bool = True,
+    segment_id: int,
+    num_blocks: int,
+    block_size: int,
+    checksum: bool = True,
+    version: int = VERSION,
     stats: WireStats | None = None,
-) -> BlockBatch:
+) -> tuple[BlockBatch, int]:
+    """Verify a round's ``(m, frame_size)`` frame matrix; the lenient intake.
+
+    Every row is checked against the geometry the *receiver* expects,
+    never against another frame, so any row (the first included) is
+    dropped on its own.  Rows with the wrong magic, version, checksum
+    flag, n or k count as malformed in ``stats``; rows whose trailer
+    fails count as checksum failures; the rest count as ``frames_ok``.
+
+    Returns:
+        ``(batch, foreign)``: the intact rows of ``segment_id`` in order
+        (views into ``frames`` when no row is dropped), and the number
+        of intact rows of another segment, which the receiver's policy
+        accounts for.
+    """
+    n, k = num_blocks, block_size
+    _wire_counter("wire_bytes_unpacked").inc(frames.size)
+    framed, intact = _verify_rows(frames, version, n, k, checksum)
+    ours = intact & _segment_rows(frames, segment_id)
+    m = len(frames)
+    framed_count = int(np.count_nonzero(framed))
+    intact_count = int(np.count_nonzero(intact))
+    if stats is not None:
+        if framed_count < m:
+            stats.record_malformed(m - framed_count)
+        if intact_count < framed_count:
+            stats.record_checksum_failure(framed_count - intact_count)
+        if intact_count:
+            stats.record_ok(intact_count)
+    header_size = _header_struct(version).size
+    batch = _rows_batch(frames, ours, header_size, n, k, segment_id)
+    return batch, intact_count - len(batch)
+
+
+def unpack_blocks(data, *, copy: bool = False) -> BlockBatch:
     """Parse a homogeneous frame stream into one :class:`BlockBatch`.
 
-    This is the vectorized intake path: the whole buffer is viewed as an
-    (m, frame_size) byte matrix, headers are validated with one batched
-    comparison, version-2 digests are verified in one vectorized pass,
-    and the returned coefficient/payload matrices are zero-copy strided
-    views into ``data`` (pass ``copy=True`` to detach them, e.g. when
-    the receive buffer will be reused).  The matrices feed
+    The strict, self-describing batch reader: frame 0's header supplies
+    the geometry, and every row of the (m, frame_size) byte matrix is
+    verified by the same vectorized core as :func:`unpack_round`.  The
+    returned coefficient/payload matrices are zero-copy strided views
+    into ``data`` (pass ``copy=True`` to detach them, e.g. when the
+    receive buffer will be reused).  The matrices feed
     :meth:`~repro.rlnc.decoder.ProgressiveDecoder.consume_batch`,
     :meth:`~repro.rlnc.decoder.TwoStageDecoder.add_batch` and
     :meth:`~repro.rlnc.recoder.Recoder.add_batch` directly.
 
-    In lenient mode (``strict=False``) frames whose header bytes or
-    integrity trailer are damaged are dropped and counted in ``stats``
-    (the returned batch then holds copies of only the surviving rows),
-    and a torn tail is counted as one malformed frame instead of
-    raising.  Damage to the *first* frame's geometry fields cannot be
-    localized — the stream's framing derives from it — so that still
-    raises :class:`~repro.errors.WireError` in both modes.
-
     Raises:
-        WireError: on empty input, truncation, bad magic/version, or
-            (strict) mixed geometry/segment ids and torn streams.  Use
-            :func:`decode_stream` for heterogeneous streams.
-        IntegrityError: (strict) on any checksum failure.
+        WireError: on empty input, truncation, bad magic/version, torn
+            streams, or frames whose geometry or segment id differ from
+            frame 0's.  Use :func:`decode_stream` for heterogeneous
+            streams.
+        IntegrityError: on any checksum failure.
     """
     view = memoryview(data)
     version, flags, segment_id, n, k, _, header_size = _parse_header(view, 0)
-    has_checksum = bool(flags & FLAG_CHECKSUM)
-    size_one = frame_size(n, k, checksum=has_checksum, version=version)
-    tail = len(view) % size_one
-    if tail and strict:
+    checksum = bool(flags & FLAG_CHECKSUM)
+    size_one = frame_size(n, k, checksum=checksum, version=version)
+    if len(view) % size_one:
         raise WireError(
             f"stream length {len(view)} is not a multiple of the frame "
             f"size {size_one} (torn frame or mixed geometry)"
         )
-    m = len(view) // size_one
-    if tail and stats is not None:
-        stats.record_malformed()
-    if m == 0:
-        # Lenient, and the only frame is torn: nothing recoverable.
-        return BlockBatch(
-            coefficients=np.empty((0, n), dtype=np.uint8),
-            payloads=np.empty((0, k), dtype=np.uint8),
-            segment_id=segment_id,
+    frames = frame_rows(view, size_one)
+    _wire_counter("wire_bytes_unpacked").inc(frames.size)
+    framed, intact = _verify_rows(frames, version, n, k, checksum)
+    if not (framed & _segment_rows(frames, segment_id)).all():
+        raise WireError(
+            "heterogeneous stream: frame headers differ (use decode_stream)"
         )
-    _wire_counter("wire_bytes_unpacked").inc(m * size_one)
-    frames = np.frombuffer(view, dtype=np.uint8, count=m * size_one).reshape(
-        m, size_one
-    )
-    # Sequence bytes legitimately differ per v2 frame; everything before
-    # them must match frame 0 (for v1 that is the whole header).
-    fixed = _SEQ_OFFSET if version == VERSION2 else header_size
-    reference = frames[0, :fixed]
-    good = np.ones(m, dtype=bool)
-    if m > 1:
-        matches = np.all(
-            frames[:, :fixed] == np.broadcast_to(reference, (m, fixed)), axis=1
-        )
-        if not matches.all():
-            if strict:
-                raise WireError(
-                    "heterogeneous stream: frame headers differ "
-                    "(use decode_stream)"
-                )
-            good &= matches
-            if stats is not None:
-                stats.record_malformed(int(m - int(matches.sum())))
-    body = header_size + n + k
-    if has_checksum:
-        if version == VERSION:
-            for row in range(m):
-                if not good[row]:
-                    continue
-                (stored,) = _CRC.unpack_from(view, row * size_one + body)
-                actual = zlib.crc32(frames[row, :body]) & 0xFFFFFFFF
-                if stored != actual:
-                    if strict:
-                        raise IntegrityError(
-                            f"checksum mismatch in frame {row}: stored "
-                            f"{stored:#010x}, computed {actual:#010x}"
-                        )
-                    good[row] = False
-                    if stats is not None:
-                        stats.record_checksum_failure()
-        else:
-            digests = _digest64_rows(
-                frames[:, :header_size],
-                frames[:, header_size : header_size + n],
-                frames[:, header_size + n : body],
-            )
-            stored = (
-                np.ascontiguousarray(frames[:, body : body + 8])
-                .view(">u8")
-                .reshape(m)
-            )
-            matches = stored == digests
-            bad = good & ~matches
-            if bad.any():
-                if strict:
-                    row = int(np.nonzero(bad)[0][0])
-                    raise IntegrityError(
-                        f"checksum mismatch in frame {row}: stored "
-                        f"{int(stored[row]):#018x}, computed "
-                        f"{int(digests[row]):#018x}"
-                    )
-                if stats is not None:
-                    stats.record_checksum_failure(int(bad.sum()))
-                good &= matches
-    if stats is not None:
-        stats.record_ok(int(good.sum()))
-    coefficients = frames[:, header_size : header_size + n]
-    payloads = frames[:, header_size + n : body]
-    if not good.all():
-        coefficients = coefficients[good]
-        payloads = payloads[good]
-    elif copy:
-        coefficients = coefficients.copy()
-        payloads = payloads.copy()
-    return BlockBatch(
-        coefficients=coefficients, payloads=payloads, segment_id=segment_id
-    )
+    if not intact.all():
+        row = int(np.flatnonzero(~intact)[0])
+        raise IntegrityError(f"checksum mismatch in frame {row}")
+    return _rows_batch(frames, intact, header_size, n, k, segment_id, copy)
 
 
 def encode_frame(

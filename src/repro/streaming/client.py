@@ -29,20 +29,25 @@ import math
 from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from repro.errors import (
     ConfigurationError,
     RetryExhaustedError,
     RetryLater,
-    WireError,
 )
 from repro.faults import FaultPlan
 from repro.obs.registry import get_registry
 from repro.obs.trace import trace
 from repro.rlnc.block import Segment
 from repro.rlnc.decoder import ProgressiveDecoder
-from repro.rlnc.wire import VERSION2, WireStats, frame_size, unpack_frame
+from repro.rlnc.wire import (
+    VERSION2,
+    WireStats,
+    frame_rows,
+    frame_size,
+    unpack_round,
+)
+# perfbench's traced run patches this name: its "rlnc.wire.unpack" boundary.
+from repro.rlnc.wire import unpack_frame  # noqa: F401
 from repro.streaming.session import MediaProfile
 
 if TYPE_CHECKING:
@@ -398,9 +403,11 @@ class ClientSession:
         """Absorb one round's wire delivery; return innovative blocks.
 
         ``wire_bytes`` is the peer's slice of the server round (or
-        ``None`` when the round granted it nothing).  Frames pass
-        through the fault plan (if any), then a *lenient* per-frame
-        unpack: checksum failures and malformed frames are counted in
+        ``None`` when the round granted it nothing).  The round is viewed
+        as one frame matrix, passes through the fault plan (if any), and
+        is verified in one :func:`~repro.rlnc.wire.unpack_round` call
+        against this session's geometry: checksum failures, malformed
+        frames and intact frames of another segment are counted in
         :attr:`SessionStats.wire` and charged to the upstream's
         corruption ledger — never absorbed.  A round with an
         outstanding request but no rank progress counts as a miss and
@@ -418,53 +425,38 @@ class ClientSession:
                 f"segment {self._segment_id} exceeded "
                 f"{self.max_rounds_per_segment} rounds"
             )
-        frames = self._split(wire_bytes)
-        if self.fault_plan is not None and frames:
+        frames = frame_rows(wire_bytes, self._frame_bytes, self.stats.wire)
+        if self.fault_plan is not None and len(frames):
             frames = self.fault_plan.apply_frames(frames)
-        blocks = []
-        n = decoder.params.num_blocks
-        k = decoder.params.block_size
+        received = len(frames)
+        self.stats.frames_received += received
+        self._m_frames.inc(received)
+        params = decoder.params
         with trace("wire_unpack", peer=self.peer_id):
-            for frame in frames:
-                self.stats.frames_received += 1
-                self._m_frames.inc()
-                try:
-                    block, _, _ = unpack_frame(
-                        frame, strict=False, stats=self.stats.wire
-                    )
-                except WireError:
-                    # framing so damaged even the lenient parser gave up
-                    self.stats.wire.record_malformed()
-                    block = None
-                if block is None:
-                    decoder.record_corrupt(self.upstream)
-                    continue
-                if (
-                    block.segment_id != self._segment_id
-                    or block.num_blocks != n
-                    or block.block_size != k
-                ):
-                    self.stats.wire.record_malformed()
-                    decoder.record_corrupt(self.upstream)
-                    continue
-                blocks.append(block)
+            batch, foreign = unpack_round(
+                frames,
+                segment_id=self._segment_id,
+                num_blocks=params.num_blocks,
+                block_size=params.block_size,
+                checksum=self.checksum,
+                version=self.wire_version,
+                stats=self.stats.wire,
+            )
+        if foreign:
+            # An intact frame of another segment is damage on this wire.
+            self.stats.wire.record_malformed(foreign)
+        decoder.record_corrupt(self.upstream, received - len(batch))
         innovative = 0
-        if blocks:
+        if len(batch):
             if decoder.is_complete:
-                self.stats.blocks_discarded += len(blocks)
-                self._m_discarded.inc(len(blocks))
+                self.stats.blocks_discarded += len(batch)
+                self._m_discarded.inc(len(batch))
             else:
-                coefficients = np.stack(
-                    [block.coefficients for block in blocks]
-                )
-                payloads = np.stack([block.payload for block in blocks])
-                innovative = decoder.consume_batch(
-                    coefficients, payloads, source=self.upstream
-                )
+                innovative = decoder.consume_batch(batch, source=self.upstream)
                 self.stats.blocks_innovative += innovative
-                self.stats.blocks_discarded += len(blocks) - innovative
+                self.stats.blocks_discarded += len(batch) - innovative
                 self._m_innovative.inc(innovative)
-                self._m_discarded.inc(len(blocks) - innovative)
+                self._m_discarded.inc(len(batch) - innovative)
         if self._idle_round:
             self._idle_round = False
         elif innovative > 0 or decoder.is_complete:
@@ -531,17 +523,6 @@ class ClientSession:
         self._backoff = min(
             self._backoff * self.backoff_factor, self.max_backoff_rounds
         )
-
-    def _split(self, wire_bytes) -> list[bytes]:
-        """Cut a peer's round buffer into per-frame byte strings."""
-        if wire_bytes is None or len(wire_bytes) == 0:
-            return []
-        data = bytes(wire_bytes)
-        size = self._frame_bytes
-        count, tail = divmod(len(data), size)
-        if tail:
-            self.stats.wire.record_malformed()
-        return [data[i * size : (i + 1) * size] for i in range(count)]
 
 
 def drive_sessions(

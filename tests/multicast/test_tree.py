@@ -169,21 +169,20 @@ class TestRelayUplink:
         segment = make_segment()
         root = make_root(segment)
         relay = RelayNode(PROFILE, rng=np.random.default_rng(1))
-        uplink = RelayUplink(
-            root, relay, 0,
-            fault_plan=FaultPlan(seed=3, corrupt_rate=1.0),
-        )
+        plan = FaultPlan(seed=3, corrupt_rate=1.0)
+        uplink = RelayUplink(root, relay, 0, fault_plan=plan)
         uplink.pre_round(segment.segment_id)
         frames = root.serve_round(format="frames", version=2)
         served = len(bytes(frames[0])) // uplink._frame_bytes
         kept = uplink.intake(segment.segment_id, frames.get(0))
         # Every frame is accounted: damaged ones dropped and counted,
-        # only verified ones buffered.  (A flip landing on the flags
-        # byte leaves the block data itself intact, so the rare frame
-        # whose only damage is there still parses and may be kept.)
-        assert uplink.wire.checksum_failures > 0
-        assert uplink.wire.frames_ok == kept
-        assert uplink.wire.frames_ok + uplink.wire.checksum_failures == served
+        # only verified ones buffered.  Seed 3 flips the checksum flag
+        # of frame 1, which must be detected like any other damage.
+        wire = uplink.wire
+        assert wire.checksum_failures > 0
+        assert wire.frames_ok == kept
+        assert wire.frames_ok + wire.checksum_failures + wire.malformed == served
+        assert wire.checksum_failures + wire.malformed == plan.counters.corrupted
         assert relay.held(segment.segment_id) == kept
         assert kept < served
 

@@ -379,15 +379,26 @@ class TestWireStatsAccumulation:
     def test_reused_client_session_decoder_counts_stay_cumulative(self):
         """The original bug's shape: a decoder session reused across
         unpack calls must expose exact cumulative drop counts."""
-        from repro.rlnc.wire import WireStats, pack_blocks, unpack_blocks
+        from repro.rlnc.wire import (
+            WireStats,
+            frame_rows,
+            pack_blocks,
+            unpack_round,
+        )
 
         batch = make_batch(6, 8, 16, seed=9)
         stream = bytearray(bytes(pack_blocks(batch)))
         size = frame_size(8, 16)
         stream[size + size // 2] ^= 0x55  # damage frame 1 of call one
         stats = WireStats()
-        unpack_blocks(bytes(stream), strict=False, stats=stats)
-        unpack_blocks(bytes(stream), strict=False, stats=stats)
+        for _ in range(2):
+            unpack_round(
+                frame_rows(bytes(stream), size),
+                segment_id=batch.segment_id,
+                num_blocks=8,
+                block_size=16,
+                stats=stats,
+            )
         assert stats.frames_ok == 10
         assert stats.checksum_failures == 2
         per_call = stats.delta(stats.snapshot())  # empty delta sanity

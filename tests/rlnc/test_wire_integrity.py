@@ -23,11 +23,13 @@ from repro.rlnc import (
     decode_stream,
     digest64,
     encode_frame,
+    frame_rows,
     frame_size,
     pack_blocks,
     stream_size,
     unpack_blocks,
     unpack_frame,
+    unpack_round,
 )
 
 
@@ -162,7 +164,14 @@ class TestDigest:
         size_one = frame_size(8, 16, version=VERSION2)
         data[2 * size_one + 30] ^= 0x40  # damage frame 2 only
         stats = WireStats()
-        recovered = unpack_blocks(bytes(data), strict=False, stats=stats)
+        recovered, _ = unpack_round(
+            frame_rows(bytes(data), size_one),
+            segment_id=batch.segment_id,
+            num_blocks=8,
+            block_size=16,
+            version=VERSION2,
+            stats=stats,
+        )
         assert len(recovered) == 5
         assert stats.checksum_failures == 1
         kept = [row for row in range(6) if row != 2]
@@ -175,7 +184,14 @@ class TestDigest:
         for row in range(3):
             data[row * size_one + 26] ^= 0x01
         stats = WireStats()
-        recovered = unpack_blocks(bytes(data), strict=False, stats=stats)
+        recovered, _ = unpack_round(
+            frame_rows(bytes(data), size_one),
+            segment_id=batch.segment_id,
+            num_blocks=4,
+            block_size=8,
+            version=VERSION2,
+            stats=stats,
+        )
         assert len(recovered) == 0
         assert stats.checksum_failures == 3
 
@@ -299,7 +315,14 @@ class TestWireCompatibility:
         batch = make_batch(m, n, k, seed)
         data = bytes(pack_blocks(batch))  # default v1 output
         stats = WireStats()
-        recovered = unpack_blocks(data, strict=False, stats=stats)
+        recovered, foreign = unpack_round(
+            frame_rows(data, frame_size(n, k)),
+            segment_id=batch.segment_id,
+            num_blocks=n,
+            block_size=k,
+            stats=stats,
+        )
+        assert foreign == 0
         assert stats.frames_dropped == 0
         assert np.array_equal(recovered.coefficients, batch.coefficients)
         assert np.array_equal(recovered.payloads, batch.payloads)

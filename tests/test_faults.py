@@ -15,11 +15,14 @@ from repro.rlnc import CodingParams, Encoder, Segment
 
 
 def make_frames(count, size=32, seed=0):
+    """A round of ``count`` random frames as an (m, size) byte matrix."""
     rng = np.random.default_rng(seed)
-    return [
-        rng.integers(0, 256, size=size, dtype=np.uint8).tobytes()
-        for _ in range(count)
-    ]
+    return rng.integers(0, 256, size=(count, size), dtype=np.uint8)
+
+
+def row_list(frames):
+    """The rows of a frame matrix as bytes, for order-aware comparison."""
+    return [row.tobytes() for row in frames]
 
 
 def make_blocks(count, n=8, k=16, seed=0):
@@ -57,14 +60,14 @@ class TestDeterminism:
         frames = make_frames(50)
         a = FaultPlan(seed=9, drop_rate=0.3, corrupt_rate=0.2)
         b = FaultPlan(seed=9, drop_rate=0.3, corrupt_rate=0.2)
-        assert a.apply_frames(frames) == b.apply_frames(frames)
+        assert np.array_equal(a.apply_frames(frames), b.apply_frames(frames))
         assert a.log == b.log
 
     def test_different_seed_different_schedule(self):
         frames = make_frames(60)
         a = FaultPlan(seed=1, drop_rate=0.3)
         b = FaultPlan(seed=2, drop_rate=0.3)
-        assert a.apply_frames(frames) != b.apply_frames(frames)
+        assert not np.array_equal(a.apply_frames(frames), b.apply_frames(frames))
 
     def test_reset_replays_exactly(self):
         frames = make_frames(40)
@@ -72,7 +75,7 @@ class TestDeterminism:
         first = plan.apply_frames(frames)
         first_log = list(plan.log)
         plan.reset()
-        assert plan.apply_frames(frames) == first
+        assert np.array_equal(plan.apply_frames(frames), first)
         assert plan.log == first_log
 
     def test_schedule_is_batch_split_invariant(self):
@@ -84,8 +87,10 @@ class TestDeterminism:
         split = FaultPlan(seed=11, drop_rate=0.3, corrupt_rate=0.2,
                           duplicate_rate=0.1)
         expected = whole.apply_frames(frames)
-        got = split.apply_frames(frames[:17]) + split.apply_frames(frames[17:])
-        assert got == expected
+        got = np.concatenate(
+            [split.apply_frames(frames[:17]), split.apply_frames(frames[17:])]
+        )
+        assert np.array_equal(got, expected)
         assert split.log == whole.log
         assert split.items_seen == whole.items_seen == 40
 
@@ -95,8 +100,8 @@ class TestActions:
         frames = make_frames(10)
         plan = FaultPlan(seed=0, drop_indices=[2, 7])
         survivors = plan.apply_frames(frames)
-        assert len(survivors) == 8
-        assert frames[2] not in survivors and frames[7] not in survivors
+        assert survivors.shape == (8, frames.shape[1])
+        assert np.array_equal(survivors, np.delete(frames, [2, 7], axis=0))
         assert plan.counters.dropped == 2
         assert [e.index for e in plan.events("drop")] == [2, 7]
 
@@ -104,28 +109,27 @@ class TestActions:
         frames = make_frames(5)
         plan = FaultPlan(seed=0, corrupt_indices=[3])
         out = plan.apply_frames(frames)
-        assert len(out) == 5
-        diffs = [
-            sum(bin(a ^ b).count("1") for a, b in zip(x, y))
-            for x, y in zip(frames, out)
-        ]
-        assert diffs.count(0) == 4
-        assert sum(diffs) == 1  # exactly one flipped bit total
+        assert out.shape == frames.shape
+        diffs = np.unpackbits(frames ^ out, axis=1).sum(axis=1)
+        assert diffs.tolist() == [0, 0, 0, 1, 0]  # one flipped bit, row 3
         assert plan.counters.corrupted == 1
+        (event,) = plan.events("corrupt")
+        assert out[3, event.detail] != frames[3, event.detail]
 
     def test_duplicates_are_adjacent(self):
         frames = make_frames(6)
         plan = FaultPlan(seed=3, duplicate_rate=1.0)
         out = plan.apply_frames(frames)
-        assert len(out) == 12
-        assert out[::2] == frames and out[1::2] == frames
+        assert out.shape == (12, frames.shape[1])
+        assert np.array_equal(out[::2], frames)
+        assert np.array_equal(out[1::2], frames)
 
     def test_delay_displaces_bounded(self):
         frames = make_frames(20)
         plan = FaultPlan(seed=4, delay_rate=1.0, max_delay=3)
-        out = plan.apply_frames(frames)
-        assert sorted(out) == sorted(frames)  # nothing lost
-        for original_pos, frame in enumerate(frames):
+        out = row_list(plan.apply_frames(frames))
+        assert sorted(out) == sorted(row_list(frames))  # nothing lost
+        for original_pos, frame in enumerate(row_list(frames)):
             delivered = out.index(frame)
             assert delivered <= original_pos + 3
 
@@ -135,12 +139,27 @@ class TestActions:
             seed=6, drop_rate=1.0, predicate=lambda index: index % 2 == 0
         )
         out = plan.apply_frames(frames)
-        assert out == frames[1::2]  # every even index dropped
+        assert np.array_equal(out, frames[1::2])  # every even index dropped
 
     def test_counters_total(self):
         plan = FaultPlan(seed=1, drop_indices=[0], corrupt_indices=[1])
         plan.apply_frames(make_frames(3))
         assert plan.counters.total == 2
+
+    def test_all_dropped_gives_an_empty_matrix(self):
+        frames = make_frames(4, size=24)
+        out = FaultPlan(seed=0, drop_rate=1.0).apply_frames(frames)
+        assert out.shape == (0, 24) and out.dtype == np.uint8
+
+    def test_apply_frames_never_mutates_input(self):
+        frames = make_frames(8)
+        snapshot = frames.copy()
+        plan = FaultPlan(seed=2, corrupt_rate=1.0, duplicate_rate=0.5,
+                         reorder_window=2)
+        out = plan.apply_frames(frames)
+        assert np.array_equal(frames, snapshot)
+        assert plan.counters.corrupted == 8
+        assert not np.shares_memory(out, frames)
 
     def test_event_is_frozen(self):
         event = FaultEvent(0, "drop")
