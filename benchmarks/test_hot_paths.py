@@ -29,7 +29,7 @@ from repro.gf256 import matmul
 from repro.gf256.engine import ENGINE, Gf256Engine
 from repro.gpu import GTX280
 from repro.kernels import EncodeScheme, GpuEncoder
-from repro.rlnc import CodingParams, Encoder, ProgressiveDecoder, Segment
+from repro.rlnc import CodingParams, Encoder, ProgressiveDecoder, Segment, unpack_blocks
 from repro.rlnc._reference import ReferenceProgressiveDecoder
 from repro.streaming import MediaProfile, StreamingServer
 
@@ -354,12 +354,12 @@ def test_server_round_throughput():
     exact_server = make_server()
     for peer in range(SERVER_SESSIONS):
         exact_server.request_blocks(peer, 0, SERVER_BLOCKS_PER_PEER)
-    fanout = exact_server.serve_round()
+    frames = exact_server.serve_round()
     per_block = GpuEncoder(GTX280, EncodeScheme.TABLE_5)
     per_block.upload_segment(segment)
     exact = True
-    for batches in fanout.values():
-        (batch,) = batches
+    for wire in frames.values():
+        batch = unpack_blocks(wire)
         for row in range(len(batch)):
             result = per_block.encode(
                 segment,

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.gpu import GTX280
 from repro.kernels import GpuMultiSegmentDecoder
-from repro.rlnc import CodingParams, Segment
+from repro.rlnc import CodingParams, Segment, decode_stream
 from repro.serving import ServingCluster
 from repro.streaming import MediaProfile
 
@@ -65,10 +65,9 @@ def main() -> None:
             )
     rounds = 0
     while cluster.pending_blocks:
-        fanout = cluster.serve_round()
-        for peer, batches in fanout.items():
-            for batch in batches:
-                collected[peer][batch.segment_id].extend(batch)
+        for peer, frames in cluster.serve_round().items():
+            for block in decode_stream(frames):
+                collected[peer][block.segment_id].append(block)
         rounds += 1
     total = sum(
         len(blocks)

@@ -90,8 +90,9 @@ from repro.faults import ChaosPlan
 from repro.gpu.spec import DeviceSpec
 from repro.kernels.cost_model import EncodeScheme
 from repro.obs.registry import get_registry, merge_snapshots
-from repro.rlnc.block import BlockBatch, Segment
-from repro.rlnc.wire import MAX_WORKER_ID, VERSION, unpack_blocks
+from repro.rlnc.block import Segment
+from repro.rlnc.wire import MAX_WORKER_ID, VERSION
+from repro.streaming.server import check_round_format
 from repro.streaming.session import MediaProfile, PeerSession
 
 
@@ -573,10 +574,10 @@ class ServingCluster:
     def serve_round(
         self,
         *,
-        format: str = "batches",
+        format: str = "frames",
         checksum: bool = True,
         version: int = VERSION,
-    ) -> dict[int, list[BlockBatch]] | dict[int, memoryview | bytes]:
+    ) -> dict[int, memoryview | bytes]:
         """Drain one scheduling round on every live worker.
 
         Workers run their rounds independently (separate simulated
@@ -588,18 +589,19 @@ class ServingCluster:
         sum — both accumulate in :attr:`stats`.
 
         Args:
-            format: ``"batches"`` returns ``peer_id -> [BlockBatch]``
-                merged across workers; ``"frames"`` returns the wire
-                representation — a worker's own slice when one worker
-                served the peer (zero-copy, valid until that worker's
-                next round), else the concatenated bytes.
-            checksum: frames format only — integrity trailers.
-            version: frames format only — wire version; ``version=2``
-                frames carry each worker's id stamp (see
+            format: the round output; only ``"frames"`` is served.
+            checksum: whether frames carry integrity trailers.
+            version: wire version; ``version=2`` frames carry each
+                worker's id stamp (see
                 :func:`~repro.rlnc.wire.frame_worker_id`).
 
+        Returns:
+            ``peer_id ->`` the peer's frames: a worker's own slice when
+            one worker served the peer (zero-copy, valid until that
+            worker's next round), else the concatenated bytes.
+
         Raises:
-            ConfigurationError: on an unknown ``format``.
+            ConfigurationError: on any ``format`` but ``"frames"``.
         """
         return self.collect_round(
             self.begin_round(format=format, checksum=checksum, version=version)
@@ -608,7 +610,7 @@ class ServingCluster:
     def begin_round(
         self,
         *,
-        format: str = "batches",
+        format: str = "frames",
         checksum: bool = True,
         version: int = VERSION,
     ) -> "_RoundTicket":
@@ -622,9 +624,6 @@ class ServingCluster:
         round inside the call.  Both pack the round's frames into
         worker-owned storage (the shared-memory ring, or the worker's
         wire slots) and :meth:`collect_round` merges the spans.
-        ``format="batches"`` rounds travel as sequence-neutral
-        checksum-free v1 frames, rebuilt into batches at collection, so
-        they leave the v2 wire sequences where they were.
 
         Under supervision the round is additionally self-healing: the
         supervisor ticks first (restarting workers whose backoff
@@ -639,33 +638,21 @@ class ServingCluster:
             An opaque ticket for :meth:`collect_round`.
 
         Raises:
-            ConfigurationError: on an unknown ``format``.
+            ConfigurationError: on any ``format`` but ``"frames"``.
         """
-        if format not in ("batches", "frames"):
-            raise ConfigurationError(
-                f"unknown serve_round format {format!r}; "
-                "expected 'batches' or 'frames'"
-            )
+        check_round_format(format)
         supervisor = self.supervisor
         down: frozenset[int] = frozenset()
         if supervisor is not None:
             supervisor.tick()
             down = frozenset(supervisor.down_workers)
-        if format == "batches":
-            checksum, version, stamp_sequence = False, VERSION, False
-        else:
-            stamp_sequence = True
-        ticket = _RoundTicket(format, down)
+        ticket = _RoundTicket(down)
         for wid in self.live_workers:
             if wid in down:
                 continue
             worker = self._workers[wid]
             try:
-                worker.start_round(
-                    checksum=checksum,
-                    version=version,
-                    stamp_sequence=stamp_sequence,
-                )
+                worker.start_round(checksum=checksum, version=version)
             except WorkerCrashError as exc:
                 if supervisor is None:
                     raise
@@ -675,9 +662,7 @@ class ServingCluster:
             ticket.dispatched.append((wid, worker, time.monotonic()))
         return ticket
 
-    def collect_round(
-        self, ticket: object
-    ) -> dict[int, list[BlockBatch]] | dict[int, memoryview | bytes]:
+    def collect_round(self, ticket: object) -> dict[int, memoryview | bytes]:
         """Barrier on a :meth:`begin_round` ticket and merge the round.
 
         Replies are collected in ascending worker order, which makes
@@ -687,9 +672,9 @@ class ServingCluster:
         detected and torn down while the merge completes **degraded**
         on the survivors — the barrier never blocks on a dead pipe.
 
-        Frames payloads are views into worker-owned storage, valid
-        until that worker's *next* round — a pipelined driver copies
-        them out here, before beginning the following round.
+        Frames are views into worker-owned storage, valid until that
+        worker's *next* round — a pipelined driver copies them out
+        here, before beginning the following round.
 
         Raises:
             ConfigurationError: the ticket is foreign or already
@@ -703,9 +688,8 @@ class ServingCluster:
             raise ConfigurationError("round ticket was already collected")
         ticket.taken = True
         supervisor = self.supervisor
-        frames = ticket.format == "frames"
         failed = ticket.failed
-        merged: dict[int, list] = {}
+        merged: dict[int, list[memoryview]] = {}
         parallel = serial = 0.0
         blocks = 0
         for wid, worker, sent_at in ticket.dispatched:
@@ -727,16 +711,9 @@ class ServingCluster:
             serial += gpu
             blocks += int(delta["blocks_served"])
             for peer_id, peer_spans in spans.items():
-                if frames:
-                    start = peer_spans[0][0]
-                    end = peer_spans[-1][0] + peer_spans[-1][1]
-                    payload: object = worker.view(start, end - start)
-                else:
-                    payload = [
-                        unpack_blocks(worker.view(offset, length), copy=True)
-                        for offset, length in peer_spans
-                    ]
-                merged.setdefault(peer_id, []).append(payload)
+                start = peer_spans[0][0]
+                end = peer_spans[-1][0] + peer_spans[-1][1]
+                merged.setdefault(peer_id, []).append(worker.view(start, end - start))
             if supervisor is not None:
                 # Strike on the worker's own wall clock (barrier wait on
                 # an earlier sibling must not be charged to this worker),
@@ -757,17 +734,8 @@ class ServingCluster:
             self._m_blocks.inc(blocks)
             if supervisor is not None and (failed or ticket.down):
                 supervisor.note_degraded_round()
-        if not frames:
-            return {
-                peer_id: [batch for batches in parts for batch in batches]
-                for peer_id, parts in merged.items()
-            }
         return {
-            peer_id: (
-                parts[0]
-                if len(parts) == 1
-                else b"".join(bytes(part) for part in parts)
-            )
+            peer_id: parts[0] if len(parts) == 1 else b"".join(parts)
             for peer_id, parts in merged.items()
         }
 
@@ -1092,10 +1060,9 @@ class _RoundTicket:
     round that actually suffered it.
     """
 
-    __slots__ = ("format", "down", "dispatched", "failed", "taken")
+    __slots__ = ("down", "dispatched", "failed", "taken")
 
-    def __init__(self, format: str, down: frozenset[int]) -> None:
-        self.format = format
+    def __init__(self, down: frozenset[int]) -> None:
         self.down = down
         self.dispatched: list[tuple[int, LocalWorker | WorkerProcess, float]] = []
         self.failed = 0

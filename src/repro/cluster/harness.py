@@ -207,7 +207,7 @@ def run_cluster_workload(
                     session.pre_round()
                 except RetryExhaustedError:
                     undecoded.add(session.peer_id)
-            frames = cluster.serve_round(format="frames", version=wire_version)
+            frames = cluster.serve_round(version=wire_version)
             for session in live:
                 if session.peer_id in undecoded:
                     continue

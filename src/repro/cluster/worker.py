@@ -172,7 +172,7 @@ class LocalWorker(StreamingServer):
         self._finished: tuple[dict, dict] | None = None
 
     def serve_round_spans(
-        self, alloc, checksum: bool, version: int, stamp_sequence: bool
+        self, alloc, checksum: bool, version: int
     ) -> tuple[dict[int, list[tuple[int, int]]], dict]:
         """Serve one round into ``alloc``'s storage.
 
@@ -182,29 +182,16 @@ class LocalWorker(StreamingServer):
             :class:`~repro.streaming.server.ServerStats` delta as a dict.
         """
         before = self.stats.snapshot()
-        spans = self.serve_round_into(
-            alloc,
-            checksum=checksum,
-            version=version,
-            stamp_sequence=stamp_sequence,
-        )
+        spans = self.serve_round_into(alloc, checksum=checksum, version=version)
         return spans, self.stats.delta(before).as_dict()
 
-    def start_round(
-        self,
-        *,
-        checksum: bool = True,
-        version: int = VERSION,
-        stamp_sequence: bool = True,
-    ) -> None:
+    def start_round(self, *, checksum: bool = True, version: int = VERSION) -> None:
         """Serve one round now; :meth:`finish_round` hands it over."""
         if self._finished is not None:
             raise ConfigurationError(
                 f"worker {self.worker_id} already has a round in flight"
             )
-        self._finished = self.serve_round_spans(
-            self._alloc_wire, checksum, version, stamp_sequence
-        )
+        self._finished = self.serve_round_spans(self._alloc_wire, checksum, version)
 
     def finish_round(
         self, timeout: float | None = None
@@ -695,13 +682,7 @@ class WorkerProcess:
 
     # -- async round dispatch ----------------------------------------------
 
-    def start_round(
-        self,
-        *,
-        checksum: bool = True,
-        version: int = VERSION,
-        stamp_sequence: bool = True,
-    ) -> None:
+    def start_round(self, *, checksum: bool = True, version: int = VERSION) -> None:
         """Fire one serving round without waiting for it to finish."""
         if self._inflight:
             raise ConfigurationError(
@@ -719,7 +700,7 @@ class WorkerProcess:
             + _ARENA_SLACK
         )
         self._ensure_arena(bound)
-        self._send("round", checksum, version, stamp_sequence)
+        self._send("round", checksum, version)
         self._inflight = True
 
     def finish_round(

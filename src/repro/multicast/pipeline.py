@@ -384,7 +384,7 @@ def _lockstep_loop(state: _RunState, max_rounds: int) -> None:
         if state.endpoint.pending_blocks > 0:
             before = state.gpu_seconds()
             served = state.endpoint.serve_round(
-                format="frames", checksum=state.checksum, version=state.version
+                checksum=state.checksum, version=state.version
             )
             after = state.gpu_seconds()
             frames = {pid: bytes(view) for pid, view in served.items()}
@@ -427,7 +427,7 @@ def _pipelined_loop(state: _RunState, max_rounds: int) -> None:
         if ticket is None and state.endpoint.pending_blocks > 0:
             gpu_before = state.gpu_seconds()
             ticket = state.endpoint.begin_round(
-                format="frames", checksum=state.checksum, version=state.version
+                checksum=state.checksum, version=state.version
             )
         if pending is not None:
             # The overlap window: round r-1 decodes while round r encodes.

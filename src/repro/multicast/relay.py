@@ -28,9 +28,11 @@ from repro.obs.registry import get_registry
 from repro.obs.trace import trace
 from repro.rlnc.block import BlockBatch, Segment
 from repro.rlnc.recoder import Recoder
-from repro.rlnc.wire import VERSION, VERSION2, pack_blocks, stream_size
+from repro.rlnc.wire import VERSION
+# perfbench's traced run patches this name: its "rlnc.wire.pack" boundary.
+from repro.rlnc.wire import pack_blocks  # noqa: F401
 from repro.streaming.scheduler import BlockRequest, ServeRoundScheduler
-from repro.streaming.server import EagerRounds
+from repro.streaming.server import EagerRounds, check_round_format
 from repro.streaming.session import MediaProfile, PeerSession
 
 
@@ -113,11 +115,7 @@ class RelayNode(EagerRounds):
         self._round_scheduler = ServeRoundScheduler(
             per_peer_quota=per_peer_round_quota
         )
-        # Double-buffered wire storage: frames from round r stay valid
-        # while round r+1 packs into the other slot — the relay-side
-        # half of pipelined serving.
-        self._wire_buffers = [bytearray(), bytearray()]
-        self._wire_slot = 0
+        super().__init__()
         self.stats = RelayStats()
         registry = get_registry()
         self._m_ingested = registry.counter("relay_blocks_ingested")
@@ -257,36 +255,46 @@ class RelayNode(EagerRounds):
     def serve_round(
         self,
         *,
-        format: str = "batches",
+        format: str = "frames",
         checksum: bool = True,
         version: int = VERSION,
-    ) -> dict[int, list[BlockBatch]] | dict[int, memoryview]:
+    ) -> dict[int, memoryview]:
         """Drain one scheduling round of the downstream request queue.
 
         All grants against the same segment coalesce into a *single*
         :meth:`~repro.rlnc.recoder.Recoder.recode_matrix` emission (one
-        mix-matrix draw, one pair of engine matmuls) fanned back out as
-        zero-copy row views — the relay's analogue of the server's
-        coalesced encode.
+        mix-matrix draw, one pair of engine matmuls) — the relay's
+        analogue of the server's coalesced encode — packed by the same
+        round packer as the server into the relay's double-buffered
+        wire storage.
 
         Args:
-            format: ``"batches"`` returns ``peer_id -> [BlockBatch]``;
-                ``"frames"`` packs the round into the relay's
-                double-buffered wire storage and returns ``peer_id ->
-                memoryview`` (valid for two rounds — one pipelined round
-                may be in flight while the next packs).
-            checksum: frames format only — integrity trailers.
-            version: frames format only — wire version (``version=2``
-                stamps per-session sequences and the worker id).
+            format: the round output; only ``"frames"`` is served.
+            checksum: whether frames carry integrity trailers.
+            version: wire version (``version=2`` stamps per-session
+                sequences and the worker id).
+
+        Returns:
+            ``peer_id -> memoryview`` of the peer's frames, valid for
+            two rounds (one pipelined round may be in flight while the
+            next packs).
+
+        Raises:
+            ConfigurationError: on any ``format`` but ``"frames"``.
         """
-        if format == "batches":
-            return self._round_batches()
-        if format == "frames":
-            return self._round_frames(checksum=checksum, version=version)
-        raise ConfigurationError(
-            f"unknown serve_round format {format!r}; "
-            "expected 'batches' or 'frames'"
+        check_round_format(format)
+        frames = self._slot_frames(
+            self._pack_round(
+                self._round_batches(),
+                self._alloc_wire,
+                checksum=checksum,
+                version=version,
+            )
         )
+        served = sum(len(view) for view in frames.values())
+        self.stats.bytes_served += served
+        self._m_bytes.inc(served)
+        return frames
 
     def _round_batches(self) -> dict[int, list[BlockBatch]]:
         if not self._queue:
@@ -326,54 +334,6 @@ class RelayNode(EagerRounds):
             self.stats.rounds_served += 1
             self._m_rounds.inc()
         return fanout
-
-    def _round_frames(
-        self, *, checksum: bool, version: int
-    ) -> dict[int, memoryview]:
-        fanout = self._round_batches()
-        if not fanout:
-            return {}
-        total = sum(
-            stream_size(
-                len(batch),
-                batch.num_blocks,
-                batch.block_size,
-                checksum=checksum,
-                version=version,
-            )
-            for batches in fanout.values()
-            for batch in batches
-        )
-        slot = self._wire_slot
-        self._wire_slot = (slot + 1) % len(self._wire_buffers)
-        if len(self._wire_buffers[slot]) < total:
-            self._wire_buffers[slot] = bytearray(total)
-        view = memoryview(self._wire_buffers[slot])
-        offset = 0
-        frames: dict[int, memoryview] = {}
-        stamp = self.worker_id if version == VERSION2 else None
-        with trace("relay_wire_pack", relay=self.name):
-            for peer_id, batches in fanout.items():
-                session = self._sessions[peer_id]
-                start = offset
-                for batch in batches:
-                    sequence = session.tx_sequence if version == VERSION2 else 0
-                    packed = pack_blocks(
-                        batch,
-                        checksum=checksum,
-                        out=view,
-                        offset=offset,
-                        version=version,
-                        first_sequence=sequence,
-                        worker_id=stamp,
-                    )
-                    if version == VERSION2:
-                        session.tx_sequence += len(batch)
-                    offset += len(packed)
-                frames[peer_id] = view[start:offset]
-                self.stats.bytes_served += offset - start
-                self._m_bytes.inc(offset - start)
-        return frames
 
     def stats_snapshot(self) -> dict:
         """A registry-shaped counters/gauges/histograms snapshot."""

@@ -285,7 +285,6 @@ class MulticastTree:
                     uplink.pre_round(segment_id)
                 if self.root.pending_blocks > 0:
                     frames = self.root.serve_round(
-                        format="frames",
                         checksum=self.checksum,
                         version=self.wire_version,
                     )
@@ -299,7 +298,6 @@ class MulticastTree:
                         session.pre_round()
                     served = (
                         relay.serve_round(
-                            format="frames",
                             checksum=self.checksum,
                             version=self.wire_version,
                         )

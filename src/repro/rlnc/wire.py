@@ -53,13 +53,13 @@ Readers accept both versions; writers emit version 1 unless asked for
 vice versa.
 
 The self-describing readers (:func:`unpack_frame`, :func:`unpack_blocks`,
-:func:`decode_stream`) are strict by default: they raise
+:func:`decode_stream`) are strict: they raise
 :class:`~repro.errors.IntegrityError` on a checksum mismatch and
 :class:`~repro.errors.WireError` on structural damage (bad
 magic/version, torn frames, length fields that disagree with the buffer
 — every length is bound-checked before slicing, so a lying header can
-never over-read).  The lenient receive path is :func:`unpack_round`: it
-checks every row of a round's ``(m, frame_size)`` byte matrix against
+never over-read).  The one lenient receive path is :func:`unpack_round`:
+it checks every row of a round's ``(m, frame_size)`` byte matrix against
 the receiver's own geometry, so damaged rows (the first included) are
 dropped one by one and counted in a :class:`WireStats`.
 
@@ -556,23 +556,19 @@ def _parse_header(view: memoryview, offset: int):
     return version, flags, segment_id, n, k, sequence, header.size
 
 
-def unpack_frame(
-    data,
-    offset: int = 0,
-    *,
-    strict: bool = True,
-    stats: WireStats | None = None,
-) -> tuple[CodedBlock | None, int, int | None]:
+def unpack_frame(data, offset: int = 0) -> tuple[CodedBlock, int, int | None]:
     """Parse one frame at ``offset``; return ``(block, size, sequence)``.
 
-    The incremental intake primitive: works for both frame versions,
-    bound-checks every length field against the buffer before touching
-    the body (a lying header raises :class:`~repro.errors.WireError`
-    instead of over-reading), and handles integrity failures per the
-    unpack mode — strict raises :class:`~repro.errors.IntegrityError`;
-    lenient counts the failure in ``stats`` and returns ``(None, size,
-    sequence)`` so the caller can skip exactly one frame and continue.
+    The incremental, self-describing frame reader: works for both frame
+    versions and bound-checks every length field against the buffer
+    before touching the body (a lying header raises
+    :class:`~repro.errors.WireError` instead of over-reading).
     ``sequence`` is ``None`` for version-1 frames.
+
+    Raises:
+        WireError: on truncation, bad magic/version, or length fields
+            that exceed the buffer.
+        IntegrityError: on a checksum mismatch.
     """
     view = memoryview(data)
     version, flags, segment_id, n, k, sequence, header_size = _parse_header(
@@ -589,18 +585,12 @@ def unpack_frame(
     frame = np.frombuffer(view, dtype=np.uint8, count=size, offset=offset)
     _, intact = _verify_rows(frame.reshape(1, size), version, n, k, has_checksum)
     if not intact[0]:
-        if strict:
-            raise IntegrityError(
-                f"checksum mismatch in frame at offset {offset} "
-                f"(version {version}, n={n}, k={k})"
-            )
-        if stats is not None:
-            stats.record_checksum_failure()
-        return None, size, sequence
+        raise IntegrityError(
+            f"checksum mismatch in frame at offset {offset} "
+            f"(version {version}, n={n}, k={k})"
+        )
     coefficients = frame[header_size : header_size + n].copy()
     payload = frame[header_size + n : header_size + n + k].copy()
-    if stats is not None:
-        stats.record_ok()
     return (
         CodedBlock(
             coefficients=coefficients, payload=payload, segment_id=segment_id
@@ -836,41 +826,20 @@ def encode_stream(
     return bytes(buffer)
 
 
-def decode_stream(
-    data: bytes, *, strict: bool = True, stats: WireStats | None = None
-) -> list[CodedBlock]:
+def decode_stream(data: bytes) -> list[CodedBlock]:
     """Split a concatenated frame stream back into blocks.
 
     Frames are self-describing, so heterogeneous geometries and mixed
-    versions are allowed; in strict mode a torn final frame or any
-    integrity failure raises.  In lenient mode damaged frames are
-    dropped and counted in ``stats``, and after a frame whose *framing*
-    is unparseable (corrupted magic or length fields) the reader
-    resynchronizes by scanning for the next magic marker — the
-    behaviour a long-lived receive loop needs to survive arbitrary
-    corruption.  For homogeneous streams, :func:`unpack_blocks` returns
-    the same records as one zero-copy batch instead.
+    versions are allowed; a torn final frame or any integrity failure
+    raises (see :func:`unpack_frame`).  For homogeneous streams,
+    :func:`unpack_blocks` returns the same records as one zero-copy
+    batch instead.
     """
     view = memoryview(data)
     blocks: list[CodedBlock] = []
     offset = 0
     while offset < len(view):
-        try:
-            block, size, _ = unpack_frame(view, offset, strict=strict, stats=stats)
-        except IntegrityError:
-            raise
-        except WireError:
-            if strict:
-                raise
-            if stats is not None:
-                stats.record_malformed()
-            # Resynchronize: scan for the next magic marker.
-            next_magic = bytes(view[offset + 1 :]).find(MAGIC)
-            if next_magic < 0:
-                break
-            offset += 1 + next_magic
-            continue
-        if block is not None:
-            blocks.append(block)
+        block, size, _ = unpack_frame(view, offset)
+        blocks.append(block)
         offset += size
     return blocks

@@ -25,6 +25,7 @@ from repro.cluster.cluster import ClusterStats, ServingCluster
 from repro.errors import RetryLater
 from repro.multicast.relay import RelayNode
 from repro.rlnc.block import Segment
+from repro.rlnc.wire import VERSION
 from repro.streaming.client import ClientSession, SessionStats, drive_sessions
 from repro.streaming.server import ServerStats, StreamingServer
 from repro.streaming.session import MediaProfile
@@ -70,31 +71,35 @@ class ServingEndpoint(Protocol):
     def serve_round(
         self,
         *,
-        format: str = "batches",
+        format: str = "frames",
         checksum: bool = True,
-        version: int = 1,
+        version: int = VERSION,
     ) -> dict:
-        """Drain one coalesced scheduling round (batches or frames)."""
+        """Drain one coalesced scheduling round; ``peer_id -> frames``.
+
+        ``format`` accepts only ``"frames"``; any other value raises
+        :class:`~repro.errors.ConfigurationError`.
+        """
         ...
 
     def begin_round(
         self,
         *,
-        format: str = "batches",
+        format: str = "frames",
         checksum: bool = True,
-        version: int = 1,
+        version: int = VERSION,
     ) -> object:
         """Start a round pipelined; returns a ticket for collect_round.
 
         A server, a relay and an in-process cluster serve the round
         inside this call; the multiprocess cluster's workers overlap
         it with the caller's work.  Either way ``collect_round(ticket)``
-        yields output byte-identical to a plain ``serve_round``.
+        yields frames byte-identical to a plain ``serve_round``.
         """
         ...
 
     def collect_round(self, ticket: object) -> dict:
-        """Barrier on a ``begin_round`` ticket; returns its round."""
+        """Barrier on a ``begin_round`` ticket; ``peer_id -> frames``."""
         ...
 
     def stats_snapshot(self) -> dict:

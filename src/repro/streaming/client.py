@@ -233,7 +233,7 @@ class ClientSession:
 
     One round of the protocol is ``pre_round`` (decide whether to ask
     the server for missing rank), the server's
-    ``serve_round(format="frames")`` (driven by the caller or by
+    ``serve_round`` (driven by the caller or by
     :meth:`fetch_segment`), then
     :meth:`intake` (lenient unpack + decoder absorb + retry
     bookkeeping).  Loss and corruption — optionally injected
@@ -482,7 +482,7 @@ class ClientSession:
         """Fetch one segment to completion, driving server rounds.
 
         The single-session convenience loop: each iteration runs
-        ``pre_round`` → ``serve_round(format="frames")`` → ``intake`` until the
+        ``pre_round`` → ``serve_round`` → ``intake`` until the
         decoder reaches full rank.  Multi-session tests drive the same
         primitives through :func:`drive_sessions` instead, so every
         session shares each server round.
@@ -496,7 +496,7 @@ class ClientSession:
         while not self.complete:
             self.pre_round()
             frames = self.server.serve_round(
-                format="frames", checksum=self.checksum, version=self.wire_version
+                checksum=self.checksum, version=self.wire_version
             )
             self.intake(frames.get(self.peer_id))
         return self.finish_segment(original_length)
@@ -564,9 +564,7 @@ def drive_sessions(
         for session in sessions:
             if not session.complete:
                 session.pre_round()
-        frames = server.serve_round(
-            format="frames", checksum=checksum, version=version
-        )
+        frames = server.serve_round(checksum=checksum, version=version)
         for session in sessions:
             if not session.complete:
                 session.intake(frames.get(session.peer_id))

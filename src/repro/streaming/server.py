@@ -17,14 +17,13 @@ Two serving paths coexist:
   drains the queue through a :class:`~repro.streaming.scheduler.ServeRoundScheduler`
   plan, coalescing every request against the same segment into a single
   engine-level batch encode (one coefficient draw, one bulk multiply,
-  one cost-model charge), then fans the combined block matrix back out
-  as zero-copy per-peer :class:`BlockBatch` row views.
-  ``serve_round(format="frames")`` additionally serializes the whole
-  round into one reused contiguous wire buffer and hands each peer a
-  ``memoryview`` slice of it.  Both wire spellings sit on
-  :meth:`StreamingServer.serve_round_into`, which packs a round into
-  *caller-allocated* storage — the hook the multiprocess cluster uses
-  to land frames directly in a shared-memory ring.
+  one cost-model charge), and packs the round straight onto the wire:
+  every peer gets a ``memoryview`` slice of one reused contiguous wire
+  buffer.  Rounds are packed by :meth:`StreamingServer.serve_round_into`
+  into *caller-allocated* storage — the hook the multiprocess cluster
+  uses to land frames directly in a shared-memory ring — and the one
+  round packer (:meth:`EagerRounds._pack_round`) is shared with the
+  recoding :class:`~repro.multicast.relay.RelayNode`.
 
 The server implements the :class:`repro.serving.ServingEndpoint`
 protocol, so anything written against the unified serving facade drives
@@ -108,24 +107,46 @@ class ServerStats:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
+def check_round_format(format: str) -> None:
+    """Reject any round output format but wire frames.
+
+    Raises:
+        ConfigurationError: ``format`` is not ``"frames"``.
+    """
+    if format != "frames":
+        raise ConfigurationError(
+            f"unknown serve_round format {format!r}; expected 'frames'"
+        )
+
+
 class EagerRounds:
-    """The ``begin_round``/``collect_round`` pair of a synchronous endpoint.
+    """The round output machinery of a synchronous endpoint.
 
     Shared by :class:`StreamingServer` and
-    :class:`~repro.multicast.relay.RelayNode`: the round runs inside
+    :class:`~repro.multicast.relay.RelayNode`: two alternating wire
+    slots, the one round packer (:meth:`_pack_round`) that writes a
+    round's per-peer batches into them, and the
+    ``begin_round``/``collect_round`` pair.  The round runs inside
     ``begin_round`` through the endpoint's own ``serve_round`` and the
-    ticket parks the result.  With double-buffered wire storage behind
-    ``format="frames"``, a pipelined driver can still issue round
-    ``r+1`` before round ``r``'s frames have been consumed, and it
-    drives these endpoints exactly as it drives a
-    :class:`~repro.cluster.ServingCluster`, whose workers overlap the
-    round with the caller's work.
+    ticket parks the result.  Because the slots alternate, a pipelined
+    driver can still issue round ``r+1`` before round ``r``'s frames
+    have been consumed, and it drives these endpoints exactly as it
+    drives a :class:`~repro.cluster.ServingCluster`, whose workers
+    overlap the round with the caller's work.
+
+    Subclasses provide ``_sessions`` (peer id ->
+    :class:`~repro.streaming.session.PeerSession`) and ``worker_id``.
     """
+
+    def __init__(self) -> None:
+        self._wire_buffers = [bytearray(), bytearray()]
+        self._wire_slot = 0
+        self._wire_packed = memoryview(b"")
 
     def begin_round(
         self,
         *,
-        format: str = "batches",
+        format: str = "frames",
         checksum: bool = True,
         version: int = VERSION,
     ) -> "EagerRoundTicket":
@@ -138,7 +159,7 @@ class EagerRounds:
             self.serve_round(format=format, checksum=checksum, version=version)
         )
 
-    def collect_round(self, ticket: object) -> dict:
+    def collect_round(self, ticket: object) -> dict[int, memoryview]:
         """Barrier on a :meth:`begin_round` ticket; returns the round.
 
         Raises:
@@ -150,6 +171,100 @@ class EagerRounds:
                 "collect_round needs the ticket returned by begin_round"
             )
         return ticket.take()
+
+    def _alloc_wire(self, total: int) -> tuple[bytearray, int]:
+        """The next of the two alternating wire slots, grown to ``total``.
+
+        The slot packed last stays readable through :attr:`_wire_packed`
+        until the round after next packs over it.
+        """
+        slot = self._wire_slot
+        self._wire_slot = 1 - slot
+        if len(self._wire_buffers[slot]) < total:
+            self._wire_buffers[slot] = bytearray(total)
+        self._wire_packed = memoryview(self._wire_buffers[slot])
+        return self._wire_buffers[slot], 0
+
+    def _pack_round(
+        self,
+        fanout: dict[int, list[BlockBatch]],
+        alloc: Callable[[int], tuple[object, int]],
+        *,
+        checksum: bool,
+        version: int,
+    ) -> dict[int, list[tuple[int, int]]]:
+        """Pack a round's per-peer batches into ``alloc``'s storage.
+
+        Frames are written in place by :func:`~repro.rlnc.wire.pack_blocks`
+        with no intermediate ``bytes()`` objects.  Version-2 frames
+        consume each session's monotonic
+        :attr:`~repro.streaming.session.PeerSession.tx_sequence` and
+        carry the endpoint's :attr:`worker_id` stamp; version-1 frames
+        carry no sequence, so they leave ``tx_sequence`` where it was.
+
+        Args:
+            fanout: ``peer_id -> [BlockBatch, ...]`` in grant order.
+            alloc: called once per non-empty round with the round's
+                total wire size; must return ``(buffer, offset)`` — any
+                writable buffer and the position to start packing at.
+            checksum: whether frames carry integrity trailers.
+            version: wire format version.
+
+        Returns:
+            ``peer_id -> [(offset, length), ...]`` spans into the
+            allocated buffer, one per granted batch; a peer's spans are
+            contiguous and in grant order.  Empty dict for an empty
+            round.
+        """
+        if not fanout:
+            return {}
+        total = sum(
+            stream_size(
+                len(batch),
+                batch.num_blocks,
+                batch.block_size,
+                checksum=checksum,
+                version=version,
+            )
+            for batches in fanout.values()
+            for batch in batches
+        )
+        buffer, offset = alloc(total)
+        view = memoryview(buffer)
+        spans: dict[int, list[tuple[int, int]]] = {}
+        sequenced = version == VERSION2
+        stamp = self.worker_id if sequenced else None
+        with trace("wire_pack"):
+            for peer_id, batches in fanout.items():
+                session = self._sessions[peer_id]
+                peer_spans = spans.setdefault(peer_id, [])
+                for batch in batches:
+                    packed = pack_blocks(
+                        batch,
+                        checksum=checksum,
+                        out=view,
+                        offset=offset,
+                        version=version,
+                        first_sequence=session.tx_sequence,
+                        worker_id=stamp,
+                    )
+                    if sequenced:
+                        session.tx_sequence += len(batch)
+                    peer_spans.append((offset, len(packed)))
+                    offset += len(packed)
+        return spans
+
+    def _slot_frames(
+        self, spans: dict[int, list[tuple[int, int]]]
+    ) -> dict[int, memoryview]:
+        """Each peer's frames as one ``memoryview`` slice of the slot
+        :meth:`_alloc_wire` handed out last."""
+        return {
+            peer_id: self._wire_packed[
+                peer_spans[0][0] : peer_spans[-1][0] + peer_spans[-1][1]
+            ]
+            for peer_id, peer_spans in spans.items()
+        }
 
 
 class EagerRoundTicket:
@@ -227,13 +342,7 @@ class StreamingServer(EagerRounds):
         self._round_scheduler = ServeRoundScheduler(
             per_peer_quota=per_peer_round_quota
         )
-        # Double-buffered wire storage: ``format="frames"`` rounds pack
-        # into alternating slots, so round r's frames stay valid while
-        # round r+1 encodes and packs — the server-side half of the
-        # pipelined (begin_round/collect_round) serving mode.
-        self._wire_buffers = [bytearray(), bytearray()]
-        self._wire_slot = 0
-        self._wire_packed = memoryview(b"")
+        super().__init__()
         self.stats = ServerStats()
         # Registry write-through handles, cached once per server so the
         # serve paths pay a plain method call, not a label resolution.
@@ -530,104 +639,89 @@ class StreamingServer(EagerRounds):
     def serve_round(
         self,
         *,
-        format: str = "batches",
+        format: str = "frames",
         checksum: bool = True,
         version: int = VERSION,
-    ) -> dict[int, list[BlockBatch]] | dict[int, memoryview]:
-        """Drain one scheduling round of the request queue.
+    ) -> dict[int, memoryview]:
+        """Drain one scheduling round of the request queue onto the wire.
 
         All pending requests against the same segment coalesce into a
-        single engine-level batch encode; the combined coefficient and
-        payload matrices then fan back out as zero-copy row views, one
-        :class:`BlockBatch` per (peer, segment) grant.  Requests beyond
-        a peer's round quota stay queued for the next round.
-
-        The unified serving entry point: ``format`` selects the
-        delivery representation.
+        single engine-level batch encode; the round is then packed into
+        the server's reused wire storage (two alternating slots, each
+        grown across rounds) and every peer gets one ``memoryview``
+        slice of it — valid for two rounds, so one round may stay on
+        the wire while the next packs; consume or copy before the slot
+        is reused.  Requests beyond a peer's round quota stay queued
+        for the next round.
 
         Args:
-            format: ``"batches"`` (default) returns ``peer_id ->
-                [BlockBatch, ...]`` zero-copy row views; ``"frames"``
-                additionally packs the round into reused contiguous
-                wire storage (two alternating slots) and returns
-                ``peer_id -> memoryview`` slices of it (valid for two
-                frames rounds — one round may stay on the wire while
-                the next packs; consume or copy before the slot is
-                reused).
-            checksum: frames format only — whether frames carry
-                integrity trailers.
-            version: frames format only — wire format version.
-                ``version=2`` emits the integrity format: digest
-                trailers, per-session monotonic sequence numbers (from
+            format: the round output; only ``"frames"`` is served.
+            checksum: whether frames carry integrity trailers.
+            version: wire format version.  ``version=2`` emits the
+                integrity format: digest trailers, per-session monotonic
+                sequence numbers (from
                 :attr:`~repro.streaming.session.PeerSession.tx_sequence`)
                 and, when the server has a :attr:`worker_id`, the
                 cluster worker stamp.
 
         Returns:
-            The per-peer grants in the requested representation (empty
-            dict when the queue is empty).
+            ``peer_id -> memoryview`` of the peer's frames (empty dict
+            when the queue is empty).
 
         Raises:
-            ConfigurationError: on an unknown ``format``.
+            ConfigurationError: on any ``format`` but ``"frames"``.
             CapacityError: if a queued segment was evicted behind the
                 queue's back (cannot normally happen —
                 :meth:`evict_segment` drops its queued requests).
         """
-        if format == "batches":
-            return self._round_batches()
-        if format == "frames":
-            return self._round_frames(checksum=checksum, version=version)
-        raise ConfigurationError(
-            f"unknown serve_round format {format!r}; "
-            "expected 'batches' or 'frames'"
+        check_round_format(format)
+        return self._slot_frames(
+            self.serve_round_into(self._alloc_wire, checksum=checksum, version=version)
         )
 
     def _round_batches(self) -> dict[int, list[BlockBatch]]:
-        """One scheduling round, delivered as zero-copy block batches."""
+        """One scheduling round's encodes, as zero-copy per-peer batches."""
         if not self._queue:
             return {}
-        with trace("serve_round"):
-            with trace("scheduler_plan"):
-                plan = self._round_scheduler.plan_round(self._queue)
-            segments: dict[int, Segment] = {}
-            for segment_id in plan.grants:
-                segment = self._segments.get(segment_id)
-                if segment is None:
-                    raise CapacityError(
-                        f"segment {segment_id} is not on the device"
-                    )
-                segments[segment_id] = segment
-            self._queue = deque(plan.carryover)
-            self._m_queue_depth.set(len(self._queue))
-            self._m_queue_blocks.set(self.pending_blocks)
+        with trace("scheduler_plan"):
+            plan = self._round_scheduler.plan_round(self._queue)
+        segments: dict[int, Segment] = {}
+        for segment_id in plan.grants:
+            segment = self._segments.get(segment_id)
+            if segment is None:
+                raise CapacityError(f"segment {segment_id} is not on the device")
+            segments[segment_id] = segment
+        self._queue = deque(plan.carryover)
+        self._m_queue_depth.set(len(self._queue))
+        self._m_queue_blocks.set(self.pending_blocks)
 
-            fanout: dict[int, list[BlockBatch]] = {}
-            for segment_id, grants in plan.grants.items():
-                counts = [count for _, count in grants]
-                with trace("encode_coalesced", segment=segment_id):
-                    result, slices = self._encoder.encode_coalesced(
-                        segments[segment_id], counts, self._rng
-                    )
-                self.stats.encode_calls += 1
-                self.stats.blocks_served += sum(counts)
-                self.stats.bytes_served += result.coded_bytes
-                self.stats.gpu_seconds += result.time_seconds
-                self._m_encodes.inc()
-                self._m_blocks.inc(sum(counts))
-                self._m_bytes.inc(result.coded_bytes)
-                self._m_coalesce.observe(sum(counts))
-                for (peer_id, count), rows in zip(grants, slices):
-                    batch = BlockBatch(
-                        coefficients=result.coefficients[rows],
-                        payloads=result.payloads[rows],
-                        segment_id=segment_id,
-                    )
-                    fanout.setdefault(peer_id, []).append(batch)
-                    self._sessions[peer_id].record_blocks(count)
-            for peer_id in fanout:
-                self._sessions[peer_id].rounds_served += 1
-            self.stats.rounds_served += 1
-            self._m_rounds.inc()
+        fanout: dict[int, list[BlockBatch]] = {}
+        for segment_id, grants in plan.grants.items():
+            counts = [count for _, count in grants]
+            with trace("encode_coalesced", segment=segment_id):
+                result, slices = self._encoder.encode_coalesced(
+                    segments[segment_id], counts, self._rng
+                )
+            self.stats.encode_calls += 1
+            self.stats.blocks_served += sum(counts)
+            self.stats.bytes_served += result.coded_bytes
+            self.stats.gpu_seconds += result.time_seconds
+            self._m_encodes.inc()
+            self._m_blocks.inc(sum(counts))
+            self._m_bytes.inc(result.coded_bytes)
+            self._m_coalesce.observe(sum(counts))
+            for (peer_id, count), rows in zip(grants, slices):
+                batch = BlockBatch(
+                    coefficients=result.coefficients[rows],
+                    payloads=result.payloads[rows],
+                    segment_id=segment_id,
+                )
+                fanout.setdefault(peer_id, []).append(batch)
+                self._sessions[peer_id].record_blocks(count)
+        for peer_id in fanout:
+            self._sessions[peer_id].rounds_served += 1
+        self.stats.rounds_served += 1
+        self._m_rounds.inc()
         return fanout
 
     def serve_round_into(
@@ -636,31 +730,21 @@ class StreamingServer(EagerRounds):
         *,
         checksum: bool = True,
         version: int = VERSION,
-        stamp_sequence: bool = True,
     ) -> dict[int, list[tuple[int, int]]]:
         """Serve one round packed into caller-allocated wire storage.
 
-        The single packing implementation under both wire spellings:
-        ``serve_round(format="frames")`` allocates out of the server's
-        reused buffer, while a multiprocess cluster worker allocates out
-        of its shared-memory ring — either way the frames are written in
-        place by :func:`~repro.rlnc.wire.pack_blocks` with no
-        intermediate ``bytes()`` objects, so the zero-copy wire path
-        survives the process boundary.
+        :meth:`serve_round` allocates out of the server's reused
+        buffer, while a multiprocess cluster worker allocates out of its
+        shared-memory ring — either way :meth:`_pack_round` writes the
+        frames in place, so the zero-copy wire path survives the process
+        boundary.
 
         Args:
             alloc: called once per non-empty round with the round's
-                total wire size; must return ``(buffer, offset)`` — any
-                writable buffer and the position to start packing at.
+                total wire size; must return ``(buffer, offset)``.
             checksum: whether frames carry integrity trailers.
             version: wire format version (``version=2`` adds digests,
                 sequences and the worker stamp).
-            stamp_sequence: when True (the frames-path default), v2
-                frames consume each session's monotonic
-                :attr:`~repro.streaming.session.PeerSession.tx_sequence`.
-                False packs sequence-neutral frames (used when frames
-                are a transport encoding for ``format="batches"``
-                results, which must not disturb the wire sequences).
 
         Returns:
             ``peer_id -> [(offset, length), ...]`` spans into the
@@ -669,77 +753,6 @@ class StreamingServer(EagerRounds):
             was empty.
         """
         with trace("serve_round"):
-            fanout = self._round_batches()
-            if not fanout:
-                return {}
-            total = sum(
-                stream_size(
-                    len(batch),
-                    batch.num_blocks,
-                    batch.block_size,
-                    checksum=checksum,
-                    version=version,
-                )
-                for batches in fanout.values()
-                for batch in batches
+            return self._pack_round(
+                self._round_batches(), alloc, checksum=checksum, version=version
             )
-            buffer, offset = alloc(total)
-            view = memoryview(buffer)
-            spans: dict[int, list[tuple[int, int]]] = {}
-            stamp = self.worker_id if version == VERSION2 else None
-            with trace("wire_pack"):
-                for peer_id, batches in fanout.items():
-                    session = self._sessions[peer_id]
-                    peer_spans = spans.setdefault(peer_id, [])
-                    for batch in batches:
-                        sequence = session.tx_sequence if stamp_sequence else 0
-                        packed = pack_blocks(
-                            batch,
-                            checksum=checksum,
-                            out=view,
-                            offset=offset,
-                            version=version,
-                            first_sequence=sequence,
-                            worker_id=stamp,
-                        )
-                        if stamp_sequence:
-                            session.tx_sequence += len(batch)
-                        peer_spans.append((offset, len(packed)))
-                        offset += len(packed)
-        return spans
-
-    def _alloc_wire(self, total: int) -> tuple[bytearray, int]:
-        """The next of the two alternating wire slots, grown to ``total``.
-
-        The slot packed last stays readable through :attr:`_wire_packed`
-        until the round after next packs over it.
-        """
-        slot = self._wire_slot
-        self._wire_slot = 1 - slot
-        if len(self._wire_buffers[slot]) < total:
-            self._wire_buffers[slot] = bytearray(total)
-        self._wire_packed = memoryview(self._wire_buffers[slot])
-        return self._wire_buffers[slot], 0
-
-    def _round_frames(
-        self, *, checksum: bool, version: int
-    ) -> dict[int, memoryview]:
-        """Serve one round straight onto the wire, zero-copy.
-
-        :meth:`serve_round_into` targeting the server's own contiguous
-        wire storage (two alternating slots, each reused and grown
-        across rounds); each peer's frames come back as one
-        ``memoryview`` slice of the round's slot — no per-block
-        ``bytes()`` objects anywhere on the path.  Because the slots
-        alternate, one previous round's frames remain valid while this
-        round packs — the double buffering pipelined serving relies on.
-        """
-        spans = self.serve_round_into(
-            self._alloc_wire, checksum=checksum, version=version
-        )
-        return {
-            peer_id: self._wire_packed[
-                peer_spans[0][0] : peer_spans[-1][0] + peer_spans[-1][1]
-            ]
-            for peer_id, peer_spans in spans.items()
-        }

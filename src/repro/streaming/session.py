@@ -63,7 +63,7 @@ class PeerSession:
     segments_completed: int = 0
     rounds_served: int = 0
     #: next wire sequence number for v2 frames sent to this peer
-    #: (monotonic per session, stamped by ``serve_round(format="frames")``).
+    #: (monotonic per session, stamped by ``serve_round(version=2)``).
     tx_sequence: int = 0
 
     def record_request(self, count: int) -> None:

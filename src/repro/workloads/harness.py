@@ -446,9 +446,7 @@ def run_loadtest(
                     session.pre_round()
                 except RetryExhaustedError:
                     exhausted.add(peer_id)
-            frames = cluster.serve_round(
-                format="frames", version=VERSION2
-            )
+            frames = cluster.serve_round(version=VERSION2)
             for peer_id, session in enumerate(cohort):
                 if peer_id in exhausted:
                     continue

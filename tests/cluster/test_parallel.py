@@ -27,7 +27,7 @@ from repro.errors import (
 )
 from repro.faults import WorkerKillPlan
 from repro.gpu import GTX280
-from repro.rlnc import VERSION2, CodingParams, Segment
+from repro.rlnc import VERSION2, CodingParams, Segment, frame_sequence
 from repro.streaming import MediaProfile
 from tests.cluster.conftest import capped_workers
 
@@ -83,37 +83,22 @@ class TestByteExactness:
                 for peer in a:
                     assert bytes(a[peer]) == bytes(b[peer])
 
-    def test_batches_match_the_serial_substrate(self):
-        serial, parallel = make_pair()
-        with parallel, serial:
-            for cluster in (serial, parallel):
-                publish_many(cluster, 4)
-                cluster.connect(1)
-                for segment in range(4):
-                    cluster.request_blocks(1, segment, 2)
-            a = serial.serve_round()
-            b = parallel.serve_round()
-            assert a.keys() == b.keys()
-            for x, y in zip(a[1], b[1]):
-                assert x.segment_id == y.segment_id
-                assert np.array_equal(x.coefficients, y.coefficients)
-                assert np.array_equal(x.payloads, y.payloads)
-
-    def test_batches_rounds_do_not_disturb_wire_sequences(self):
-        # A batches round in parallel mode travels as sequence-neutral
-        # transport frames; the next v2 frames round must carry the
-        # same sequences the serial cluster would stamp.
+    def test_v1_rounds_do_not_disturb_wire_sequences(self):
+        # Version-1 frames carry no sequence, so a v1 round leaves every
+        # session's tx_sequence where it was: the next v2 round starts at
+        # sequence 0 on both substrates.
         serial, parallel = make_pair()
         with parallel, serial:
             for cluster in (serial, parallel):
                 publish_many(cluster, 2)
                 cluster.connect(1)
                 cluster.request_blocks(1, 0, 2)
-                cluster.serve_round()  # batches
-                cluster.request_blocks(1, 1, 2)
+                cluster.serve_round()
+                cluster.request_blocks(1, 0, 2)
             a = serial.serve_round(format="frames", version=VERSION2)
             b = parallel.serve_round(format="frames", version=VERSION2)
             assert bytes(a[1]) == bytes(b[1])
+            assert frame_sequence(bytes(a[1])) == 0
 
     def test_workload_reports_match_across_substrates(self):
         kwargs = dict(

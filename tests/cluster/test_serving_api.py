@@ -6,7 +6,14 @@ import pytest
 import repro
 from repro.errors import ConfigurationError
 from repro.gpu import GTX280
-from repro.rlnc import CodingParams, Segment
+from repro.rlnc import (
+    VERSION,
+    VERSION2,
+    CodingParams,
+    Segment,
+    frame_sequence,
+    unpack_blocks,
+)
 from repro.serving import (
     ClientSession,
     RelayNode,
@@ -149,7 +156,7 @@ class TestPipelinedRounds:
         ticket = cluster.begin_round()
         with pytest.raises(ConfigurationError, match="in flight"):
             cluster.begin_round()
-        assert len(cluster.collect_round(ticket)[1][0]) == 2
+        assert len(unpack_blocks(cluster.collect_round(ticket)[1])) == 2
 
     @pytest.mark.parametrize("factory", ENDPOINT_FACTORIES)
     def test_foreign_ticket_rejected(self, factory):
@@ -183,21 +190,35 @@ class TestUnifiedServeRound:
         assert len(bytes(frames[1])) > 0
 
     def test_unknown_format_rejected(self):
-        server = make_server()
-        with pytest.raises(ConfigurationError):
-            server.serve_round(format="blocks")
-        cluster = make_cluster()
-        with pytest.raises(ConfigurationError):
-            cluster.serve_round(format="blocks")
+        # Frames are the only round output of every endpoint; the
+        # keyword stays only so callers spelling format="frames" work.
+        for factory in ENDPOINT_FACTORIES:
+            endpoint = factory()
+            endpoint.publish(make_segment(0))
+            endpoint.connect(1)
+            endpoint.request_blocks(1, 0, 2)
+            for format in ("batches", "blocks"):
+                with pytest.raises(ConfigurationError, match="unknown serve_round"):
+                    endpoint.serve_round(format=format)
+                with pytest.raises(ConfigurationError, match="unknown serve_round"):
+                    endpoint.begin_round(format=format)
+            assert endpoint.pending_blocks == 2  # nothing was served
 
-    def test_batches_is_the_default_format(self):
-        server = make_server()
-        server.publish_segment(make_segment(0))
-        server.connect(1)
-        server.request_blocks(1, 0, 2)
-        fanout = server.serve_round()
-        assert 1 in fanout
-        assert len(fanout[1][0]) == 2
+
+    @pytest.mark.parametrize("factory", [make_server, make_relay])
+    def test_only_v2_rounds_advance_tx_sequence(self, factory):
+        # The server and the relay share one round packer: v1 frames
+        # carry no sequence, so only v2 rounds consume tx_sequence.
+        endpoint = factory()
+        endpoint.publish(make_segment(0))
+        session = endpoint.connect(1)
+        endpoint.request_blocks(1, 0, 2)
+        endpoint.serve_round(version=VERSION)
+        assert session.tx_sequence == 0
+        endpoint.request_blocks(1, 0, 3)
+        frames = endpoint.serve_round(version=VERSION2)
+        assert session.tx_sequence == 3
+        assert frame_sequence(bytes(frames[1])) == 0
 
 
 class TestStatsContract:

@@ -1,8 +1,8 @@
 """A serial and a parallel cluster driven in lockstep by random programs.
 
 Both substrates serve rounds through one dispatch/collect path, so any
-interleaving of publishes, connects, asks, rounds (either format, plain
-or split into ``begin_round``/``collect_round``) and membership changes
+interleaving of publishes, connects, asks, rounds (plain or split into
+``begin_round``/``collect_round``) and membership changes
 (kill, add, remove) must leave them indistinguishable: the same bytes
 delivered to every peer, and the same blocks pending per peer.
 """
@@ -40,19 +40,6 @@ def _outcome(call):
         return call()
     except Exception as exc:  # compared across substrates, not handled
         return (type(exc), str(exc))
-
-
-def _delivery(round_result, format):
-    """A round's per-peer output as plain comparable values."""
-    if format == "frames":
-        return {peer: bytes(data) for peer, data in round_result.items()}
-    return {
-        peer: [
-            (b.segment_id, b.coefficients.tobytes(), b.payloads.tobytes())
-            for b in batches
-        ]
-        for peer, batches in round_result.items()
-    }
 
 
 class LockstepClusters(RuleBasedStateMachine):
@@ -101,15 +88,14 @@ class LockstepClusters(RuleBasedStateMachine):
         segment_id = data.draw(st.sampled_from(self.segments))
         self.both(lambda c: c.request_blocks(peer, segment_id, count))
 
-    @rule(format=st.sampled_from(["frames", "batches"]), split=st.booleans())
-    def round(self, format, split):
+    @rule(split=st.booleans())
+    def round(self, split):
         def serve(cluster):
             if split:
-                ticket = cluster.begin_round(format=format, version=VERSION2)
-                result = cluster.collect_round(ticket)
+                result = cluster.collect_round(cluster.begin_round(version=VERSION2))
             else:
-                result = cluster.serve_round(format=format, version=VERSION2)
-            return _delivery(result, format)
+                result = cluster.serve_round(version=VERSION2)
+            return {peer: bytes(frames) for peer, frames in result.items()}
 
         self.both(serve)
 

@@ -17,7 +17,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import WireError
+from repro.errors import IntegrityError, WireError
 from repro.faults import FaultPlan
 from repro.gpu import GTX280
 from repro.multicast import RelayNode, RelayUplink
@@ -65,12 +65,25 @@ def reference_apply_frames(plan, frames):
     return plan._schedule([bytes(frame) for frame in frames], len, corrupt)
 
 
+def lenient_unpack_frame(frame, stats):
+    """The per-frame lenient reader the loops below called
+    (``unpack_frame(strict=False, stats=)``): a checksum failure is
+    counted and gives ``None``; structural damage raises ``WireError``."""
+    try:
+        block, _, _ = unpack_frame(frame)
+    except IntegrityError:
+        stats.record_checksum_failure()
+        return None
+    stats.record_ok()
+    return block
+
+
 def reference_client_loop(frames, *, segment_id, decoder, stats):
     """``ClientSession.intake``'s per-frame loop; returns the kept blocks."""
     blocks = []
     for frame in frames:
         try:
-            block, _, _ = unpack_frame(frame, strict=False, stats=stats)
+            block = lenient_unpack_frame(frame, stats)
         except WireError:
             stats.record_malformed()
             block = None
@@ -94,7 +107,7 @@ def reference_relay_loop(frames, *, segment_id, stats):
     blocks = []
     for frame in frames:
         try:
-            block, _, _ = unpack_frame(frame, strict=False, stats=stats)
+            block = lenient_unpack_frame(frame, stats)
         except Exception:
             stats.record_malformed()
             continue

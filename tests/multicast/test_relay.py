@@ -7,7 +7,16 @@ from repro.errors import CapacityError, ConfigurationError
 from repro.multicast import RelayNode, RelayStats
 from repro.rlnc import CodingParams, ProgressiveDecoder, Segment
 from repro.rlnc.block import BlockBatch
-from repro.rlnc.wire import frame_size, frame_worker_id, unpack_frame
+from repro.rlnc.wire import (
+    VERSION,
+    VERSION2,
+    frame_size,
+    frame_worker_id,
+    pack_blocks,
+    stream_size,
+    unpack_blocks,
+    unpack_frame,
+)
 from repro.streaming.session import MediaProfile
 
 PARAMS = CodingParams(8, 64)
@@ -110,8 +119,8 @@ class TestServeRound:
         for peer in (1, 2, 3):
             relay.connect(peer)
             relay.request_blocks(peer, 0, 2)
-        fanout = relay._round_batches()
-        assert set(fanout) == {1, 2, 3}
+        frames = relay.serve_round()
+        assert set(frames) == {1, 2, 3}
         assert relay.stats.recode_calls == 1
         assert relay.stats.blocks_recoded == 6
         assert relay.pending_requests == 0
@@ -122,7 +131,7 @@ class TestServeRound:
         relay.connect(1)
         relay.request_blocks(1, 0, 5)
         first = relay.serve_round()
-        assert sum(len(batch) for batch in first[1]) == 2
+        assert len(unpack_blocks(first[1])) == 2
         assert relay.pending_blocks == 3
 
     def test_recoded_blocks_from_full_buffer_decode(self):
@@ -131,13 +140,12 @@ class TestServeRound:
         relay.publish(segment)
         relay.connect(1)
         relay.request_blocks(1, 0, PARAMS.num_blocks + 2)
-        fanout = relay.serve_round()
+        batch = unpack_blocks(relay.serve_round()[1])
         decoder = ProgressiveDecoder(PARAMS)
-        for batch in fanout[1]:
-            for block in batch:
-                if decoder.is_complete:
-                    break
-                decoder.consume(block)
+        for block in batch:
+            if decoder.is_complete:
+                break
+            decoder.consume(block)
         assert decoder.is_complete
         recovered = decoder.recover_segment()
         assert np.array_equal(recovered.blocks, segment.blocks)
@@ -150,11 +158,10 @@ class TestServeRound:
         relay.ingest(coded_batch(segment, 5))
         relay.connect(1)
         relay.request_blocks(1, 0, 12)
-        fanout = relay.serve_round()
+        batch = unpack_blocks(relay.serve_round()[1])
         decoder = ProgressiveDecoder(PARAMS)
-        for batch in fanout[1]:
-            for block in batch:
-                decoder.consume(block)
+        for block in batch:
+            decoder.consume(block)
         assert decoder.rank == 5
 
     def test_same_seed_relays_emit_identical_rounds(self):
@@ -203,6 +210,87 @@ class TestWireFrames:
         relay.serve_round(format="frames", version=2)
         # One more round in flight: round r's view still reads intact.
         assert bytes(first) == first_copy
+
+
+def reference_round_frames(relay, *, checksum, version):
+    """The relay's own pack loop before it shared the server's round
+    packer (``RelayNode._round_frames``), kept as the oracle.
+
+    Packs ``relay._round_batches()`` into a fresh buffer and returns
+    ``peer_id -> bytes``, stamping sequences and counting served bytes
+    exactly as that loop did.
+    """
+    fanout = relay._round_batches()
+    if not fanout:
+        return {}
+    total = sum(
+        stream_size(
+            len(batch),
+            batch.num_blocks,
+            batch.block_size,
+            checksum=checksum,
+            version=version,
+        )
+        for batches in fanout.values()
+        for batch in batches
+    )
+    view = memoryview(bytearray(total))
+    offset = 0
+    frames = {}
+    stamp = relay.worker_id if version == VERSION2 else None
+    for peer_id, batches in fanout.items():
+        session = relay._sessions[peer_id]
+        start = offset
+        for batch in batches:
+            sequence = session.tx_sequence if version == VERSION2 else 0
+            packed = pack_blocks(
+                batch,
+                checksum=checksum,
+                out=view,
+                offset=offset,
+                version=version,
+                first_sequence=sequence,
+                worker_id=stamp,
+            )
+            if version == VERSION2:
+                session.tx_sequence += len(batch)
+            offset += len(packed)
+        frames[peer_id] = bytes(view[start:offset])
+        relay.stats.bytes_served += offset - start
+    return frames
+
+
+class TestSharedPacker:
+    @pytest.mark.parametrize("version", [VERSION, VERSION2])
+    @pytest.mark.parametrize("checksum", [True, False])
+    def test_frames_match_the_relay_pack_loop_oracle(self, version, checksum):
+        # Multi-segment grants to several peers, over rounds that carry
+        # quota leftovers, from two identically seeded relays.
+        relays = [
+            make_relay(seed=9, worker_id=5, per_peer_round_quota=5) for _ in range(2)
+        ]
+        for relay in relays:
+            relay.publish(make_segment(0, seed=1))
+            relay.publish(make_segment(1, seed=2))
+            for peer, (first, second) in {1: (3, 4), 2: (6, 1), 3: (2, 2)}.items():
+                relay.connect(peer)
+                relay.request_blocks(peer, 0, first)
+                relay.request_blocks(peer, 1, second)
+        new, oracle = relays
+        size = frame_size(
+            PARAMS.num_blocks, PARAMS.block_size, checksum=checksum, version=version
+        )
+        for _ in range(3):
+            served = new.serve_round(checksum=checksum, version=version)
+            expected = reference_round_frames(
+                oracle, checksum=checksum, version=version
+            )
+            assert {peer: bytes(f) for peer, f in served.items()} == expected
+            assert new.stats == oracle.stats
+            assert new.session_counters() == oracle.session_counters()
+            assert new.stats.bytes_served == new.stats.blocks_served * size
+        assert new.pending_blocks == oracle.pending_blocks == 0
+        assert new.stats.blocks_served == 18
 
 
 class TestStats:

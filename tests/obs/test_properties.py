@@ -41,14 +41,12 @@ def served_bytes(seed, *, traced):
     out = []
     with tracing(traced):
         direct = server.serve(0, 0, 4)
-        batches = server.serve_round()
+        frames = server.serve_round()
     for block in direct:
         out.append(block.coefficients.tobytes())
         out.append(block.payload.tobytes())
-    for peer in sorted(batches):
-        for batch in batches[peer]:
-            out.append(batch.coefficients.tobytes())
-            out.append(batch.payloads.tobytes())
+    for peer in sorted(frames):
+        out.append(bytes(frames[peer]))
     return b"".join(out)
 
 

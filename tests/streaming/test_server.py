@@ -5,7 +5,13 @@ import pytest
 
 from repro.errors import CapacityError, ConfigurationError
 from repro.gpu import GTX280
-from repro.rlnc import CodingParams, ProgressiveDecoder, Segment
+from repro.rlnc import (
+    CodingParams,
+    ProgressiveDecoder,
+    Segment,
+    decode_stream,
+    unpack_blocks,
+)
 from repro.streaming import MediaProfile, StreamingServer
 
 SMALL_PROFILE = MediaProfile(params=CodingParams(8, 64))
@@ -136,12 +142,12 @@ class TestBatchedRounds:
         for peer in range(6):
             server.connect(peer)
             server.request_blocks(peer, 0, 2)
-        fanout = server.serve_round()
+        frames = server.serve_round()
         assert server.stats.encode_calls == 1  # six requests, one launch
         assert server.stats.blocks_served == 12
-        assert set(fanout) == set(range(6))
-        for batches in fanout.values():
-            (batch,) = batches
+        assert set(frames) == set(range(6))
+        for wire in frames.values():
+            batch = unpack_blocks(wire)
             assert len(batch) == 2
             assert batch.segment_id == 0
 
@@ -153,23 +159,23 @@ class TestBatchedRounds:
         server.connect(3)
         while not decoder.is_complete:
             server.request_blocks(3, 0, 4)
-            (batch,) = server.serve_round()[3]
-            decoder.consume_batch(batch)
+            decoder.consume_batch(unpack_blocks(server.serve_round()[3]))
         assert np.array_equal(decoder.recover_segment().blocks, segment.blocks)
 
     def test_fanout_rows_are_views_not_copies(self):
-        """The per-peer batches alias the round's combined matrices."""
+        """Two peers' frames are slices of one wire slot, not copies."""
         server = make_server()
         server.publish_segment(make_segment(0))
         server.connect(1)
         server.connect(2)
         server.request_blocks(1, 0, 3)
         server.request_blocks(2, 0, 3)
-        fanout = server.serve_round()
-        (first,) = fanout[1]
-        (second,) = fanout[2]
-        assert first.payloads.base is not None
-        assert second.payloads.base is first.payloads.base
+        frames = server.serve_round()
+        first, second = frames[1], frames[2]
+        assert first.obj is second.obj
+        slot = np.frombuffer(first.obj, dtype=np.uint8)
+        assert np.shares_memory(np.frombuffer(first, np.uint8), slot)
+        assert np.shares_memory(np.frombuffer(second, np.uint8), slot)
 
     def test_quota_carries_over_between_rounds(self):
         server = StreamingServer(
@@ -182,13 +188,10 @@ class TestBatchedRounds:
         session = server.connect(1)
         server.request_blocks(1, 0, 8)
         assert session.blocks_pending == 8
-        (batch,) = server.serve_round()[1]
-        assert len(batch) == 3
+        assert len(unpack_blocks(server.serve_round()[1])) == 3
         assert session.blocks_pending == 5
-        (batch,) = server.serve_round()[1]
-        assert len(batch) == 3
-        (batch,) = server.serve_round()[1]
-        assert len(batch) == 2
+        assert len(unpack_blocks(server.serve_round()[1])) == 3
+        assert len(unpack_blocks(server.serve_round()[1])) == 2
         assert server.serve_round() == {}
         assert session.blocks_received == 8
         assert session.blocks_requested == 8
@@ -201,8 +204,8 @@ class TestBatchedRounds:
         server.connect(1)
         server.request_blocks(1, 0, 2)
         server.request_blocks(1, 1, 2)
-        fanout = server.serve_round()
-        assert [batch.segment_id for batch in fanout[1]] == [0, 1]
+        blocks = decode_stream(server.serve_round()[1])
+        assert [block.segment_id for block in blocks] == [0, 0, 1, 1]
         assert server.stats.encode_calls == 2  # one per segment
 
     def test_eviction_drops_queued_requests(self):
@@ -215,8 +218,8 @@ class TestBatchedRounds:
         server.evict_segment(0)
         assert server.pending_requests == 1
         assert session.blocks_pending == 4
-        fanout = server.serve_round()
-        assert [batch.segment_id for batch in fanout[1]] == [1]
+        batch = unpack_blocks(server.serve_round()[1])
+        assert (batch.segment_id, len(batch)) == (1, 4)
 
     def test_round_stats_match_per_block_totals(self):
         server = make_server()
@@ -233,8 +236,6 @@ class TestBatchedRounds:
 
 class TestRoundWirePath:
     def test_frames_round_trip_through_wire(self):
-        from repro.rlnc import unpack_blocks
-
         server = make_server()
         segment = make_segment(0)
         server.publish_segment(segment)
@@ -264,8 +265,6 @@ class TestRoundWirePath:
     def test_old_reader_parses_round_frames(self):
         """Per-record compatibility: the batched writer's bytes parse
         with the single-frame reader."""
-        from repro.rlnc import decode_stream
-
         server = make_server()
         server.publish_segment(make_segment(0))
         server.connect(1)
@@ -289,12 +288,12 @@ class TestRoundByteExactness:
         for peer in range(4):
             server.connect(peer)
             server.request_blocks(peer, 0, 4)
-        fanout = server.serve_round()
+        frames = server.serve_round()
 
         baseline = GpuEncoder(GTX280, EncodeScheme.TABLE_5)
         baseline.upload_segment(segment)
-        for batches in fanout.values():
-            (batch,) = batches
+        for wire in frames.values():
+            batch = unpack_blocks(wire)
             for row in range(len(batch)):
                 result = baseline.encode(
                     segment,
@@ -424,8 +423,8 @@ class TestLoadShedding:
             server.connect(peer)
         server.request_blocks(1, 0, 8)  # bulk, queued first
         server.request_blocks(2, 0, 2)  # straggler NACK, queued last
-        fanout = server.serve_round()
-        assert len(fanout[2][0]) == 2  # straggler fully served round 1
+        frames = server.serve_round()
+        assert len(unpack_blocks(frames[2])) == 2  # straggler fully served
 
     def test_shed_validation(self):
         with pytest.raises(ConfigurationError):
@@ -447,8 +446,7 @@ class TestDisconnect:
         server.request_blocks(2, 0, 4)
         server.disconnect(1)
         assert server.pending_blocks == 4  # only peer 2 remains
-        fanout = server.serve_round()
-        assert set(fanout) == {2}
+        assert set(server.serve_round()) == {2}
 
     def test_disconnect_unknown_peer_rejected(self):
         server = make_server()
