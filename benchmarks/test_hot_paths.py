@@ -25,7 +25,7 @@ import time
 
 import numpy as np
 
-from repro.gf256 import matmul
+from repro.gf256 import matmul, regionops
 from repro.gf256.engine import ENGINE, Gf256Engine
 from repro.gpu import GTX280
 from repro.kernels import EncodeScheme, GpuEncoder
@@ -48,11 +48,18 @@ LOADTEST_SESSIONS, LOADTEST_ROUNDS, LOADTEST_MAX_WORKERS = (
     (10_000, 60, 2) if SMOKE else (100_000, 200, 16)
 )
 REPEATS = 1 if SMOKE else 3
+#: (n, k, rows per batch) for the decoder-intake section, and its
+#: best-of count (one intake is a few ms, so more repeats are cheap).
+DECODER_INTAKE_SHAPES = ((128, 4096, 16), (32, 256, 32))
+INTAKE_REPEATS = 2 if SMOKE else 7
 #: Back-to-back plain/digest round pairs behind the integrity overhead.
 INTEGRITY_PAIRS = 2 if SMOKE else 15
 
 #: Speedup floors from the PR acceptance criteria (full mode only).
 DECODE_SPEEDUP_FLOOR = 3.0
+#: Compiled batch elimination vs the table oracle's numpy loop, same
+#: run, asserted only when the compiled kernel loaded.
+DECODER_INTAKE_SPEEDUP_FLOOR = 3.0
 ENCODE_SPEEDUP_FLOOR = 2.0
 #: Recalibrated with the wide backend: per-request serving is no longer
 #: encode-bound, so batching's margin collapsed from ~11x to ~1.1x while
@@ -100,6 +107,9 @@ _results: dict[str, object] = {
     "smoke": SMOKE,
     "shapes": {
         "decode": {"n": DECODE_N, "k": DECODE_K},
+        "decoder_intake": [
+            {"n": n, "k": k, "m": m} for n, k, m in DECODER_INTAKE_SHAPES
+        ],
         "encode": {"m": ENCODE_M, "n": ENCODE_N, "k": ENCODE_K},
         "server_round": {
             "n": DECODE_N,
@@ -187,6 +197,69 @@ def test_progressive_decode_before_after():
             f"decode speedup {speedup:.2f}x below the "
             f"{DECODE_SPEEDUP_FLOOR}x floor"
         )
+
+
+def test_decoder_intake():
+    """Per-row cost of batched decoder intake: kernel vs table oracle.
+
+    Feeds one segment's worth of coded rows to ``consume_batch`` in
+    batches of ``m`` — the shape of a serving round — once with the
+    compiled elimination and once with the table backend's numpy loop,
+    in the same run, and requires byte-identical decoder state.  The
+    two shapes are perfbench's ``bulk_server`` (n=128, k=4096, 16 rows
+    per round) and ``relay_lossy`` (n=32, k=256) geometries.
+    """
+    import repro.rlnc.decoder as decoder_module
+
+    kernel = regionops.kernel_available()
+    payload = {"wide_kernel": kernel}
+    for n, k, m in DECODER_INTAKE_SHAPES:
+        params = CodingParams(n, k)
+        rng = np.random.default_rng(n)
+        segment = Segment.random(params, rng)
+        coefficients, payloads = Encoder(segment, rng).encode_batch(n)
+
+        def intake(backend):
+            """Best-of intake seconds, and the last decoder's state."""
+            decoder_module.ENGINE = Gf256Engine(backend)
+            try:
+                best = float("inf")
+                for _ in range(INTAKE_REPEATS):
+                    decoder = ProgressiveDecoder(params)
+                    start = time.perf_counter()
+                    for row in range(0, n, m):
+                        decoder.consume_batch(
+                            coefficients[row : row + m], payloads[row : row + m]
+                        )
+                    best = min(best, time.perf_counter() - start)
+            finally:
+                decoder_module.ENGINE = ENGINE
+            return best, decoder
+
+        kernel_seconds, fast = intake("wide")
+        table_seconds, oracle = intake("table")
+        exact = bool(
+            fast.is_complete
+            and np.array_equal(fast._work, oracle._work)
+            and fast._pivot_to_row == oracle._pivot_to_row
+            and np.array_equal(fast._raw_payloads, oracle._raw_payloads)
+            and np.array_equal(fast.recover_segment().blocks, segment.blocks)
+        )
+        assert exact
+        ratio = table_seconds / kernel_seconds
+        payload[f"n{n}_k{k}_m{m}"] = {
+            "kernel_us_per_row": kernel_seconds / n * 1e6,
+            "table_us_per_row": table_seconds / n * 1e6,
+            "kernel_ms_per_mb": kernel_seconds / params.segment_bytes * 1e9,
+            "speedup_vs_table": ratio,
+            "byte_exact": exact,
+        }
+        record("decoder_intake", payload)
+        if kernel and not SMOKE:
+            assert ratio >= DECODER_INTAKE_SPEEDUP_FLOOR, (
+                f"compiled intake only {ratio:.1f}x the table oracle at "
+                f"n={n}, k={k}, m={m} (floor {DECODER_INTAKE_SPEEDUP_FLOOR}x)"
+            )
 
 
 def test_batch_encode_before_after():

@@ -24,6 +24,7 @@ import sys
 REQUIRED_SECTIONS = frozenset(
     {
         "progressive_decode",
+        "decoder_intake",
         "batch_encode",
         "matmul_backends",
         "encode_block_cached_log",

@@ -25,14 +25,23 @@
 
 static uint8_t TLO[256][16];
 static uint8_t THI[256][16];
+static uint8_t INV[256];
 
-/* Build the per-coefficient nibble tables from the dense 256x256
- * product table handed over by the Python side (row-major, c*256+x). */
+/* Build the per-coefficient nibble tables and the inverse table from
+ * the dense 256x256 product table handed over by the Python side
+ * (row-major, c*256+x). */
 void gf256_init(const uint8_t *mul_table) {
     for (int c = 0; c < 256; c++) {
         for (int v = 0; v < 16; v++) {
             TLO[c][v] = mul_table[c * 256 + v];
             THI[c][v] = mul_table[c * 256 + (v << 4)];
+        }
+        INV[c] = 0;
+        for (int x = 1; x < 256 && c; x++) {
+            if (mul_table[c * 256 + x] == 1) {
+                INV[c] = (uint8_t)x;
+                break;
+            }
         }
     }
 }
@@ -163,4 +172,72 @@ void gf256_fold_rows(uint8_t *dst, const uint8_t *rows, size_t row_stride,
         uint8_t c = factors[i];
         if (c) mul_add(dst, rows + i * row_stride, k, TLO[c], THI[c]);
     }
+}
+
+/* Bytes a region pass over the first `used` columns of a 2n-byte row
+ * covers: rounded up to whole 64-byte vectors (the columns past `used`
+ * are zero on both sides, so the extra lanes change nothing), capped at
+ * the row.  This keeps the passes free of scalar tails. */
+static size_t span(size_t used, size_t row_bytes) {
+    size_t rounded = (used + 63) & ~(size_t)63;
+    return rounded < row_bytes ? rounded : row_bytes;
+}
+
+/* Progressive Gauss-Jordan intake of a batch (the paper's single-
+ * segment decoder, Sec. 3), one incoming row at a time.
+ *
+ * `work` is the (n, 2n) control plane [C | M] with rows [0, held) in
+ * RREF and rows [held, n) zero; `pivot_cols[j]` is row j's pivot.  Each
+ * of the m coefficient rows (n bytes, row stride `in_stride`) is
+ * copied into the free row work[held] as [C | 0] and forward-reduced
+ * there against every held row, including the rows this call accepted
+ * earlier -- exact in sequence because the held rows stay in RREF, so
+ * one row's fold never changes another pivot's factor.  A row with no
+ * nonzero coefficient left is dependent: its slot is cleared again.
+ * Otherwise its first nonzero column is the pivot, transform column
+ * n + held is set to 1 before normalising (so the scale factor is
+ * attributed to this raw row), and the new pivot is eliminated from
+ * the held rows.  Accepted row indices go to `accepted`.
+ *
+ * Transform columns at or beyond n + held are zero in every held row
+ * and in the row being reduced, so each region pass stops at the first
+ * whole vector past them (`span`).  Returns the number of rows
+ * accepted; stops early at full rank. */
+size_t gf256_absorb(uint8_t *work, size_t work_stride, size_t n, size_t held,
+                    const uint8_t *incoming, size_t in_stride, size_t m,
+                    int64_t *pivot_cols, int64_t *accepted) {
+    size_t count = 0;
+    for (size_t i = 0; i < m && held < n; i++) {
+        uint8_t *row = work + held * work_stride;
+        memcpy(row, incoming + i * in_stride, n);
+        memset(row + n, 0, n);
+        size_t width = span(n + held, 2 * n);
+        for (size_t j = 0; j < held; j++) {
+            uint8_t c = row[pivot_cols[j]];
+            if (c) mul_add(row, work + j * work_stride, width, TLO[c], THI[c]);
+        }
+        size_t pivot = 0;
+        while (pivot < n && row[pivot] == 0) pivot++;
+        if (pivot == n) {
+            memset(row, 0, width);
+            continue;
+        }
+        row[n + held] = 1;
+        width = span(n + held + 1, 2 * n);
+        uint8_t lead = row[pivot];
+        if (lead != 1) {
+            const uint8_t *lo = TLO[INV[lead]], *hi = THI[INV[lead]];
+            for (size_t t = 0; t < width; t++)
+                row[t] = lo[row[t] & 0x0F] ^ hi[row[t] >> 4];
+        }
+        for (size_t j = 0; j < held; j++) {
+            uint8_t *dst = work + j * work_stride;
+            uint8_t c = dst[pivot];
+            if (c) mul_add(dst, row, width, TLO[c], THI[c]);
+        }
+        pivot_cols[held] = (int64_t)pivot;
+        accepted[count++] = (int64_t)i;
+        held++;
+    }
+    return count;
 }

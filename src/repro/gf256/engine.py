@@ -18,6 +18,11 @@ decode row reduction, recoding, matrix solves) funnels through one
   product table (the seed formulation).  Tests force it to
   cross-validate the kernel.
 
+Besides ``matmul`` and the region operations, the engine has one
+composite op, :meth:`Gf256Engine.absorb`: a batch of progressive
+Gauss–Jordan intake, which the kernel runs whole in one C call and the
+table backend runs as a numpy loop (the progressive decoder's oracle).
+
 Select one per engine (``Gf256Engine("table")``) or on the process-wide
 instance (``ENGINE.set_backend("table")``).  Unknown names raise
 :class:`~repro.errors.FieldError` listing :data:`BACKENDS`.
@@ -29,7 +34,7 @@ import numpy as np
 
 from repro.errors import FieldError
 from repro.gf256 import regionops
-from repro.gf256.tables import MUL_TABLE
+from repro.gf256.tables import INV, MUL_TABLE
 
 #: Valid backend names; the first is the default.
 BACKENDS = ("wide", "table")
@@ -223,10 +228,84 @@ class Gf256Engine:
             products = MUL_TABLE[factors[live][:, None], rows[live]]
             dst ^= np.bitwise_xor.reduce(products, axis=0)
 
-    def mul_scalar(self, row: np.ndarray, coefficient: int) -> np.ndarray:
-        """Return ``coefficient * row`` (dense-table gather)."""
-        _as_u8(row)
-        return MUL_TABLE[coefficient][row]
+    # -- progressive elimination -------------------------------------------
+
+    def absorb(
+        self,
+        work: np.ndarray,
+        held: int,
+        incoming: np.ndarray,
+        pivot_cols: np.ndarray,
+    ) -> np.ndarray:
+        """Progressive Gauss–Jordan intake of a coefficient batch.
+
+        ``work`` is the (n, 2n) control plane ``[C | M]``: rows
+        ``[0, held)`` in RREF with pivots ``pivot_cols[:held]``, the
+        rest zero.  Every row of the (m, n) ``incoming`` matrix is
+        reduced against the held rows; a row that reduces to zero is
+        dropped, any other is normalised on its first nonzero column
+        (transform column ``n + held`` set to 1 first, so the scale is
+        attributed), eliminated from the held rows and appended as row
+        ``held``.  ``work`` and ``pivot_cols`` are updated in place;
+        intake stops at full rank.
+
+        The compiled kernel does the whole batch in one call.  The
+        table formulation (the oracle, and the no-compiler path)
+        reduces the batch against the held rows with one matmul and
+        then finishes row by row; the stored RREF is unique, so both
+        leave byte-identical state.
+
+        Returns:
+            The int64 indices of the accepted ``incoming`` rows, in
+            order (row ``i`` of the result went to ``work[held + i]``).
+        """
+        _as_u8(work)
+        _as_u8(incoming)
+        n = work.shape[0] if work.ndim == 2 else -1
+        if work.shape != (n, 2 * n) or not work.flags.c_contiguous:
+            raise FieldError("absorb requires a C-contiguous (n, 2n) work matrix")
+        if incoming.ndim != 2 or incoming.shape[1] != n:
+            raise FieldError(f"absorb requires an (m, {n}) incoming matrix")
+        if pivot_cols.dtype != np.int64 or pivot_cols.shape != (n,):
+            raise FieldError(f"absorb requires ({n},) int64 pivot columns")
+        if not 0 <= held <= n:
+            raise FieldError(f"held rank {held} outside [0, {n}]")
+        m = incoming.shape[0]
+        if m == 0 or held == n:
+            return np.empty(0, dtype=np.int64)
+        if self._kernel():
+            if incoming.strides[0] < 0 or (n > 1 and incoming.strides[1] != 1):
+                incoming = np.ascontiguousarray(incoming)
+            accepted = np.empty(m, dtype=np.int64)
+            count = regionops.absorb(work, held, incoming, pivot_cols, accepted)
+            return accepted[:count]
+        rows = np.zeros((m, 2 * n), dtype=np.uint8)
+        rows[:, :n] = incoming
+        if held:
+            factors = incoming[:, pivot_cols[:held]]
+            if factors.any():
+                rows ^= self.matmul(factors, work[:held])
+        accepted = []
+        for index in range(m):
+            row = rows[index]
+            support = np.flatnonzero(row[:n])
+            if support.size == 0:
+                continue
+            pivot = int(support[0])
+            row[n + held] = 1
+            lead = int(row[pivot])
+            if lead != 1:
+                row[:] = MUL_TABLE[INV[lead]][row]
+            later = rows[index + 1 :]
+            self.axpy_rows(later, later[:, pivot].copy(), row)
+            self.axpy_rows(work[:held], work[:held, pivot].copy(), row)
+            work[held] = row
+            pivot_cols[held] = pivot
+            accepted.append(index)
+            held += 1
+            if held == n:
+                break
+        return np.asarray(accepted, dtype=np.int64)
 
 
 #: The process-wide engine instance every library hot path routes through.

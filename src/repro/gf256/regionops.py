@@ -96,6 +96,19 @@ def _declare(lib: ctypes.CDLL) -> None:
     ]
     lib.gf256_axpy_rows.argtypes = [_U8P, size_t, _U8P, _U8P, size_t, size_t]
     lib.gf256_fold_rows.argtypes = [_U8P, _U8P, size_t, _U8P, size_t, size_t]
+    void_p = ctypes.c_void_p
+    lib.gf256_absorb.argtypes = [
+        void_p,
+        size_t,
+        size_t,
+        size_t,
+        void_p,
+        size_t,
+        size_t,
+        void_p,
+        void_p,
+    ]
+    lib.gf256_absorb.restype = size_t
 
 
 def _load() -> ctypes.CDLL | None:
@@ -195,6 +208,57 @@ def fold_rows(dst: np.ndarray, rows: np.ndarray, factors: np.ndarray) -> None:
         _pointer(factors),
         rows.shape[0],
         rows.shape[1],
+    )
+
+
+def absorb(
+    work: np.ndarray,
+    held: int,
+    incoming: np.ndarray,
+    pivot_cols: np.ndarray,
+    accepted: np.ndarray,
+) -> int:
+    """Progressive Gauss–Jordan intake of ``incoming`` into ``work``.
+
+    ``work`` is the C-contiguous (n, 2n) control plane ``[C | M]`` with
+    rows ``[0, held)`` in RREF and the rest zero; ``incoming`` is the
+    (m, n) coefficient batch (rows contiguous, row stride free);
+    ``pivot_cols`` (n,) and ``accepted`` (at least m) are contiguous
+    int64.  Appends every innovative row to ``work`` (pivot into
+    ``pivot_cols[held + i]``, incoming index into ``accepted[i]``) and
+    returns how many it accepted.  Layouts are checked here so a bad
+    view raises instead of reaching C.
+    """
+    lib = _load()
+    n = work.shape[0] if work.ndim == 2 else -1
+    if work.dtype != np.uint8 or work.shape != (n, 2 * n):
+        raise ValueError("work must be a (n, 2n) uint8 matrix")
+    if not work.flags.c_contiguous:
+        raise ValueError("work must be C-contiguous")
+    stride = _check_row_view(incoming, "incoming")
+    m = incoming.shape[0]
+    if incoming.shape[1] != n or stride < 0:
+        raise ValueError(f"incoming must have {n} columns and a forward stride")
+    for array, name, size in (
+        (pivot_cols, "pivot_cols", n),
+        (accepted, "accepted", m),
+    ):
+        if array.dtype != np.int64 or array.ndim != 1:
+            raise ValueError(f"{name} must be a 1-D int64 array")
+        if not array.flags.c_contiguous or array.shape[0] < size:
+            raise ValueError(f"{name} must be contiguous with {size} entries")
+    if not 0 <= held <= n:
+        raise ValueError(f"held {held} outside [0, {n}]")
+    return lib.gf256_absorb(
+        work.ctypes.data,
+        work.strides[0],
+        n,
+        held,
+        incoming.ctypes.data,
+        stride,
+        m,
+        pivot_cols.ctypes.data,
+        accepted.ctypes.data,
     )
 
 

@@ -207,6 +207,10 @@ class Segment:
     ) -> "Segment":
         """Split ``data`` into n blocks of k bytes, zero-padding the tail.
 
+        A ``bytes`` object of exactly one segment is viewed, not copied:
+        the blocks are then a read-only view of ``data``.  Any other
+        input is copied into a fresh, writable, zero-padded matrix.
+
         Raises:
             ConfigurationError: if ``data`` is larger than one segment.
         """
@@ -214,8 +218,11 @@ class Segment:
             raise ConfigurationError(
                 f"{len(data)} bytes exceed segment capacity {params.segment_bytes}"
             )
-        flat = np.zeros(params.segment_bytes, dtype=np.uint8)
-        flat[: len(data)] = np.frombuffer(data, dtype=np.uint8)
+        if isinstance(data, bytes) and len(data) == params.segment_bytes:
+            flat = np.frombuffer(data, dtype=np.uint8)
+        else:
+            flat = np.zeros(params.segment_bytes, dtype=np.uint8)
+            flat[: len(data)] = np.frombuffer(data, dtype=np.uint8)
         blocks = flat.reshape(params.num_blocks, params.block_size)
         return cls(blocks=blocks, segment_id=segment_id, original_length=len(data))
 

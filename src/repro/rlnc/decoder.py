@@ -14,21 +14,23 @@ Two decoders mirror the two decoding dataflows in the paper:
   (stage 2).  On the GPU this trades a small serial stage for a fully
   parallel one; functionally the result is identical.
 
-The progressive decoder's elimination is vectorized through the GF(2^8)
-engine and splits the work the way the paper's TB-1 preprocessing splits
-encoding: the *control plane* — the coefficient matrix ``C`` and the row
-transform ``M`` with ``rows = M @ raw_payloads`` — is kept in exact RREF
-after every block, using the engine's fused region operations
-(``fold_rows`` for forward reduction, ``axpy_rows`` for
-back-elimination) over all live pivots instead of one Python-loop trip
-per pivot, so no intermediate scaled-row matrix is ever materialized;
-the *data plane* (the k-byte payload side) is stored raw and
+The progressive decoder splits the work the way the paper's TB-1
+preprocessing splits encoding.  The *control plane* — the coefficient
+matrix ``C`` and the row transform ``M`` with ``rows = M @
+raw_payloads`` — is kept in exact RREF after every intake by one engine
+call per batch, :meth:`~repro.gf256.engine.Gf256Engine.absorb`: on the
+compiled kernel, pivot search, normalisation, forward reduction and
+back-elimination of the whole batch run in C over the nibble-shuffle
+region ops, and the table backend runs the same elimination as a numpy
+loop, the oracle (and the path on hosts without a compiler).  A single
+block, a batch and a quarantine rebuild all go through that one call.
+The *data plane* (the k-byte payload side) is stored raw and
 materialized on demand with a single dense engine matmul accumulated
-directly into the aggregate view.  Because the RREF of a row space (with this
-decoder's arrival-order row placement) is unique, the materialized state
-is byte-identical to the eager seed implementation after every consume —
-``tests/rlnc/test_decoder_golden.py`` replays identical streams through
-both and compares full internal state.
+directly into the aggregate view.  Because the RREF of a row space
+(with this decoder's arrival-order row placement) is unique, the
+materialized state is byte-identical to the eager seed implementation
+after every intake — ``tests/rlnc/test_decoder_golden.py`` replays
+identical streams through both and compares full internal state.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from repro.obs import obs_counter, obs_gauge
 from repro.obs.trace import trace
 from repro.gf256 import independent_row_indices, inverse, matmul
 from repro.gf256.engine import ENGINE
-from repro.gf256.tables import INV
 from repro.rlnc.block import BlockBatch, CodedBlock, CodingParams, Segment
 
 
@@ -156,54 +157,10 @@ class ProgressiveDecoder:
         if self.is_complete:
             raise DecodingError("decoder already holds a full-rank system")
         self._received += 1
-
-        held = self.rank
-        incoming = np.zeros(2 * n, dtype=np.uint8)
-        incoming[:n] = block.coefficients
-        # Transform column for the candidate raw payload; existing rows
-        # are all zero there, so forward reduction leaves it attributable.
-        incoming[n + held] = 1
-
-        # Forward-reduce against every live pivot in one fused region
-        # pass: the stored rows are in RREF, so the factors read at the
-        # pivot columns are mutually independent and can be captured
-        # before the in-place fold mutates the incoming row.  Zero
-        # factors are skipped inside the engine.
-        if held:
-            pivots = self._pivot_cols[:held]
-            factors = incoming[pivots]
-            if factors.any():
-                ENGINE.fold_rows(incoming, self._work[:held], factors)
-
-        support = np.nonzero(incoming[:n])[0]
-        if support.size == 0:
-            # Reduced to a zero coefficient row: linearly dependent
-            # (exactly the paper's implicit dependence check).
-            self._discarded += 1
-            return False
-        pivot_col = int(support[0])
-
-        lead = int(incoming[pivot_col])
-        if lead != 1:
-            incoming = ENGINE.mul_scalar(incoming, int(INV[lead]))
-
-        # Back-eliminate the new pivot column from all stored rows so the
-        # matrix stays fully reduced: one region pass per touched row,
-        # accumulating straight into the stored matrix (no scaled-row
-        # matrix is materialized).  The column must be captured first —
-        # the pass mutates the very column it scales by.
-        if held:
-            column = self._work[:held, pivot_col].copy()
-            if column.any():
-                ENGINE.axpy_rows(self._work[:held], column, incoming)
-
-        self._work[held] = incoming
-        self._raw_payloads[held] = block.payload
-        self._raw_coefficients[held] = block.coefficients
-        self._sources[held] = source
-        self._pivot_cols[held] = pivot_col
-        self._pivot_to_row[pivot_col] = held
-        return True
+        accepted = self._absorb(
+            block.coefficients[None, :], block.payload[None, :], [source]
+        )
+        return accepted == 1
 
     def consume_batch(
         self,
@@ -214,15 +171,12 @@ class ProgressiveDecoder:
     ) -> int:
         """Absorb a whole batch of blocks; return how many were innovative.
 
-        The batched intake path of the serving pipeline: instead of one
-        :meth:`consume` call per block (each paying a full forward
-        reduction against every live pivot), the entire incoming
-        coefficient matrix is reduced against the existing pivots with a
-        *single* engine matmul — one innovation-check elimination pass —
-        and only the cheap within-batch bookkeeping (pivot selection,
-        normalization, back-elimination) runs per row.  The resulting
-        decoder state is byte-identical to consuming the same rows one
-        at a time, because the stored RREF (with this decoder's
+        The batched intake path of the serving pipeline: the whole
+        batch goes through *one* engine elimination call (pivot search,
+        normalization, forward reduction and back-elimination for every
+        row), instead of one :meth:`consume` call per block.  The
+        resulting decoder state is byte-identical to consuming the same
+        rows one at a time, because the stored RREF (with this decoder's
         arrival-order row placement) is unique.
 
         Rows arriving after the decoder completes mid-batch necessarily
@@ -263,7 +217,7 @@ class ProgressiveDecoder:
             raise DecodingError("decoder already holds a full-rank system")
         self._received += m
         with trace("decode_intake", segment=self._segment_id):
-            accepted = self._absorb(coefficients, payloads, source)
+            accepted = self._absorb(coefficients, payloads, [source] * m)
         obs_counter("decoder_blocks_innovative").inc(accepted)
         obs_counter("decoder_blocks_discarded").inc(m - accepted)
         obs_gauge("decoder_rank").set(self.rank)
@@ -273,68 +227,44 @@ class ProgressiveDecoder:
         self,
         coefficients: np.ndarray,
         payloads: np.ndarray,
-        source: object,
+        sources: list[object],
         *,
         count_discards: bool = True,
     ) -> int:
-        """The batched elimination core shared by intake and rebuild.
+        """The elimination core shared by consume, intake and rebuild.
 
-        Does not touch the ``received`` counter; ``count_discards=False``
-        (the quarantine-rebuild path) suppresses the ``discarded``
-        counter too, so replaying retained rows never inflates stats.
+        One engine :meth:`~repro.gf256.engine.Gf256Engine.absorb` call
+        reduces the whole batch into ``_work``; only the accepted rows'
+        raw payloads, raw coefficients, sources (``sources[i]`` tags
+        incoming row ``i``) and pivot entries are copied here.  Does not
+        touch the ``received`` counter; ``count_discards=False`` (the
+        quarantine-rebuild path) suppresses the ``discarded`` counter
+        too, so replaying retained rows never inflates stats.
         """
-        n = self._params.num_blocks
-        m = coefficients.shape[0]
-        held0 = self.rank
-        incoming = np.zeros((m, 2 * n), dtype=np.uint8)
-        incoming[:, :n] = coefficients
-        if held0:
-            # The one batched elimination pass: factors read at the pivot
-            # columns are final (stored rows are in mutual RREF), so the
-            # whole batch reduces with a single (m, held) x (held, 2n)
-            # engine matmul instead of m separate reductions.
-            factors = coefficients[:, self._pivot_cols[:held0]]
-            if factors.any():
-                incoming ^= matmul(factors, self._work[:held0])
-
-        accepted = 0
-        for idx in range(m):
-            row = incoming[idx]
-            support = np.nonzero(row[:n])[0]
-            if support.size == 0:
-                if count_discards:
-                    self._discarded += 1
-                continue
-            held = self.rank
-            pivot_col = int(support[0])
-            # Transform column for this row's raw payload; set before
-            # normalization so the scale factor is attributed (exactly as
-            # in consume()).
-            row[n + held] = 1
-            lead = int(row[pivot_col])
-            if lead != 1:
-                row = ENGINE.mul_scalar(row, int(INV[lead]))
-            # Eliminate the new pivot from the not-yet-processed batch
-            # rows so their factors stay final when their turn comes —
-            # the same in-place region pass as consume()'s back-
-            # elimination (zero factors skipped by the engine).
-            if idx + 1 < m:
-                column = incoming[idx + 1 :, pivot_col].copy()
-                if column.any():
-                    ENGINE.axpy_rows(incoming[idx + 1 :], column, row)
-            # Back-eliminate from all stored rows, as consume() does.
-            if held:
-                column = self._work[:held, pivot_col].copy()
-                if column.any():
-                    ENGINE.axpy_rows(self._work[:held], column, row)
-            self._work[held] = row
-            self._raw_payloads[held] = payloads[idx]
-            self._raw_coefficients[held] = coefficients[idx]
-            self._sources[held] = source
-            self._pivot_cols[held] = pivot_col
-            self._pivot_to_row[pivot_col] = held
-            accepted += 1
-        return accepted
+        held = self.rank
+        accepted = ENGINE.absorb(self._work, held, coefficients, self._pivot_cols)
+        count = accepted.size
+        if count_discards:
+            self._discarded += coefficients.shape[0] - count
+        if count:
+            rows = slice(held, held + count)
+            # mode="clip" writes straight into ``out`` (mode="raise"
+            # would stage a copy); the indices come from the engine.
+            np.take(
+                coefficients,
+                accepted,
+                axis=0,
+                out=self._raw_coefficients[rows],
+                mode="clip",
+            )
+            np.take(
+                payloads, accepted, axis=0, out=self._raw_payloads[rows], mode="clip"
+            )
+            self._sources[rows] = [sources[index] for index in accepted.tolist()]
+            self._pivot_to_row.update(
+                zip(self._pivot_cols[rows].tolist(), range(held, held + count))
+            )
+        return count
 
     # -- poisoned-block quarantine -----------------------------------------
 
@@ -394,20 +324,14 @@ class ProgressiveDecoder:
         for row in doomed:
             self.record_corrupt(self._sources[row])
         keep = [row for row in range(held) if row not in set(doomed)]
-        coefficients = self._raw_coefficients[keep].copy()
-        payloads = self._raw_payloads[keep].copy()
+        coefficients = self._raw_coefficients[keep]
+        payloads = self._raw_payloads[keep]
         sources = [self._sources[row] for row in keep]
         self._quarantined += len(doomed)
         obs_counter("decoder_quarantined_rows").inc(len(doomed))
         with trace("quarantine_rebuild", segment=self._segment_id):
             self._reset_elimination()
-            for row in range(len(keep)):
-                self._absorb(
-                    coefficients[row : row + 1],
-                    payloads[row : row + 1],
-                    sources[row],
-                    count_discards=False,
-                )
+            self._absorb(coefficients, payloads, sources, count_discards=False)
         if self.rank < held:
             self._rank_regressions += 1
             obs_counter("decoder_rank_regressions").inc()
@@ -431,8 +355,15 @@ class ProgressiveDecoder:
         return len(rows)
 
     def _reset_elimination(self) -> None:
-        """Clear the control plane for a quarantine rebuild."""
+        """Clear the decoder's rows for a quarantine rebuild.
+
+        Leaves the state of a fresh decoder, so a rebuild from the kept
+        rows matches one that only ever saw them.
+        """
         self._work[:] = 0
+        self._raw_payloads[:] = 0
+        self._raw_coefficients[:] = 0
+        self._sources[:] = [None] * self._params.num_blocks
         self._pivot_to_row.clear()
         self._materialized_rank = 0
         self._rows[:] = 0

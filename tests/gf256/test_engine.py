@@ -11,7 +11,6 @@ import pytest
 from repro.errors import FieldError
 from repro.gf256 import gf_mul_loop
 from repro.gf256.engine import BACKENDS, ENGINE, Gf256Engine
-from repro.gf256.tables import MUL_TABLE
 
 
 def scalar_reference_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -106,11 +105,6 @@ class TestRowPrimitives:
                 expected[i] ^= scalar_reference_row(src, int(factors[i]))
             Gf256Engine("table").axpy_rows(dst, factors, src)
             assert np.array_equal(dst, expected)
-
-    def test_mul_scalar(self):
-        rng = np.random.default_rng(17)
-        row = rng.integers(0, 256, size=50, dtype=np.uint8)
-        assert np.array_equal(ENGINE.mul_scalar(row, 77), MUL_TABLE[77][row])
 
 
 class TestBackendSelection:

@@ -35,6 +35,23 @@ class TestSegment:
         assert flat[0] == 1 and flat[1] == 2
         assert not flat[2:].any()
 
+    def test_full_segment_bytes_are_viewed_not_copied(self):
+        params = CodingParams(num_blocks=2, block_size=4)
+        data = bytes(range(8))
+        segment = Segment.from_bytes(data, params)
+        view = np.frombuffer(data, dtype=np.uint8)
+        assert np.shares_memory(segment.blocks, view)
+        assert not segment.blocks.flags.writeable
+        assert segment.to_bytes() == data
+
+    def test_other_inputs_are_copied(self):
+        params = CodingParams(num_blocks=2, block_size=4)
+        source = bytearray(range(8))
+        segment = Segment.from_bytes(source, params)
+        source[0] = 99
+        assert segment.blocks[0, 0] == 0
+        assert segment.blocks.flags.writeable
+
     def test_from_bytes_rejects_oversized(self):
         params = CodingParams(num_blocks=2, block_size=4)
         with pytest.raises(ConfigurationError):

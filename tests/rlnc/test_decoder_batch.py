@@ -1,17 +1,23 @@
 """Batched decoder intake: consume_batch vs per-block consume.
 
 The serving pipeline's receive side absorbs whole block matrices with
-one elimination pass; the contract is that the resulting decoder state
+one elimination call; the contract is that the resulting decoder state
 is byte-identical to consuming the same rows one at a time (RREF with
-arrival-order row placement is unique).
+arrival-order row placement is unique), on the compiled kernel and on
+the table oracle alike, and to the pinned seed-era decoder.
 """
+
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import DecodingError
+import repro.rlnc.decoder as decoder_module
+from repro.errors import DecodingError, FieldError
+from repro.gf256 import regionops
+from repro.gf256.engine import Gf256Engine
 from repro.rlnc import (
     BlockBatch,
     CodedBlock,
@@ -24,6 +30,7 @@ from repro.rlnc import (
     pack_blocks,
     unpack_blocks,
 )
+from repro.rlnc._reference import ReferenceProgressiveDecoder
 
 
 def coded_stream(n, k, count, seed, *, dependent_every=0):
@@ -138,6 +145,216 @@ class TestConsumeBatchEquivalence:
         decoder.consume_batch(recoded)
         assert decoder.is_complete
         assert np.array_equal(decoder.recover_segment().blocks, segment.blocks)
+
+
+@contextmanager
+def decoder_engine(backend):
+    """Run the progressive decoder on a private engine of ``backend``."""
+    saved = decoder_module.ENGINE
+    decoder_module.ENGINE = Gf256Engine(backend)
+    try:
+        yield
+    finally:
+        decoder_module.ENGINE = saved
+
+
+@st.composite
+def intake_streams(draw):
+    """Coefficient rows with awkward structure, cut into batches.
+
+    Row kinds: uniform random, all-zero, a duplicate of an earlier row,
+    a random combination of earlier rows, and sparse rows (one or two
+    nonzero coefficients, so the factors against held pivots are mostly
+    zero).  There are up to four rows beyond n, so completion can land
+    mid-batch.  Each batch is fed with ``consume`` (size 1) or
+    ``consume_batch`` and tagged with its own source.
+    """
+    n = draw(st.integers(min_value=1, max_value=12))
+    k = draw(st.integers(min_value=1, max_value=24))
+    count = n + draw(st.integers(min_value=0, max_value=4))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31)))
+    kinds = draw(
+        st.lists(
+            st.sampled_from(["random", "zero", "duplicate", "mix", "sparse"]),
+            min_size=count,
+            max_size=count,
+        )
+    )
+    coefficients = np.zeros((count, n), dtype=np.uint8)
+    for row, kind in enumerate(kinds):
+        if kind == "zero":
+            continue
+        if row and kind == "duplicate":
+            coefficients[row] = coefficients[rng.integers(row)]
+        elif row and kind == "mix":
+            mix = rng.integers(0, 256, size=(1, row), dtype=np.uint8)
+            coefficients[row] = Gf256Engine("table").matmul(mix, coefficients[:row])
+        elif kind == "sparse":
+            columns = rng.choice(n, size=min(n, 2), replace=False)
+            coefficients[row, columns] = rng.integers(1, 256, size=columns.size)
+        else:
+            coefficients[row] = rng.integers(0, 256, size=n, dtype=np.uint8)
+    segment = Segment.random(CodingParams(n, k), rng)
+    payloads = Gf256Engine("table").matmul(coefficients, segment.blocks)
+    cuts = draw(st.lists(st.integers(min_value=0, max_value=count), max_size=5))
+    bounds = sorted({0, count, *cuts})
+    batches = list(zip(bounds, bounds[1:]))
+    singles = draw(st.booleans())
+    return segment, coefficients, payloads, batches, singles
+
+
+def feed(params, coefficients, payloads, batches, singles):
+    """Feed the batches until completion; return the decoder."""
+    decoder = ProgressiveDecoder(params)
+    for number, (start, stop) in enumerate(batches):
+        if decoder.is_complete:
+            break
+        if singles and stop - start == 1:
+            row = coefficients[start]
+            decoder.consume(
+                CodedBlock(coefficients=row, payload=payloads[start]), source=number
+            )
+        else:
+            decoder.consume_batch(
+                coefficients[start:stop], payloads[start:stop], source=number
+            )
+    return decoder
+
+
+def assert_identical(a: ProgressiveDecoder, b: ProgressiveDecoder) -> None:
+    rank = a.rank
+    assert b.rank == rank
+    assert np.array_equal(a._work, b._work)
+    assert np.array_equal(a._pivot_cols[:rank], b._pivot_cols[:rank])
+    assert a._pivot_to_row == b._pivot_to_row
+    assert np.array_equal(a._raw_coefficients, b._raw_coefficients)
+    assert np.array_equal(a._raw_payloads, b._raw_payloads)
+    assert a._sources == b._sources
+    assert a.received == b.received
+    assert a.discarded == b.discarded
+
+
+class TestKernelAgainstOracles:
+    """The compiled elimination against the table oracle and the seed
+    decoder, for any batch split."""
+
+    @given(intake_streams())
+    @settings(max_examples=60, deadline=None)
+    def test_wide_table_and_reference_agree(self, stream):
+        segment, coefficients, payloads, batches, singles = stream
+        params = segment.params
+        with decoder_engine("wide"):
+            wide = feed(params, coefficients, payloads, batches, singles)
+        with decoder_engine("table"):
+            table = feed(params, coefficients, payloads, batches, singles)
+        assert_identical(wide, table)
+
+        reference = ReferenceProgressiveDecoder(params)
+        for row in range(wide.received):
+            if reference.is_complete:
+                break
+            reference.consume(
+                CodedBlock(coefficients=coefficients[row], payload=payloads[row])
+            )
+        surplus = wide.received - reference.received
+        assert reference.discarded + surplus == wide.discarded
+        ref_rows, ref_pivots = reference.dense_state()
+        rows, pivots = wide.dense_state()
+        assert pivots == ref_pivots
+        assert np.array_equal(rows, ref_rows)
+        if wide.is_complete:
+            assert np.array_equal(wide.recover_segment().blocks, segment.blocks)
+
+
+@pytest.mark.skipif(
+    not regionops.kernel_available(), reason="compiled kernel not loaded"
+)
+class TestAbsorbWrapperValidation:
+    """Bad layouts raise in the wrapper instead of reaching C."""
+
+    def arrays(self, n=4, m=3):
+        work = np.zeros((n, 2 * n), dtype=np.uint8)
+        incoming = np.arange(m * n, dtype=np.uint8).reshape(m, n)
+        pivot_cols = np.zeros(n, dtype=np.int64)
+        accepted = np.zeros(m, dtype=np.int64)
+        return work, incoming, pivot_cols, accepted
+
+    def test_valid_arrays_match_the_oracle(self):
+        work, incoming, pivot_cols, accepted = self.arrays()
+        expected_work, _, expected_pivots, _ = self.arrays()
+        expected = Gf256Engine("table").absorb(
+            expected_work, 0, incoming, expected_pivots
+        )
+        count = regionops.absorb(work, 0, incoming, pivot_cols, accepted)
+        assert np.array_equal(accepted[:count], expected)
+        assert np.array_equal(work, expected_work)
+        assert np.array_equal(pivot_cols[:count], expected_pivots[:count])
+
+    def test_non_contiguous_work_raises(self):
+        work, incoming, pivot_cols, accepted = self.arrays()
+        wide = np.zeros((4, 16), dtype=np.uint8)
+        with pytest.raises(ValueError):
+            regionops.absorb(wide[:, ::2], 0, incoming, pivot_cols, accepted)
+        with pytest.raises(ValueError):
+            regionops.absorb(
+                np.asfortranarray(work), 0, incoming, pivot_cols, accepted
+            )
+
+    def test_non_contiguous_incoming_raises(self):
+        work, incoming, pivot_cols, accepted = self.arrays()
+        wide = np.zeros((3, 8), dtype=np.uint8)
+        with pytest.raises(ValueError):
+            regionops.absorb(work, 0, wide[:, ::2], pivot_cols, accepted)
+        with pytest.raises(ValueError):
+            regionops.absorb(work, 0, incoming[::-1], pivot_cols, accepted)
+
+    def test_pivot_cols_must_be_int64(self):
+        work, incoming, pivot_cols, accepted = self.arrays()
+        with pytest.raises(ValueError):
+            regionops.absorb(
+                work, 0, incoming, pivot_cols.astype(np.int32), accepted
+            )
+        with pytest.raises(ValueError):
+            regionops.absorb(work, 0, incoming, pivot_cols[:2], accepted)
+        with pytest.raises(ValueError):
+            regionops.absorb(work, 0, incoming, pivot_cols, accepted[:1])
+
+    def test_held_out_of_range_raises(self):
+        work, incoming, pivot_cols, accepted = self.arrays()
+        with pytest.raises(ValueError):
+            regionops.absorb(work, 5, incoming, pivot_cols, accepted)
+
+
+class TestEngineAbsorbValidation:
+    @pytest.mark.parametrize("backend", ["wide", "table"])
+    def test_bad_operands_raise_field_error(self, backend):
+        engine = Gf256Engine(backend)
+        work = np.zeros((4, 8), dtype=np.uint8)
+        incoming = np.ones((2, 4), dtype=np.uint8)
+        pivot_cols = np.zeros(4, dtype=np.int64)
+        with pytest.raises(FieldError):
+            engine.absorb(work[:, :6], 0, incoming, pivot_cols)
+        with pytest.raises(FieldError):
+            engine.absorb(work, 0, incoming[:, :3], pivot_cols)
+        with pytest.raises(FieldError):
+            engine.absorb(work, 0, incoming, pivot_cols.astype(np.int32))
+        with pytest.raises(FieldError):
+            engine.absorb(work, 0, incoming.astype(np.int16), pivot_cols)
+        with pytest.raises(FieldError):
+            engine.absorb(work, 5, incoming, pivot_cols)
+
+    @pytest.mark.parametrize("backend", ["wide", "table"])
+    def test_strided_incoming_is_accepted(self, backend):
+        """Wire views have strided rows; reversed views are copied."""
+        rng = np.random.default_rng(3)
+        host = rng.integers(0, 256, size=(6, 10), dtype=np.uint8)
+        expected = np.zeros((4, 8), dtype=np.uint8)
+        Gf256Engine("table").absorb(
+            expected, 0, np.ascontiguousarray(host[::-1, 2:6]), np.zeros(4, np.int64)
+        )
+        work = np.zeros((4, 8), dtype=np.uint8)
+        Gf256Engine(backend).absorb(work, 0, host[::-1, 2:6], np.zeros(4, np.int64))
+        assert np.array_equal(work, expected)
 
 
 class TestConsumeBatchValidation:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.errors import DecodingError
-from repro.rlnc import CodingParams, Encoder, ProgressiveDecoder, Segment
+from repro.rlnc import CodedBlock, CodingParams, Encoder, ProgressiveDecoder, Segment
 
 PARAMS = CodingParams(8, 32)
 
@@ -189,3 +189,35 @@ class TestQuarantineRollback:
         assert np.array_equal(
             rows[:held, n:], matmul(rows[:held, :n], segment.blocks)
         )
+
+    def test_rebuild_matches_fresh_decoder_fed_kept_rows(self):
+        """The one-call rebuild leaves exactly the state of a decoder
+        that only ever saw the kept rows, with each row's own source."""
+        _, encoder, decoder = make_decoder(seed=9)
+        blocks = [encoder.encode_block() for _ in range(PARAMS.num_blocks)]
+        blocks.insert(3, blocks[1])  # a dependent row, discarded once
+        sources = [f"peer-{index % 3}" for index in range(len(blocks))]
+        for block, source in zip(blocks, sources):
+            decoder.consume(block, source=source)
+        assert decoder.is_complete
+        assert decoder.discarded == 1
+        kept = [row for row in range(decoder.rank) if row not in (1, 5)]
+        coefficients = decoder._raw_coefficients[kept]
+        payloads = decoder._raw_payloads[kept]
+        kept_sources = [decoder._sources[row] for row in kept]
+        decoder.quarantine_rows([5, 1])
+
+        fresh = ProgressiveDecoder(PARAMS)
+        for row, source in enumerate(kept_sources):
+            block = CodedBlock(coefficients=coefficients[row], payload=payloads[row])
+            fresh.consume(block, source=source)
+        rank = fresh.rank
+        assert decoder.rank == rank == PARAMS.num_blocks - 2
+        assert np.array_equal(decoder._work, fresh._work)
+        pivots = decoder._pivot_cols[:rank]
+        assert np.array_equal(pivots, fresh._pivot_cols[:rank])
+        assert decoder._pivot_to_row == fresh._pivot_to_row
+        assert np.array_equal(decoder._raw_coefficients, fresh._raw_coefficients)
+        assert np.array_equal(decoder._raw_payloads, fresh._raw_payloads)
+        assert decoder._sources == fresh._sources
+        assert decoder.discarded == 1  # the rebuild counts none

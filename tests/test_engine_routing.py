@@ -63,19 +63,23 @@ def test_exempt_reference_module_still_exists():
 
 
 def test_decoder_inverse_scalar_comes_from_engine():
-    # The progressive decoder's only scalar table use (pivot
-    # normalization via INV) must flow through the engine facade.
+    # Pivot normalization happens inside the engine's elimination op:
+    # the progressive decoder neither imports the inverse table nor
+    # scales rows itself.
     decoder_text = (SRC_ROOT / "rlnc" / "decoder.py").read_text()
-    assert "ENGINE.mul_scalar" in decoder_text
+    assert "INV" not in decoder_text
+    assert "mul_scalar" not in decoder_text
 
 
 def test_decoder_row_reduction_uses_region_ops():
-    # Forward reduction and back-elimination must use the fused region
-    # operations (no materialized scaled-row intermediates): fold_rows
-    # for the incoming-row reduction, axpy_rows for pivot elimination.
+    # Every elimination (consume, consume_batch and the quarantine
+    # rebuild) funnels through one call of the engine's absorb op, which
+    # runs forward reduction and back-elimination as fused region ops;
+    # the decoder keeps no row-operation body of its own.
     decoder_text = (SRC_ROOT / "rlnc" / "decoder.py").read_text()
-    assert "ENGINE.fold_rows" in decoder_text
-    assert "ENGINE.axpy_rows" in decoder_text
+    assert decoder_text.count("ENGINE.absorb(") == 1
+    assert "ENGINE.fold_rows" not in decoder_text
+    assert "ENGINE.axpy_rows" not in decoder_text
 
 
 def test_recoder_emit_uses_region_ops():
