@@ -55,6 +55,12 @@ INTAKE_REPEATS = 2 if SMOKE else 7
 #: Back-to-back plain/digest round pairs behind the integrity overhead.
 INTEGRITY_PAIRS = 2 if SMOKE else 15
 
+#: Multiply-add bytes behind one timing of ``madd_rate``, and the rows
+#: per ``fold_rows`` call that times one row held in L1 or a short-row
+#: pass.
+MADD_TARGET_BYTES = 1e8 if SMOKE else 1e9
+L1_ROW_PASSES = 256 if SMOKE else 4096
+
 #: Speedup floors from the PR acceptance criteria (full mode only).
 DECODE_SPEEDUP_FLOOR = 3.0
 #: Compiled batch elimination vs the table oracle's numpy loop, same
@@ -327,33 +333,37 @@ def seed_bitslice_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def madd_rate(run, madd_bytes, target_bytes=MADD_TARGET_BYTES):
+    """Multiply-add bytes per second of ``run``, timed over many passes.
+
+    One timing covers enough back-to-back passes to do about
+    ``target_bytes`` of multiply-add, so the per-call ctypes cost
+    vanishes in the arithmetic; best of :data:`REPEATS` timings.
+    """
+    passes = max(1, int(target_bytes // madd_bytes))
+
+    def many():
+        for _ in range(passes):
+            run()
+
+    return passes * madd_bytes / best_of(many)
+
+
 def test_matmul_backend_throughput():
     rng = np.random.default_rng(2)
     a = rng.integers(0, 256, size=(ENCODE_M, ENCODE_N), dtype=np.uint8)
     b = rng.integers(0, 256, size=(ENCODE_N, ENCODE_K), dtype=np.uint8)
     out_bytes = ENCODE_M * ENCODE_K
-    # Region-op microbench: 256 fused dst ^= c*src passes over one
-    # block-sized row, the decoder's forward-reduction inner loop.
-    region_src = rng.integers(0, 256, size=ENCODE_K, dtype=np.uint8)
-    region_coefficients = [(i % 255) + 1 for i in range(256)]
-    region_bytes = len(region_coefficients) * ENCODE_K
+    madd_bytes = ENCODE_M * ENCODE_N * ENCODE_K
     per_backend = {}
     baseline = seed_bitslice_matmul(a, b)
     for backend in ("table", "wide"):
         engine = Gf256Engine(backend)
         assert np.array_equal(engine.matmul(a, b), baseline)
         seconds = best_of(lambda: engine.matmul(a, b))
-        region_dst = rng.integers(0, 256, size=ENCODE_K, dtype=np.uint8)
-
-        def region_pass():
-            for coefficient in region_coefficients:
-                engine.mul_add_region(region_dst, region_src, coefficient)
-
-        region_seconds = best_of(region_pass)
         per_backend[backend] = {
             "seconds": seconds,
             "gb_per_s": out_bytes / seconds / 1e9,
-            "region_gb_per_s": region_bytes / region_seconds / 1e9,
         }
     # The process-wide engine's default path (the key keeps its
     # historical name from when the default was a per-shape choice).
@@ -363,6 +373,46 @@ def test_matmul_backend_throughput():
     seed_seconds = best_of(lambda: seed_bitslice_matmul(a, b))
     wide_speedup = seed_seconds / per_backend["wide"]["seconds"]
     wide_kernel = bool(ENGINE.wide_kernel_available)
+    # The paper's units, per dispatch level this host has: the kernel's
+    # multiply-add rate (m*n*k bytes/s), and its rate on a single row
+    # held in L1 (fold_rows, the kernel's one-row case, over a stride-0
+    # stack of one k-byte row, so every source read hits L1).  Their
+    # ratio is the host analogue of the paper's GF-multiply utilization
+    # (Table 2): the share of the in-cache rate the full-size product
+    # keeps.  It can exceed 1 where one row underuses the registers a
+    # block of rows fills.
+    levels = {}
+    if wide_kernel:
+        out = np.empty((ENCODE_M, ENCODE_K), dtype=np.uint8)
+        row = b[0].copy()
+        stack = np.broadcast_to(b[1], (L1_ROW_PASSES, ENCODE_K))
+        factors = (np.arange(L1_ROW_PASSES) % 255 + 1).astype(np.uint8)
+        for level in range(regionops.simd_level(), -1, -1):
+            name = regionops.SIMD_LEVELS[level]
+            with regionops._cap_simd_level_for_tests(level):
+                regionops.matmul_into(out, a, b)
+                assert np.array_equal(out, baseline), name
+                madd = madd_rate(lambda: regionops.matmul_into(out, a, b), madd_bytes)
+                row_l1 = madd_rate(
+                    lambda: regionops.fold_rows(row, stack, factors),
+                    L1_ROW_PASSES * ENCODE_K,
+                )
+            levels[name] = {
+                "madd_gb_per_s": madd / 1e9,
+                "row_l1_madd_gb_per_s": row_l1 / 1e9,
+                "gf_mul_utilization": madd / row_l1,
+            }
+        # One forward-reduction pass on a row shorter than a vector must
+        # cost no more than one on a whole 64-byte vector (no per-byte
+        # tail): fold_rows over L1_ROW_PASSES rows of each width.
+        fold_pass_ns = {}
+        for width in (32, 64):
+            rows = rng.integers(0, 256, size=(L1_ROW_PASSES, width), dtype=np.uint8)
+            dst = np.zeros(width, dtype=np.uint8)
+            seconds = best_of(lambda: regionops.fold_rows(dst, rows, factors), 7)
+            fold_pass_ns[str(width)] = seconds / L1_ROW_PASSES * 1e9
+    top_name = regionops.SIMD_LEVELS[regionops.simd_level()] if levels else None
+    top = levels.get(top_name, {})
     record(
         "matmul_backends",
         {
@@ -371,9 +421,13 @@ def test_matmul_backend_throughput():
             "auto_gb_per_s": out_bytes / auto_seconds / 1e9,
             "seed_bitslice_seconds": seed_seconds,
             "wide_gb_per_s": per_backend["wide"]["gb_per_s"],
-            "wide_region_gb_per_s": per_backend["wide"]["region_gb_per_s"],
             "wide_speedup_vs_seed_auto": wide_speedup,
             "wide_kernel": wide_kernel,
+            "simd_level": top_name,
+            "levels": levels,
+            "madd_gb_per_s": top.get("madd_gb_per_s", 0.0),
+            "gf_mul_utilization": top.get("gf_mul_utilization", 0.0),
+            "fold_pass_ns": fold_pass_ns if wide_kernel else {},
         },
     )
     if not SMOKE:
@@ -385,6 +439,10 @@ def test_matmul_backend_throughput():
                 f"wide speedup {wide_speedup:.2f}x below the "
                 f"{WIDE_SPEEDUP_FLOOR}x floor"
             )
+            # Both widths are one lane (the 32-byte one masked), so they
+            # differ by timing noise only; the per-byte tail this guards
+            # against made the 32-byte pass 4-5x dearer.
+            assert fold_pass_ns["32"] <= 1.15 * fold_pass_ns["64"], fold_pass_ns
 
 
 def test_server_round_throughput():

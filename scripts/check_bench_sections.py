@@ -4,7 +4,8 @@
 ``benchmarks/test_hot_paths.py`` rewrites ``BENCH_hot_paths.json`` from
 the sections recorded *in that run*, so a skipped or silently-collected
 benchmark would shrink the committed trajectory without failing
-anything.  This check pins the required section set; both the CI
+anything.  This check pins the required section set, and the keys a
+section must carry (``REQUIRED_KEYS``); both the CI
 ``bench-smoke`` job and the nightly soak call it so a vanished section
 fails loudly instead of eroding the history.
 
@@ -39,9 +40,23 @@ REQUIRED_SECTIONS = frozenset(
 )
 
 
+#: Keys a section must carry, where a gate or the paper's units need
+#: them: the multiply-add rate in m*n*k bytes/s and the GF-multiply
+#: utilization, overall and per SIMD level.
+REQUIRED_KEYS: dict[str, frozenset[str]] = {
+    "matmul_backends": frozenset(
+        {"madd_gb_per_s", "gf_mul_utilization", "simd_level", "levels"}
+    ),
+}
+
+
 def check_sections(results: dict) -> list[str]:
-    """Return the sorted list of required sections that are missing."""
-    return sorted(REQUIRED_SECTIONS - results.keys())
+    """Return the sorted list of missing sections and ``section.key``s."""
+    missing = set(REQUIRED_SECTIONS - results.keys())
+    for section, keys in REQUIRED_KEYS.items():
+        if section in results:
+            missing.update(f"{section}.{key}" for key in keys - results[section].keys())
+    return sorted(missing)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -51,7 +66,7 @@ def main(argv: list[str] | None = None) -> int:
         results = json.load(handle)
     missing = check_sections(results)
     if missing:
-        print(f"{path} missing sections: {missing}", file=sys.stderr)
+        print(f"{path} missing sections or keys: {missing}", file=sys.stderr)
         return 1
     print(
         f"all {len(REQUIRED_SECTIONS)} required benchmark sections "

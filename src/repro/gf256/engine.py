@@ -4,16 +4,23 @@ Every bulk field operation in the library (batch encode, progressive
 decode row reduction, recoding, matrix solves) funnels through one
 :class:`Gf256Engine`, which has two implementations:
 
-* ``wide`` (the default) — the region-op dataflow: every output row is
-  produced in a single fused multiply-accumulate pass per nonzero
-  coefficient (:meth:`Gf256Engine.mul_add_region`), never materializing
-  an intermediate product row.  It runs the compiled nibble-shuffle
-  kernel of :mod:`repro.gf256.regionops` (the AVX-512 shuffle-mul of
-  arXiv:1909.02871: ``c*x = T_lo[c][x & 0xF] ^ T_hi[c][x >> 4]`` with
-  both 16-entry tables held in registers).  When the kernel does not
-  load (no C compiler, ``REPRO_WIDE_KERNEL=0``) it falls back to the
-  table formulation below, so the engine works on every host — just
-  slower.
+* ``wide`` (the default) — the compiled kernel of
+  :mod:`repro.gf256.regionops`.  ``matmul`` (and ``fold_rows``, its
+  one-row case) is register-blocked: on AVX-512 a block of output rows
+  times 64-byte lanes stays in vector registers while every source row
+  is loaded once per block, so no intermediate product row and no
+  per-pass reload of the output exists.  The other region ops are one
+  fused multiply-accumulate pass per nonzero coefficient.  The lane
+  multiply is one GFNI ``vgf2p8mulb`` where the CPU has it (its
+  hard-wired polynomial 0x11B is this library's), else the nibble
+  shuffle of arXiv:1909.02871 (``c*x = T_lo[c][x & 0xF] ^
+  T_hi[c][x >> 4]`` with both 16-entry tables held in registers).  The
+  kernel picks AVX-512BW+GFNI, AVX-512BW, AVX2 or scalar code once per
+  call at runtime (:func:`repro.gf256.regionops.simd_level`); AVX2 and
+  scalar run one region pass per (row, coefficient).  When the kernel
+  does not load (no C compiler, ``REPRO_WIDE_KERNEL=0``) the engine
+  falls back to the table formulation below, so it works on every
+  host — just slower.
 * ``table`` — the reference oracle: gathers from the dense 256x256
   product table (the seed formulation).  Tests force it to
   cross-validate the kernel.

@@ -1,9 +1,10 @@
 """Compile-on-demand loader for the wide region-op kernel.
 
 The ``wide`` engine backend's fast path is ``_regionops.c`` — a
-dependency-free C translation unit implementing the nibble-shuffle
-multiply-accumulate (module docs there).  This module owns its whole
-lifecycle:
+dependency-free C translation unit with a register-blocked matmul and
+fused multiply-accumulate region ops, whose lane multiply is GFNI or
+the nibble shuffle, picked at runtime per CPU (module docs there;
+:data:`SIMD_LEVELS`).  This module owns its whole lifecycle:
 
 * compile the bundled source with the host's ``cc`` into a content-
   addressed shared object under a per-user cache directory (one compile
@@ -25,6 +26,7 @@ Environment knobs:
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import hashlib
 import os
@@ -42,11 +44,12 @@ CACHE_ENV_VAR = "REPRO_WIDE_KERNEL_CACHE"
 
 _SOURCE = Path(__file__).with_name("_regionops.c")
 
+#: The kernel's dispatch levels, by number: ``SIMD_LEVELS[level]``.
+SIMD_LEVELS = ("scalar", "avx2", "avx512bw", "avx512bw+gfni")
+
 _lib: ctypes.CDLL | None = None
 _load_attempted = False
 _load_error: str | None = None
-
-_U8P = ctypes.POINTER(ctypes.c_uint8)
 
 
 def _cache_dir() -> Path:
@@ -76,27 +79,34 @@ def _compile(source: Path, target: Path) -> None:
             os.unlink(temp_name)
 
 
-def _pointer(array: np.ndarray):
-    return array.ctypes.data_as(_U8P)
-
-
 def _declare(lib: ctypes.CDLL) -> None:
+    # Arrays go over as ``array.ctypes.data`` (a plain int) into
+    # ``c_void_p``: half the cost of ``ctypes.data_as``, which matters at
+    # the small shapes where a call's C work is a few microseconds.
     size_t = ctypes.c_size_t
-    lib.gf256_init.argtypes = [_U8P]
+    void_p = ctypes.c_void_p
+    lib.gf256_init.argtypes = [void_p]
+    lib.gf256_init.restype = None
+    lib.gf256_simd_level.argtypes = []
     lib.gf256_simd_level.restype = ctypes.c_int
-    lib.gf256_mul_add_region.argtypes = [_U8P, _U8P, size_t, ctypes.c_uint8]
+    lib.gf256_cap_simd_level.argtypes = [ctypes.c_int]
+    lib.gf256_cap_simd_level.restype = None
+    lib.gf256_mul_add_region.argtypes = [void_p, void_p, size_t, ctypes.c_uint8]
+    lib.gf256_mul_add_region.restype = None
     lib.gf256_matmul.argtypes = [
-        _U8P,
-        _U8P,
-        _U8P,
+        void_p,
+        void_p,
+        void_p,
         size_t,
         size_t,
         size_t,
         size_t,
     ]
-    lib.gf256_axpy_rows.argtypes = [_U8P, size_t, _U8P, _U8P, size_t, size_t]
-    lib.gf256_fold_rows.argtypes = [_U8P, _U8P, size_t, _U8P, size_t, size_t]
-    void_p = ctypes.c_void_p
+    lib.gf256_matmul.restype = None
+    lib.gf256_axpy_rows.argtypes = [void_p, size_t, void_p, void_p, size_t, size_t]
+    lib.gf256_axpy_rows.restype = None
+    lib.gf256_fold_rows.argtypes = [void_p, void_p, size_t, void_p, size_t, size_t]
+    lib.gf256_fold_rows.restype = None
     lib.gf256_absorb.argtypes = [
         void_p,
         size_t,
@@ -129,7 +139,8 @@ def _load() -> ctypes.CDLL | None:
         _declare(lib)
         from repro.gf256.tables import MUL_TABLE
 
-        lib.gf256_init(_pointer(np.ascontiguousarray(MUL_TABLE)))
+        table = np.ascontiguousarray(MUL_TABLE)
+        lib.gf256_init(table.ctypes.data)
         _lib = lib
     except Exception as exc:  # no cc, sandboxed fs, bad object, ...
         _load_error = f"{type(exc).__name__}: {exc}"
@@ -149,11 +160,34 @@ def load_error() -> str | None:
 
 
 def simd_level() -> int:
-    """0 = scalar, 1 = AVX2, 2 = AVX-512BW; -1 when unavailable."""
+    """The kernel's dispatch level (an index into :data:`SIMD_LEVELS`).
+
+    0 = scalar, 1 = AVX2, 2 = AVX-512BW, 3 = AVX-512BW + GFNI; -1 when
+    the kernel is unavailable.
+    """
     lib = _load()
     if lib is None:
         return -1
     return int(lib.gf256_simd_level())
+
+
+@contextlib.contextmanager
+def _cap_simd_level_for_tests(level: int):
+    """Run the block with the kernel's dispatch level capped at ``level``.
+
+    The cap can only lower the level the CPU supports, so a test can run
+    every loop this host has (AVX2 and scalar included) against the
+    oracle; the detected level is restored on exit.  Yields the level in
+    effect.  Private: the library never lowers its own level.
+    """
+    lib = _load()
+    if lib is None:
+        raise RuntimeError(f"wide kernel unavailable: {_load_error}")
+    lib.gf256_cap_simd_level(level)
+    try:
+        yield int(lib.gf256_simd_level())
+    finally:
+        lib.gf256_cap_simd_level(len(SIMD_LEVELS) - 1)
 
 
 def _check_row_view(array: np.ndarray, name: str) -> int:
@@ -169,7 +203,7 @@ def mul_add_region(dst: np.ndarray, src: np.ndarray, coefficient: int) -> None:
     """``dst ^= coefficient * src`` in one fused pass (1-D contiguous)."""
     lib = _load()
     lib.gf256_mul_add_region(
-        _pointer(dst), _pointer(src), dst.shape[0], coefficient
+        dst.ctypes.data, src.ctypes.data, dst.shape[0], coefficient
     )
 
 
@@ -179,7 +213,7 @@ def matmul_into(out: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
     stride = _check_row_view(out, "out")
     m, n = a.shape
     lib.gf256_matmul(
-        _pointer(a), _pointer(b), _pointer(out), m, n, b.shape[1], stride
+        a.ctypes.data, b.ctypes.data, out.ctypes.data, m, n, b.shape[1], stride
     )
 
 
@@ -188,10 +222,10 @@ def axpy_rows(dst: np.ndarray, factors: np.ndarray, src: np.ndarray) -> None:
     lib = _load()
     stride = _check_row_view(dst, "dst")
     lib.gf256_axpy_rows(
-        _pointer(dst),
+        dst.ctypes.data,
         stride,
-        _pointer(src),
-        _pointer(factors),
+        src.ctypes.data,
+        factors.ctypes.data,
         dst.shape[0],
         dst.shape[1],
     )
@@ -202,10 +236,10 @@ def fold_rows(dst: np.ndarray, rows: np.ndarray, factors: np.ndarray) -> None:
     lib = _load()
     stride = _check_row_view(rows, "rows")
     lib.gf256_fold_rows(
-        _pointer(dst),
-        _pointer(rows),
+        dst.ctypes.data,
+        rows.ctypes.data,
         stride,
-        _pointer(factors),
+        factors.ctypes.data,
         rows.shape[0],
         rows.shape[1],
     )

@@ -134,21 +134,10 @@ class Recoder:
         n, k = self._params.num_blocks, self._params.block_size
         with trace("recode_emit", segment=self._segment_id):
             mix = rng.integers(1, 256, size=(count, held), dtype=np.uint8)
-            coefficients = np.zeros((count, n), dtype=np.uint8)
-            payloads = np.zeros((count, k), dtype=np.uint8)
-            if count == 1:
-                # Single-emit fast path: fold the buffered rows straight
-                # into the output row with one region pass per held
-                # block — no mix-matrix product machinery at all.
-                ENGINE.fold_rows(
-                    coefficients[0], self._coefficients[:held], mix[0]
-                )
-                ENGINE.fold_rows(payloads[0], self._payloads[:held], mix[0])
-            else:
-                ENGINE.matmul(
-                    mix, self._coefficients[:held], out=coefficients
-                )
-                ENGINE.matmul(mix, self._payloads[:held], out=payloads)
+            coefficients = np.empty((count, n), dtype=np.uint8)
+            payloads = np.empty((count, k), dtype=np.uint8)
+            ENGINE.matmul(mix, self._coefficients[:held], out=coefficients)
+            ENGINE.matmul(mix, self._payloads[:held], out=payloads)
             batch = BlockBatch(
                 coefficients=coefficients,
                 payloads=payloads,

@@ -6,7 +6,9 @@ fallback the wide backend runs without it (forced via
 reference decoder against each other.  Degenerate shapes — zero output
 rows, k=1, single-block generations, all-zero coefficient rows — and
 misaligned or strided destination views are pinned explicitly alongside
-the randomized sweep.
+the randomized sweep.  ``TestEverySimdLevel`` repeats the kernel checks
+at every dispatch level the host supports (GFNI, AVX-512BW, AVX2,
+scalar), lowered through the kernel's private cap hook.
 """
 
 import numpy as np
@@ -113,7 +115,7 @@ class TestWideMatmul:
         assert got.shape == (0, 7)
 
     def test_single_byte_blocks(self):
-        # k=1: one-byte payloads exercise the scalar tail exclusively.
+        # k=1: one-byte payloads run entirely in a partial vector.
         a, b = random_operands(9, 6, 1, 101)
         expected = Gf256Engine("table").matmul(a, b)
         assert np.array_equal(Gf256Engine("wide").matmul(a, b), expected)
@@ -136,6 +138,118 @@ class TestWideMatmul:
             aggregate[:, 10:], Gf256Engine("table").matmul(a, b)
         )
         assert not aggregate[:, :10].any()
+
+
+def capped_level(level):
+    """Cap the kernel at ``level``, skipping levels this host lacks."""
+    if not regionops.kernel_available():
+        pytest.skip(f"wide kernel unavailable: {regionops.load_error()}")
+    if regionops.simd_level() < level:
+        pytest.skip(f"host lacks {regionops.SIMD_LEVELS[level]}")
+    return regionops._cap_simd_level_for_tests(level)
+
+
+#: Every dispatch level, best first, with the level's name as test id.
+LEVELS = pytest.mark.parametrize(
+    "level",
+    range(len(regionops.SIMD_LEVELS) - 1, -1, -1),
+    ids=lambda level: regionops.SIMD_LEVELS[level],
+)
+
+#: Shapes around the register block (4 and 8 rows, 64-byte lanes,
+#: 4-lane column blocks): ragged m, and k below, at and past every
+#: vector boundary.
+level_shapes = st.tuples(
+    st.integers(min_value=0, max_value=21),
+    st.integers(min_value=1, max_value=20),
+    st.sampled_from((1, 5, 31, 63, 64, 65, 127, 128, 200, 255, 256, 257, 300)),
+)
+
+
+class TestEverySimdLevel:
+    """Each dispatch level the host has, byte-identical to the oracle."""
+
+    @LEVELS
+    @settings(max_examples=40, deadline=None)
+    @given(level_shapes, seeds, st.sampled_from(("dense", "sparse", "identity")))
+    def test_matmul_matches_table(self, level, shape, seed, rows):
+        m, n, k = shape
+        a, b = random_operands(m, n, k, seed)
+        if rows == "sparse":
+            # All-zero rows and mostly-zero columns: whole blocks skip.
+            rng = np.random.default_rng(seed)
+            a[rng.random((m, n)) < 0.8] = 0
+            a[::3] = 0
+        elif rows == "identity":
+            # A systematic prefix: identity rows, then dense ones.
+            a[: min(m, n)] = np.eye(n, dtype=np.uint8)[: min(m, n)]
+        expected = Gf256Engine("table").matmul(a, b)
+        # A strided destination at an odd column offset, fenced by
+        # guard bytes that must survive untouched.
+        host = np.full((m + 2, k + 71), 0xEE, dtype=np.uint8)
+        out = host[1 : m + 1, 3 : 3 + k]
+        with capped_level(level) as running:
+            assert running == level
+            Gf256Engine("wide").matmul(a, b, out=out)
+        assert np.array_equal(out, expected)
+        host[1 : m + 1, 3 : 3 + k] = 0xEE
+        assert (host == 0xEE).all()
+
+    @LEVELS
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=300),
+        st.integers(min_value=1, max_value=6),
+        seeds,
+    )
+    def test_region_ops_match_tables(self, level, width, rows, seed):
+        rng = np.random.default_rng(seed)
+        host = rng.integers(0, 256, size=(rows, width + 66), dtype=np.uint8)
+        dst = host[:, 1 : 1 + width]
+        src = rng.integers(0, 256, size=width, dtype=np.uint8)
+        factors = rng.integers(0, 256, size=rows, dtype=np.uint8)
+        axpy = host.copy()
+        for i in range(rows):
+            axpy[i, 1 : 1 + width] ^= MUL_TABLE[factors[i]][src]
+        fold = src.copy()
+        for i in range(rows):
+            fold ^= MUL_TABLE[factors[i]][axpy[i, 1 : 1 + width]]
+        region = fold ^ MUL_TABLE[0x47][src]
+        engine = Gf256Engine("wide")
+        with capped_level(level):
+            engine.axpy_rows(dst, factors, src)
+            got_fold = src.copy()
+            engine.fold_rows(got_fold, dst, factors)
+            got_region = got_fold.copy()
+            engine.mul_add_region(got_region, src, 0x47)
+        assert np.array_equal(host, axpy)
+        assert np.array_equal(got_fold, fold)
+        assert np.array_equal(got_region, region)
+
+    @LEVELS
+    def test_decoder_matches_reference(self, level):
+        rng = np.random.default_rng(23)
+        segment = Segment.random(CodingParams(40, 100), rng)
+        blocks = Encoder(segment, rng).encode_blocks(44)
+        reference = ReferenceProgressiveDecoder(segment.params)
+        decoder = ProgressiveDecoder(segment.params)
+        with capped_level(level):
+            for block in blocks:
+                if decoder.is_complete:
+                    break
+                assert decoder.consume(block) == reference.consume(block)
+            recovered = decoder.recover_segment().blocks
+        assert np.array_equal(recovered, reference.recover_segment().blocks)
+        assert np.array_equal(recovered, segment.blocks)
+
+    def test_cap_only_lowers_and_restores(self):
+        with capped_level(0) as running:
+            assert running == regionops.simd_level() == 0
+        detected = regionops.simd_level()
+        above = len(regionops.SIMD_LEVELS) + 4
+        with regionops._cap_simd_level_for_tests(above) as running:
+            assert running == detected
+        assert regionops.simd_level() == detected
 
 
 class TestRegionOps:
