@@ -2,11 +2,11 @@
  *
  * Two kernel shapes share one lane multiply.
  *
- * * Region passes (`mul_add`, and on it `gf256_mul_add_region`,
- *   `gf256_axpy_rows`, `gf256_absorb`): one fused `dst ^= c * src`
- *   pass per (row, nonzero coefficient), 64 bytes at a time; a length
- *   that is not a multiple of the vector finishes with one byte-masked
- *   load and store on AVX-512.
+ * * Region passes (`mul_add`, and on it `gf256_absorb`, the library's
+ *   one Gauss-Jordan body): one fused `dst ^= c * src` pass per (row,
+ *   nonzero coefficient), 64 bytes at a time; a length that is not a
+ *   multiple of the vector finishes with one byte-masked load and
+ *   store on AVX-512.
  * * `gf256_matmul` is register-blocked on AVX-512: a block of rows x
  *   64-byte lanes lives in zmm accumulators (4 x 4 with GFNI, 8 x 1
  *   with shuffles), each source vector is loaded once per block (not
@@ -429,23 +429,6 @@ void gf256_fold_rows(uint8_t *dst, const uint8_t *rows, size_t row_stride,
 #endif
 
 int gf256_simd_level(void) { return detect(); }
-
-/* dst ^= c * src over len bytes. */
-void gf256_mul_add_region(uint8_t *dst, const uint8_t *src, size_t len,
-                          uint8_t c) {
-    if (c == 0) return;
-    mul_add(dst, src, len, c);
-}
-
-/* dst[r] ^= factors[r] * src for each of m rows (back-elimination). */
-void gf256_axpy_rows(uint8_t *dst, size_t dst_stride, const uint8_t *src,
-                     const uint8_t *factors, size_t m, size_t k) {
-    for (size_t r = 0; r < m; r++) {
-        uint8_t c = factors[r];
-        if (c) mul_add(dst + r * dst_stride, src, k, c);
-    }
-}
-
 
 /* Bytes a region pass over the first `used` columns of a 2n-byte row
  * covers: rounded up to whole 64-byte vectors (the columns past `used`

@@ -1,34 +1,37 @@
 """The GF(2^8) bulk-multiply engine.
 
 Every bulk field operation in the library (batch encode, progressive
-decode row reduction, recoding, matrix solves) funnels through one
-:class:`Gf256Engine`, which has two implementations:
+decode, recoding, and every elimination of :mod:`repro.gf256.matrix`:
+rref, rank, inversion, solve and row selection) funnels through one
+:class:`Gf256Engine`.  It has two field operations:
+
+* :meth:`Gf256Engine.matmul` — the matrix product (paper Eq. 1);
+* :meth:`Gf256Engine.absorb` — a batch of progressive Gauss–Jordan
+  intake into an ``[C | M]`` work matrix, the library's one
+  elimination body.
+
+and two implementations of both:
 
 * ``wide`` (the default) — the compiled kernel of
-  :mod:`repro.gf256.regionops`.  ``matmul`` (and ``fold_rows``, its
-  one-row case) is register-blocked: on AVX-512 a block of output rows
-  times 64-byte lanes stays in vector registers while every source row
-  is loaded once per block, so no intermediate product row and no
-  per-pass reload of the output exists.  The other region ops are one
-  fused multiply-accumulate pass per nonzero coefficient.  The lane
-  multiply is one GFNI ``vgf2p8mulb`` where the CPU has it (its
-  hard-wired polynomial 0x11B is this library's), else the nibble
-  shuffle of arXiv:1909.02871 (``c*x = T_lo[c][x & 0xF] ^
-  T_hi[c][x >> 4]`` with both 16-entry tables held in registers).  The
-  kernel picks AVX-512BW+GFNI, AVX-512BW, AVX2 or scalar code once per
-  call at runtime (:func:`repro.gf256.regionops.simd_level`); AVX2 and
-  scalar run one region pass per (row, coefficient).  When the kernel
-  does not load (no C compiler, ``REPRO_WIDE_KERNEL=0``) the engine
-  falls back to the table formulation below, so it works on every
-  host — just slower.
+  :mod:`repro.gf256.regionops`.  ``matmul`` is register-blocked: on
+  AVX-512 a block of output rows times 64-byte lanes stays in vector
+  registers while every source row is loaded once per block, so no
+  intermediate product row and no per-pass reload of the output
+  exists.  ``absorb`` runs the whole batch in one C call, one fused
+  multiply-accumulate pass per nonzero factor.  The lane multiply is
+  one GFNI ``vgf2p8mulb`` where the CPU has it (its hard-wired
+  polynomial 0x11B is this library's), else the nibble shuffle of
+  arXiv:1909.02871 (``c*x = T_lo[c][x & 0xF] ^ T_hi[c][x >> 4]`` with
+  both 16-entry tables held in registers).  The kernel picks
+  AVX-512BW+GFNI, AVX-512BW, AVX2 or scalar code once per call at
+  runtime (:func:`repro.gf256.regionops.simd_level`); AVX2 and scalar
+  run one region pass per (row, coefficient).  When the kernel does
+  not load (no C compiler, ``REPRO_WIDE_KERNEL=0``) the engine falls
+  back to the table formulation below, so it works on every host —
+  just slower.
 * ``table`` — the reference oracle: gathers from the dense 256x256
-  product table (the seed formulation).  Tests force it to
-  cross-validate the kernel.
-
-Besides ``matmul`` and the region operations, the engine has one
-composite op, :meth:`Gf256Engine.absorb`: a batch of progressive
-Gauss–Jordan intake, which the kernel runs whole in one C call and the
-table backend runs as a numpy loop (the progressive decoder's oracle).
+  product table (the seed formulation), with ``absorb`` as a numpy
+  loop.  Tests force it to cross-validate the kernel.
 
 Select one per engine (``Gf256Engine("table")``) or on the process-wide
 instance (``ENGINE.set_backend("table")``).  Unknown names raise
@@ -53,22 +56,14 @@ def _as_u8(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _as_row(array: np.ndarray) -> np.ndarray:
-    """A 1-D uint8 row the kernel may walk as ``len(array)`` bytes."""
-    _as_u8(array)
-    if array.ndim != 1 or not array.flags.c_contiguous:
-        raise FieldError("region rows must be contiguous 1-D uint8 arrays")
-    return array
-
-
 def _as_rows(array: np.ndarray) -> np.ndarray:
     """A 2-D uint8 matrix whose rows are contiguous; the row stride is free."""
     _as_u8(array)
     if array.ndim != 2:
-        raise FieldError("region matrices must be 2-D")
+        raise FieldError("matmul out must be 2-D")
     m, k = array.shape
     if m and k > 1 and array.strides[1] != 1:
-        raise FieldError("region matrices must have contiguous rows")
+        raise FieldError("matmul out must have contiguous rows")
     return array
 
 
@@ -162,79 +157,6 @@ class Gf256Engine:
                 out[nonzero] ^= MUL_TABLE[column[nonzero]][:, b[i]]
         return out
 
-    # -- region operations -------------------------------------------------
-
-    def mul_add_region(
-        self, dst: np.ndarray, src: np.ndarray, coefficient: int
-    ) -> None:
-        """``dst ^= coefficient * src`` in place, one fused pass.
-
-        The primitive every row operation is built from.  ``dst`` and
-        ``src`` are 1-D contiguous uint8 rows of equal length.
-        """
-        _as_row(dst)
-        _as_row(src)
-        if dst.shape != src.shape:
-            raise FieldError("mul_add_region requires equal-length rows")
-        coefficient = int(coefficient)
-        if coefficient == 0 or dst.shape[0] == 0:
-            return
-        if self._kernel():
-            regionops.mul_add_region(dst, src, coefficient)
-        else:
-            dst ^= MUL_TABLE[coefficient][src]
-
-    def axpy_rows(
-        self, dst: np.ndarray, factors: np.ndarray, src: np.ndarray
-    ) -> None:
-        """``dst[r] ^= factors[r] * src`` for every row, in place.
-
-        The back-elimination region op: one pass per nonzero factor,
-        accumulating straight into the stored rows.  ``dst`` is (m, k)
-        with contiguous rows, ``factors`` is (m,), ``src`` is (k,);
-        zero factors are skipped.
-        """
-        _as_rows(dst)
-        _as_u8(factors)
-        _as_u8(src)
-        if dst.shape != (factors.shape[0], src.shape[0]):
-            raise FieldError("axpy_rows requires dst of shape (m, k)")
-        if dst.shape[0] == 0 or dst.shape[1] == 0:
-            return
-        if self._kernel():
-            regionops.axpy_rows(
-                dst, np.ascontiguousarray(factors), np.ascontiguousarray(src)
-            )
-            return
-        live = np.nonzero(factors)[0]
-        if live.size:
-            dst[live] ^= MUL_TABLE[factors[live]][:, src]
-
-    def fold_rows(
-        self, dst: np.ndarray, rows: np.ndarray, factors: np.ndarray
-    ) -> None:
-        """``dst ^= XOR_i factors[i] * rows[i]`` in place.
-
-        The forward-reduction region op: the incoming row accumulates
-        every live pivot's contribution.  ``rows`` is (m, k) with
-        contiguous rows, ``factors`` is (m,), ``dst`` is (k,); zero
-        factors are skipped.
-        """
-        _as_row(dst)
-        _as_rows(rows)
-        _as_u8(factors)
-        if rows.shape != (factors.shape[0], dst.shape[0]):
-            raise FieldError("fold_rows requires rows of shape (m, k)")
-        if rows.shape[0] == 0 or dst.shape[0] == 0:
-            return
-        if self._kernel():
-            regionops.fold_rows(dst, rows, np.ascontiguousarray(factors))
-            return
-        live = np.nonzero(factors)[0]
-        if live.size:
-            products = MUL_TABLE[factors[live][:, None], rows[live]]
-            dst ^= np.bitwise_xor.reduce(products, axis=0)
-
     # -- progressive elimination -------------------------------------------
 
     def absorb(
@@ -303,9 +225,11 @@ class Gf256Engine:
             lead = int(row[pivot])
             if lead != 1:
                 row[:] = MUL_TABLE[INV[lead]][row]
-            later = rows[index + 1 :]
-            self.axpy_rows(later, later[:, pivot].copy(), row)
-            self.axpy_rows(work[:held], work[:held, pivot].copy(), row)
+            # Eliminate the pivot from the batch's later rows and the
+            # held rows.
+            for block in (rows[index + 1 :], work[:held]):
+                live = np.flatnonzero(block[:, pivot])
+                block[live] ^= MUL_TABLE[block[live, pivot]][:, row]
             work[held] = row
             pivot_cols[held] = pivot
             accepted.append(index)

@@ -5,11 +5,19 @@ form via Gauss–Jordan elimination (the paper's decoding workhorse, chosen
 over plain Gaussian elimination because a fully reduced system needs no
 back-substitution and linearly dependent rows surface as all-zero rows),
 matrix inversion through elimination on the aggregate ``[C | I]`` (the
-first stage of the paper's multi-segment decoder), rank, and solving
-``C b = x`` for the source blocks.
+first stage of the paper's multi-segment decoder), rank, earliest-first
+selection of independent rows, and solving ``C b = x`` for the source
+blocks.
 
-All functions take/return ``uint8`` numpy arrays and never modify their
-inputs unless documented otherwise.
+Every elimination here is one call of the engine's progressive
+Gauss–Jordan op, :meth:`~repro.gf256.engine.Gf256Engine.absorb`, on an
+``(n, 2n)`` work matrix ``[C | M]`` (``n`` = column count): it accepts
+the candidate rows earliest-first, keeps the accepted rows in RREF, and
+records in ``M`` which combination of accepted rows each one is.  The
+functions below only read that state back.
+
+All functions accept any 2-D integer array (copied as ``uint8``), return
+``uint8`` arrays and never modify their inputs.
 """
 
 from __future__ import annotations
@@ -18,7 +26,6 @@ import numpy as np
 
 from repro.errors import FieldError, SingularMatrixError
 from repro.gf256.engine import ENGINE
-from repro.gf256.tables import INV, MUL_TABLE
 from repro.gf256.vector import matmul
 
 
@@ -59,49 +66,104 @@ def random_invertible(n: int, rng: np.random.Generator) -> np.ndarray:
             return candidate
 
 
-def _eliminate(augmented: np.ndarray, pivot_cols: int) -> int:
-    """Run in-place Gauss–Jordan elimination on ``augmented``.
+def _as_matrix(matrix, name: str) -> np.ndarray:
+    rows = np.asarray(matrix, dtype=np.uint8)
+    if rows.ndim != 2:
+        raise FieldError(f"{name} requires a 2-D matrix")
+    return rows
 
-    Only the first ``pivot_cols`` columns are searched for pivots; the
-    remaining columns ride along (they hold coded payloads or an identity
-    block).  Returns the rank found.  Rows are physically swapped so pivot
-    ``i`` ends up in row ``i``, yielding RREF on the pivot block.
+
+def _absorb(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Absorb every row of the (m, n) uint8 ``rows`` into a fresh work matrix.
+
+    Returns ``(work, pivot_cols, accepted)``: ``accepted`` holds the
+    indices of the earliest-first independent rows (at most n), and row
+    ``i`` of ``work`` is ``[R_i | M_i]`` with ``R_i = M_i @
+    rows[accepted]`` in RREF, pivot ``pivot_cols[i]``.
     """
-    rows = augmented.shape[0]
-    pivot_row = 0
-    for col in range(pivot_cols):
-        if pivot_row == rows:
-            break
-        support = np.nonzero(augmented[pivot_row:, col])[0]
-        if support.size == 0:
-            continue
-        chosen = pivot_row + int(support[0])
-        if chosen != pivot_row:
-            augmented[[pivot_row, chosen]] = augmented[[chosen, pivot_row]]
-        pivot_value = int(augmented[pivot_row, col])
-        if pivot_value != 1:
-            augmented[pivot_row] = MUL_TABLE[INV[pivot_value]][augmented[pivot_row]]
-        column = augmented[:, col].copy()
-        column[pivot_row] = 0
-        targets = np.nonzero(column)[0]
-        if targets.size:
-            augmented[targets] ^= MUL_TABLE[column[targets]][:, augmented[pivot_row]]
-        pivot_row += 1
-    return pivot_row
+    n = rows.shape[1]
+    work = np.zeros((n, 2 * n), dtype=np.uint8)
+    pivot_cols = np.zeros(n, dtype=np.int64)
+    accepted = ENGINE.absorb(work, 0, rows, pivot_cols)
+    return work, pivot_cols, accepted
 
 
 def rref(matrix: np.ndarray) -> tuple[np.ndarray, int]:
-    """Return (reduced row-echelon form, rank) of a copy of ``matrix``."""
-    work = np.array(matrix, dtype=np.uint8, copy=True)
-    if work.ndim != 2:
-        raise FieldError("rref requires a 2-D matrix")
-    matrix_rank = _eliminate(work, work.shape[1])
-    return work, matrix_rank
+    """Return (reduced row-echelon form, rank) of a copy of ``matrix``.
+
+    The pivot rows come first in pivot-column order; the rest are zero.
+    """
+    rows = _as_matrix(matrix, "rref")
+    work, pivot_cols, accepted = _absorb(rows)
+    found = accepted.size
+    reduced = np.zeros(rows.shape, dtype=np.uint8)
+    order = np.argsort(pivot_cols[:found])
+    reduced[:found] = work[order, : rows.shape[1]]
+    return reduced, found
 
 
 def rank(matrix: np.ndarray) -> int:
     """Return the rank of ``matrix``."""
-    return rref(matrix)[1]
+    return _absorb(_as_matrix(matrix, "rank"))[2].size
+
+
+def independent_row_indices(
+    matrix: np.ndarray, count: int | None = None
+) -> np.ndarray:
+    """Return indices of the earliest rows forming a full-rank subset.
+
+    Greedy earliest-first selection: a row is accepted iff it is
+    independent of the rows accepted before it.  This is the two-stage
+    decoder's row selection: after a singular draw, callers add one
+    more block and re-select over the *whole* buffer, so a late
+    innovative block can rescue an early dependent prefix.
+
+    Args:
+        matrix: (rows, cols) candidate matrix.
+        count: keep only the first ``count`` selected rows (default:
+            full rank).
+
+    Returns:
+        Ascending int64 indices of the selected rows; fewer than ``count``
+        entries if the candidates never reach that rank.
+
+    Raises:
+        FieldError: for a non-2-D matrix or a negative ``count``.
+    """
+    rows = _as_matrix(matrix, "independent_row_indices")
+    if count is not None and count < 0:
+        raise FieldError(f"count must be non-negative, got {count}")
+    return _absorb(rows)[2][:count]
+
+
+def select_and_invert(candidates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Select the earliest n independent rows and invert the matrix they form.
+
+    Row selection plus the first stage of the paper's multi-segment
+    decoder (Sec. 5.2) in one elimination over the (m, n) candidates:
+    the absorb that picks the rows leaves ``M`` with ``M C = P`` for the
+    selected rows ``C`` and a permutation ``P`` (row ``i`` is the unit
+    row of pivot ``pivot_cols[i]``), so ``C^-1 = P^T M``.
+
+    Returns:
+        ``(indices, inverse)``: the ascending int64 indices of the n
+        selected rows, and the (n, n) inverse of
+        ``candidates[indices]``.
+
+    Raises:
+        SingularMatrixError: if the candidates span rank < n.
+    """
+    rows = _as_matrix(candidates, "select_and_invert")
+    work, pivot_cols, accepted = _absorb(rows)
+    n = rows.shape[1]
+    if accepted.size < n:
+        raise SingularMatrixError(
+            f"rank {accepted.size} < {n}: only {accepted.size} independent "
+            f"rows among {rows.shape[0]} candidates"
+        )
+    inverted = np.empty((n, n), dtype=np.uint8)
+    inverted[pivot_cols] = work[:, n:]
+    return accepted, inverted
 
 
 def inverse(matrix: np.ndarray) -> np.ndarray:
@@ -114,95 +176,27 @@ def inverse(matrix: np.ndarray) -> np.ndarray:
     Raises:
         SingularMatrixError: if the matrix is rank deficient.
     """
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise FieldError(f"inverse requires a square matrix, got {matrix.shape}")
-    n = matrix.shape[0]
-    augmented = np.concatenate(
-        [np.array(matrix, dtype=np.uint8, copy=True), identity(n)], axis=1
-    )
-    found = _eliminate(augmented, n)
-    if found != n:
-        raise SingularMatrixError(f"matrix has rank {found} < {n}")
-    return np.ascontiguousarray(augmented[:, n:])
+    square = _as_matrix(matrix, "inverse")
+    if square.shape[0] != square.shape[1]:
+        raise FieldError(f"inverse requires a square matrix, got {square.shape}")
+    return select_and_invert(square)[1]
 
 
 def solve(coefficients: np.ndarray, coded: np.ndarray) -> np.ndarray:
     """Solve ``C b = x`` for the source-block matrix ``b`` (paper Eq. 2).
 
-    ``coded`` is the (n, k) matrix of received coded blocks.  Equivalent to
-    ``matmul(inverse(C), x)`` but performs a single elimination on the
-    aggregate ``[C | x]``, which is the paper's single-segment decoding
-    dataflow.
+    ``coded`` is the (n, k) matrix of received coded blocks.  Runs the
+    paper's two-stage form, ``matmul(inverse(C), x)``.
     """
+    coefficients = np.asarray(coefficients, dtype=np.uint8)
+    coded = np.asarray(coded, dtype=np.uint8)
     if coefficients.shape[0] != coded.shape[0]:
         raise FieldError(
             f"row mismatch: {coefficients.shape} coefficients vs {coded.shape} coded"
         )
-    n = coefficients.shape[0]
-    if coefficients.shape[1] != n:
+    if coefficients.shape[1] != coefficients.shape[0]:
         raise FieldError("solve requires a square coefficient matrix")
-    augmented = np.concatenate(
-        [
-            np.array(coefficients, dtype=np.uint8, copy=True),
-            np.array(coded, dtype=np.uint8, copy=True),
-        ],
-        axis=1,
-    )
-    found = _eliminate(augmented, n)
-    if found != n:
-        raise SingularMatrixError(f"coefficient matrix has rank {found} < {n}")
-    return np.ascontiguousarray(augmented[:, n:])
-
-
-def independent_row_indices(
-    matrix: np.ndarray, count: int | None = None
-) -> np.ndarray:
-    """Return indices of the earliest rows forming a full-rank subset.
-
-    Greedy earliest-first selection: each candidate row is forward-reduced
-    against the basis built so far (one engine ``fold_rows`` pass over all
-    live pivots) and accepted iff it is innovative, stopping once
-    ``count`` independent rows are found.  This is the row-selection kernel behind
-    the two-stage decoder's retry path: after a singular draw, callers add
-    one more block and re-select over the *whole* buffer, so a late
-    innovative block can rescue an early dependent prefix.
-
-    Args:
-        matrix: (rows, cols) uint8 candidate matrix.
-        count: stop after this many independent rows (default: full rank).
-
-    Returns:
-        Ascending int64 indices of the selected rows; fewer than ``count``
-        entries if the candidates never reach that rank.
-    """
-    if matrix.ndim != 2:
-        raise FieldError("independent_row_indices requires a 2-D matrix")
-    rows, cols = matrix.shape
-    target = min(rows, cols) if count is None else min(count, rows, cols)
-    basis = np.zeros((target, cols), dtype=np.uint8)
-    pivot_cols = np.empty(target, dtype=np.int64)
-    chosen: list[int] = []
-    for index in range(rows):
-        held = len(chosen)
-        if held == target:
-            break
-        vector = matrix[index].copy()
-        if held:
-            ENGINE.fold_rows(vector, basis[:held], vector[pivot_cols[:held]])
-        support = np.nonzero(vector)[0]
-        if support.size == 0:
-            continue
-        pivot = int(support[0])
-        lead = int(vector[pivot])
-        if lead != 1:
-            vector = MUL_TABLE[INV[lead]][vector]
-        # Keep the basis fully reduced so the batched forward reduction
-        # above stays a single pass (pivot columns are disjoint in RREF).
-        ENGINE.axpy_rows(basis[:held], basis[:held, pivot].copy(), vector)
-        basis[held] = vector
-        pivot_cols[held] = pivot
-        chosen.append(index)
-    return np.array(chosen, dtype=np.int64)
+    return matmul(inverse(coefficients), coded)
 
 
 def is_identity(matrix: np.ndarray) -> bool:

@@ -1,10 +1,12 @@
 """Compile-on-demand loader for the wide region-op kernel.
 
 The ``wide`` engine backend's fast path is ``_regionops.c`` — a
-dependency-free C translation unit with a register-blocked matmul and
-fused multiply-accumulate region ops, whose lane multiply is GFNI or
-the nibble shuffle, picked at runtime per CPU (module docs there;
-:data:`SIMD_LEVELS`).  This module owns its whole lifecycle:
+dependency-free C translation unit with a register-blocked matmul (and
+its one-row case, ``fold_rows``) and the progressive Gauss–Jordan
+``absorb`` built on fused multiply-accumulate region passes, whose lane
+multiply is GFNI or the nibble shuffle, picked at runtime per CPU
+(module docs there; :data:`SIMD_LEVELS`).  This module owns its whole
+lifecycle:
 
 * compile the bundled source with the host's ``cc`` into a content-
   addressed shared object under a per-user cache directory (one compile
@@ -91,8 +93,6 @@ def _declare(lib: ctypes.CDLL) -> None:
     lib.gf256_simd_level.restype = ctypes.c_int
     lib.gf256_cap_simd_level.argtypes = [ctypes.c_int]
     lib.gf256_cap_simd_level.restype = None
-    lib.gf256_mul_add_region.argtypes = [void_p, void_p, size_t, ctypes.c_uint8]
-    lib.gf256_mul_add_region.restype = None
     lib.gf256_matmul.argtypes = [
         void_p,
         void_p,
@@ -103,8 +103,6 @@ def _declare(lib: ctypes.CDLL) -> None:
         size_t,
     ]
     lib.gf256_matmul.restype = None
-    lib.gf256_axpy_rows.argtypes = [void_p, size_t, void_p, void_p, size_t, size_t]
-    lib.gf256_axpy_rows.restype = None
     lib.gf256_fold_rows.argtypes = [void_p, void_p, size_t, void_p, size_t, size_t]
     lib.gf256_fold_rows.restype = None
     lib.gf256_absorb.argtypes = [
@@ -199,14 +197,6 @@ def _check_row_view(array: np.ndarray, name: str) -> int:
     return array.strides[0]
 
 
-def mul_add_region(dst: np.ndarray, src: np.ndarray, coefficient: int) -> None:
-    """``dst ^= coefficient * src`` in one fused pass (1-D contiguous)."""
-    lib = _load()
-    lib.gf256_mul_add_region(
-        dst.ctypes.data, src.ctypes.data, dst.shape[0], coefficient
-    )
-
-
 def matmul_into(out: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
     """``out[:] = a @ b`` over GF(2^8); ``out`` may have strided rows."""
     lib = _load()
@@ -214,20 +204,6 @@ def matmul_into(out: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
     m, n = a.shape
     lib.gf256_matmul(
         a.ctypes.data, b.ctypes.data, out.ctypes.data, m, n, b.shape[1], stride
-    )
-
-
-def axpy_rows(dst: np.ndarray, factors: np.ndarray, src: np.ndarray) -> None:
-    """``dst[r] ^= factors[r] * src`` per row; zero factors skipped."""
-    lib = _load()
-    stride = _check_row_view(dst, "dst")
-    lib.gf256_axpy_rows(
-        dst.ctypes.data,
-        stride,
-        src.ctypes.data,
-        factors.ctypes.data,
-        dst.shape[0],
-        dst.shape[1],
     )
 
 

@@ -57,26 +57,6 @@ def mul_scalar_loop(row: np.ndarray, coefficient: int) -> np.ndarray:
     return acc
 
 
-def mul_add_row(dest: np.ndarray, source: np.ndarray, coefficient: int) -> None:
-    """In place: ``dest ^= coefficient * source`` (the codec's row kernel)."""
-    _as_u8(dest)
-    _as_u8(source)
-    if coefficient == 0:
-        return
-    if coefficient == 1:
-        dest ^= source
-        return
-    dest ^= MUL_TABLE[coefficient][source]
-
-
-def scale_row(row: np.ndarray, coefficient: int) -> None:
-    """In place: ``row *= coefficient``."""
-    _as_u8(row)
-    if coefficient == 1:
-        return
-    row[:] = MUL_TABLE[coefficient][row]
-
-
 def mul_elementwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Element-wise product of two equally-shaped uint8 arrays."""
     _as_u8(a)

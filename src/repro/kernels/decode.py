@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigurationError, DecodingError, SingularMatrixError
-from repro.gf256 import independent_row_indices, inverse, matmul
+from repro.gf256 import matmul, select_and_invert
 from repro.gpu.spec import DeviceSpec
 from repro.kernels.base import DecodeResult
 from repro.kernels.cost_model import (
@@ -122,10 +122,15 @@ class GpuMultiSegmentDecoder:
                 raise ConfigurationError(
                     f"segment {segment_id} has {len(blocks)} blocks; needs {n}"
                 )
-            chosen = _select_independent(blocks, n, segment_id)
-            coefficients = np.stack([b.coefficients for b in chosen])
-            payloads = np.stack([b.payload for b in chosen])
-            c_inverse = inverse(coefficients)  # stage 1
+            # Row selection over every candidate, spares included, and
+            # stage 1 in one elimination on the coefficients only.
+            try:
+                chosen, c_inverse = select_and_invert(
+                    np.stack([b.coefficients for b in blocks])
+                )
+            except SingularMatrixError as exc:
+                raise SingularMatrixError(f"segment {segment_id}: {exc}") from None
+            payloads = np.stack([blocks[int(index)].payload for index in chosen])
             source = matmul(c_inverse, payloads)  # stage 2
             segments.append(Segment(blocks=source, segment_id=segment_id))
         stats, share = decode_multi_segment_stats(
@@ -153,20 +158,3 @@ class GpuMultiSegmentDecoder:
             stage2_scheme=self.stage2_scheme,
             options=self.options,
         )
-
-
-def _select_independent(blocks, n: int, segment_id: int) -> list[CodedBlock]:
-    """Pick the first n linearly independent blocks from a candidate list.
-
-    Runs the engine-backed coefficient-only row selection (no payload
-    work), so spares cost almost nothing to consider.  Raises
-    SingularMatrixError if the candidates never reach rank n.
-    """
-    candidates = np.stack([block.coefficients for block in blocks])
-    selected = independent_row_indices(candidates, n)
-    if selected.size < n:
-        raise SingularMatrixError(
-            f"segment {segment_id}: only {selected.size} independent blocks "
-            f"among {len(blocks)} candidates"
-        )
-    return [blocks[int(index)] for index in selected]

@@ -37,10 +37,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import DecodingError, SingularMatrixError
+from repro.errors import DecodingError
 from repro.obs import obs_counter, obs_gauge
 from repro.obs.trace import trace
-from repro.gf256 import independent_row_indices, inverse, matmul
+from repro.gf256 import matmul, select_and_invert
 from repro.gf256.engine import ENGINE
 from repro.rlnc.block import BlockBatch, CodedBlock, CodingParams, Segment
 
@@ -520,20 +520,13 @@ class TwoStageDecoder:
             return self._decode_stages(n, original_length)
 
     def _decode_stages(self, n: int, original_length: int | None) -> Segment:
-        selected = independent_row_indices(self._coefficients[: self._count], n)
-        if selected.size < n:
-            raise SingularMatrixError(
-                f"buffered blocks span rank {selected.size} < {n}"
-            )
-        if selected[-1] == n - 1:
-            # Common case: the first n rows already form a full-rank set;
-            # use the contiguous views and skip the fancy-index copies.
-            coefficients = self._coefficients[:n]
-            payloads = self._payloads[:n]
-        else:
-            coefficients = self._coefficients[selected]
-            payloads = self._payloads[selected]
-        c_inverse = inverse(coefficients)  # stage 1
+        # Row selection and stage 1 in one elimination.
+        selected, c_inverse = select_and_invert(self._coefficients[: self._count])
+        # Common case: the first n rows already form a full-rank set; use
+        # the contiguous view and skip the fancy-index copy.
+        payloads = (
+            self._payloads[:n] if selected[-1] == n - 1 else self._payloads[selected]
+        )
         blocks = matmul(c_inverse, payloads)  # stage 2
         return Segment(
             blocks=blocks,

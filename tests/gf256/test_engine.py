@@ -27,12 +27,6 @@ def scalar_reference_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def scalar_reference_row(row: np.ndarray, coefficient: int) -> np.ndarray:
-    return np.array(
-        [gf_mul_loop(coefficient, int(x)) for x in row], dtype=np.uint8
-    )
-
-
 class TestBackendEquivalence:
     SHAPES = [
         (1, 1, 1),
@@ -80,33 +74,6 @@ class TestBackendEquivalence:
         )
 
 
-class TestRowPrimitives:
-    def test_table_fold_rows_matches_scalar_reference(self):
-        rng = np.random.default_rng(15)
-        rows = rng.integers(0, 256, size=(9, 70), dtype=np.uint8)
-        factors = rng.integers(0, 256, size=9, dtype=np.uint8)
-        factors[3] = 0
-        dst = rng.integers(0, 256, size=70, dtype=np.uint8)
-        expected = dst.copy()
-        for i in range(9):
-            expected ^= scalar_reference_row(rows[i], int(factors[i]))
-        Gf256Engine("table").fold_rows(dst, rows, factors)
-        assert np.array_equal(dst, expected)
-
-    def test_table_axpy_rows_matches_scalar_reference(self):
-        rng = np.random.default_rng(16)
-        for count, width in ((5, 40), (64, 128)):
-            factors = rng.integers(0, 256, size=count, dtype=np.uint8)
-            factors[0] = 0
-            src = rng.integers(0, 256, size=width, dtype=np.uint8)
-            dst = rng.integers(0, 256, size=(count, width), dtype=np.uint8)
-            expected = dst.copy()
-            for i in range(count):
-                expected[i] ^= scalar_reference_row(src, int(factors[i]))
-            Gf256Engine("table").axpy_rows(dst, factors, src)
-            assert np.array_equal(dst, expected)
-
-
 class TestBackendSelection:
     def test_catalog_is_wide_then_table(self):
         assert BACKENDS == ("wide", "table")
@@ -144,38 +111,41 @@ class TestInputValidation:
                 np.zeros((2, 2), dtype=np.uint8),
             )
         with pytest.raises(FieldError):
-            ENGINE.mul_add_region(
-                np.zeros(4, dtype=np.uint8), np.zeros(4, dtype=np.uint16), 3
+            ENGINE.absorb(
+                np.zeros((4, 8), dtype=np.uint8),
+                0,
+                np.zeros((2, 4), dtype=np.uint16),
+                np.zeros(4, dtype=np.int64),
             )
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_rejects_strided_region_rows(self, backend):
-        # The kernel walks a row as len(row) consecutive bytes, so a
-        # strided view would have it write outside the view; both
-        # backends refuse the same inputs.
+        # The kernel walks a matmul output row as k consecutive bytes and
+        # absorb's work matrix as n rows of 2n, so a strided view would
+        # have it write outside the view; both backends refuse the same
+        # inputs.
         engine = Gf256Engine(backend)
-        host = np.zeros(16, dtype=np.uint8)
-        src = np.ones(8, dtype=np.uint8)
         matrix = np.zeros((2, 16), dtype=np.uint8)
-        with pytest.raises(FieldError):
-            engine.axpy_rows(matrix[:, ::2], np.ones(2, dtype=np.uint8), src)
-        with pytest.raises(FieldError):
-            engine.fold_rows(src.copy(), matrix[:, ::2], np.ones(2, np.uint8))
         with pytest.raises(FieldError):
             engine.matmul(
                 np.ones((2, 2), np.uint8),
                 np.ones((2, 8), np.uint8),
                 out=matrix[:, ::2],
             )
-        assert not matrix.any()
+        host = np.zeros((4, 16), dtype=np.uint8)
         with pytest.raises(FieldError):
-            engine.mul_add_region(host[::2], src, 3)
-        with pytest.raises(FieldError):
-            engine.mul_add_region(src.copy(), host[::2], 3)
-        with pytest.raises(FieldError):
-            engine.fold_rows(
-                host[::2],
-                np.ones((2, 8), dtype=np.uint8),
-                np.ones(2, dtype=np.uint8),
+            engine.absorb(
+                host[:, :8],
+                0,
+                np.ones((2, 4), dtype=np.uint8),
+                np.zeros(4, dtype=np.int64),
             )
+        with pytest.raises(FieldError):
+            engine.absorb(
+                host[:, ::2],
+                0,
+                np.ones((2, 4), dtype=np.uint8),
+                np.zeros(4, dtype=np.int64),
+            )
+        assert not matrix.any()
         assert not host.any()

@@ -44,30 +44,6 @@ class TestScalarRowOps:
         with pytest.raises(FieldError):
             vector.mul_scalar_table(np.zeros(4, dtype=np.int32), 3)
 
-    @given(u8_rows)
-    def test_mul_add_row_zero_coefficient_is_noop(self, row):
-        dest = row.copy()
-        vector.mul_add_row(dest, row, 0)
-        assert np.array_equal(dest, row)
-
-    @given(u8_rows)
-    def test_mul_add_row_one_is_xor(self, row):
-        dest = np.zeros_like(row)
-        vector.mul_add_row(dest, row, 1)
-        assert np.array_equal(dest, row)
-
-    @given(u8_rows, coefficients)
-    def test_mul_add_row_general(self, row, c):
-        dest = np.zeros_like(row)
-        vector.mul_add_row(dest, row, c)
-        assert np.array_equal(dest, vector.mul_scalar_table(row, c))
-
-    @given(u8_rows, st.integers(min_value=1, max_value=255))
-    def test_scale_row_in_place(self, row, c):
-        work = row.copy()
-        vector.scale_row(work, c)
-        assert np.array_equal(work, vector.mul_scalar_table(row, c))
-
 
 class TestElementwise:
     def test_shape_mismatch_raises(self):

@@ -91,3 +91,23 @@ def test_recoder_emit_uses_region_ops():
     recoder_text = (SRC_ROOT / "rlnc" / "recoder.py").read_text()
     assert recoder_text.count("ENGINE.matmul(") == 2
     assert "ENGINE.fold_rows" not in recoder_text
+
+
+def test_matrix_algebra_is_one_absorb():
+    # rref, rank, inverse, solve and row selection read one elimination:
+    # the engine's absorb op.  matrix.py keeps no Gauss–Jordan body and
+    # no table gather of its own.
+    matrix_text = (SRC_ROOT / "gf256" / "matrix.py").read_text()
+    assert matrix_text.count("ENGINE.absorb(") == 1
+    assert "MUL_TABLE" not in matrix_text
+    assert "INV" not in matrix_text
+
+
+def test_two_stage_decoders_select_and_invert_in_one_call():
+    # Row selection and stage 1 (the inverse) are one absorb per
+    # segment, through the matrix layer's one helper.
+    for module in ("rlnc/decoder.py", "kernels/decode.py"):
+        text = (SRC_ROOT / module).read_text()
+        assert "independent_row_indices(" not in text, module
+        assert "inverse(" not in text, module
+        assert text.count("select_and_invert(") == 1, module
