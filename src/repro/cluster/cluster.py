@@ -74,7 +74,7 @@ tests can drive all of the above deterministically.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from repro.cluster.ring import DEFAULT_VNODES, HashRing
 from repro.cluster.router import ClusterRouter
@@ -90,6 +90,7 @@ from repro.faults import ChaosPlan
 from repro.gpu.spec import DeviceSpec
 from repro.kernels.cost_model import EncodeScheme
 from repro.obs.registry import get_registry, merge_snapshots
+from repro.obs.stats import CumulativeStats
 from repro.rlnc.block import Segment
 from repro.rlnc.wire import MAX_WORKER_ID, VERSION
 from repro.streaming.server import check_round_format
@@ -97,7 +98,7 @@ from repro.streaming.session import MediaProfile, PeerSession
 
 
 @dataclass
-class ClusterStats:
+class ClusterStats(CumulativeStats):
     """Aggregate accounting for one cluster lifetime.
 
     Follows the explicit cumulative contract shared by
@@ -133,31 +134,6 @@ class ClusterStats:
         if self.gpu_parallel_seconds == 0.0:
             return 1.0
         return self.gpu_serial_seconds / self.gpu_parallel_seconds
-
-    def snapshot(self) -> "ClusterStats":
-        """An independent copy of the current totals."""
-        return ClusterStats(
-            **{f.name: getattr(self, f.name) for f in fields(self)}
-        )
-
-    def delta(self, since: "ClusterStats") -> "ClusterStats":
-        """Counts accumulated after ``since`` (an earlier snapshot)."""
-        return ClusterStats(
-            **{
-                f.name: getattr(self, f.name) - getattr(since, f.name)
-                for f in fields(self)
-            }
-        )
-
-    def reset(self) -> "ClusterStats":
-        """Zero the counters; returns a snapshot of the values cleared."""
-        cleared = self.snapshot()
-        for f in fields(self):
-            setattr(self, f.name, f.default)
-        return cleared
-
-    def as_dict(self) -> dict[str, float]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 class ClusterPeerView:

@@ -52,7 +52,7 @@ accounting: scheduled faults in, detections and recoveries out.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from repro.errors import (
     ConfigurationError,
@@ -60,6 +60,7 @@ from repro.errors import (
     WorkerTimeoutError,
 )
 from repro.obs.registry import get_registry
+from repro.obs.stats import CumulativeStats
 
 
 @dataclass(frozen=True)
@@ -125,7 +126,7 @@ class SupervisorConfig:
 
 
 @dataclass
-class SupervisorStats:
+class SupervisorStats(CumulativeStats):
     """Cumulative supervision accounting for one cluster lifetime.
 
     Follows the explicit cumulative contract shared by
@@ -168,24 +169,6 @@ class SupervisorStats:
         if not self.recoveries:
             return 0.0
         return self.recovery_rounds_total / self.recoveries
-
-    def snapshot(self) -> "SupervisorStats":
-        """An independent copy of the current totals."""
-        return SupervisorStats(
-            **{f.name: getattr(self, f.name) for f in fields(self)}
-        )
-
-    def delta(self, since: "SupervisorStats") -> "SupervisorStats":
-        """Counts accumulated after ``since`` (an earlier snapshot)."""
-        return SupervisorStats(
-            **{
-                f.name: getattr(self, f.name) - getattr(since, f.name)
-                for f in fields(self)
-            }
-        )
-
-    def as_dict(self) -> dict[str, float]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 class _WorkerState:

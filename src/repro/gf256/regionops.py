@@ -192,8 +192,9 @@ def _check_row_view(array: np.ndarray, name: str) -> int:
     """Validate a 2-D uint8 view with contiguous rows; return row stride."""
     if array.dtype != np.uint8 or array.ndim != 2:
         raise ValueError(f"{name} must be a 2-D uint8 array")
-    if array.shape[1] > 1 and array.strides[1] != 1:
-        raise ValueError(f"{name} rows must be contiguous")
+    # numpy gives an empty (0, k) array strides (0, 0): no rows to check.
+    if array.shape[0] and array.shape[1] > 1 and array.strides[1] != 1:
+        raise ValueError(f"{name} must have contiguous rows")
     return array.strides[0]
 
 

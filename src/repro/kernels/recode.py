@@ -14,12 +14,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.gf256 import matmul
-from repro.gf256.matrix import random_matrix
 from repro.gpu.spec import DeviceSpec
 from repro.gpu.timing import KernelStats
 from repro.kernels.cost_model import EncodeScheme, encode_stats
 from repro.rlnc.block import CodedBlock, CodingParams
+from repro.rlnc.recoder import Recoder
 
 
 def recode_stats(
@@ -52,8 +51,10 @@ def recode_stats(
 class GpuRecoder:
     """A relay's recoding engine on the simulated GPU.
 
-    Buffers received blocks; :meth:`recode` emits fresh combinations and
-    returns the modelled kernel stats alongside them.
+    Keeps the innovative blocks received in a
+    :class:`~repro.rlnc.recoder.Recoder` (dependent ones are dropped);
+    :meth:`recode` emits fresh combinations through it and returns the
+    modelled kernel stats alongside them.
     """
 
     def __init__(
@@ -68,34 +69,29 @@ class GpuRecoder:
         self.params = params
         self.scheme = scheme
         self.segment_id = segment_id
-        self._coefficients: list[np.ndarray] = []
-        self._payloads: list[np.ndarray] = []
+        self._recoder = Recoder(params, segment_id)
 
     @property
     def buffered(self) -> int:
-        return len(self._payloads)
+        """Independent blocks held (the buffer depth m)."""
+        return self._recoder.buffered
 
-    def add(self, block: CodedBlock) -> None:
-        """Buffer a received coded block."""
+    def add(self, block: CodedBlock) -> int:
+        """Keep a received coded block if it is innovative; returns 0 or 1."""
         n, k = self.params.num_blocks, self.params.block_size
         if block.num_blocks != n or block.block_size != k:
             raise ConfigurationError("block geometry does not match recoder")
-        self._coefficients.append(block.coefficients.copy())
-        self._payloads.append(block.payload.copy())
+        return self._recoder.add(block)
 
     def recode(
         self, outputs: int, rng: np.random.Generator
     ) -> tuple[list[CodedBlock], KernelStats]:
         """Emit ``outputs`` recoded blocks plus the modelled kernel cost."""
-        if not self._payloads:
+        if not self.buffered:
             raise ConfigurationError("cannot recode an empty buffer")
         if outputs < 1:
             raise ConfigurationError("must produce at least one output")
-        mix = random_matrix(outputs, self.buffered, rng)
-        coefficient_matrix = np.stack(self._coefficients)
-        payload_matrix = np.stack(self._payloads)
-        new_coefficients = matmul(mix, coefficient_matrix)
-        new_payloads = matmul(mix, payload_matrix)
+        blocks = self._recoder.recode_batch(outputs, rng)
         stats = recode_stats(
             self.spec,
             self.scheme,
@@ -104,19 +100,11 @@ class GpuRecoder:
             buffered=self.buffered,
             outputs=outputs,
         )
-        blocks = [
-            CodedBlock(
-                coefficients=new_coefficients[i],
-                payload=new_payloads[i],
-                segment_id=self.segment_id,
-            )
-            for i in range(outputs)
-        ]
         return blocks, stats
 
     def relay_bandwidth(self, outputs_per_buffer: int | None = None) -> float:
         """Recoded bytes/second the relay sustains at the current depth."""
-        if not self._payloads:
+        if not self.buffered:
             raise ConfigurationError("buffer is empty")
         outputs = (
             outputs_per_buffer

@@ -1,11 +1,14 @@
 """Recoder-equipped relay nodes behind the unified serving protocol.
 
 The defining move of network coding inside a distribution tree: an
-interior node need not *decode* to serve — it buffers whatever coded
-blocks reach it and emits fresh random combinations downstream
-(:meth:`~repro.rlnc.recoder.Recoder.recode_matrix`, one pair of engine
-matmuls per serving round).  "RLNC on Programmable Switches" puts this
-recoding in the network fabric; here it lives behind the *same*
+interior node need not finish decoding to serve — it keeps the
+innovative coded blocks that reach it and emits fresh random
+combinations downstream (:meth:`~repro.rlnc.recoder.Recoder.recode_matrix`,
+one pair of engine matmuls per serving round).  Its rows live in the
+recoder's :class:`~repro.rlnc.decoder.ProgressiveDecoder`, so a
+dependent block is dropped on arrival and what the relay holds is its
+rank.  "RLNC on Programmable Switches" puts this recoding in the
+network fabric; here it lives behind the *same*
 :class:`~repro.serving.ServingEndpoint` protocol as a
 :class:`~repro.streaming.server.StreamingServer` and a
 :class:`~repro.cluster.ServingCluster` — ``publish`` / ``connect`` /
@@ -19,12 +22,13 @@ be an interior node of a multicast tree.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import CapacityError, ConfigurationError, RetryLater
 from repro.obs.registry import get_registry
+from repro.obs.stats import CumulativeStats
 from repro.obs.trace import trace
 from repro.rlnc.block import BlockBatch, Segment
 from repro.rlnc.recoder import Recoder
@@ -33,11 +37,11 @@ from repro.rlnc.wire import VERSION
 from repro.rlnc.wire import pack_blocks  # noqa: F401
 from repro.streaming.scheduler import BlockRequest, ServeRoundScheduler
 from repro.streaming.server import EagerRounds, check_round_format
-from repro.streaming.session import MediaProfile, PeerSession
+from repro.streaming.session import MediaProfile
 
 
 @dataclass
-class RelayStats:
+class RelayStats(CumulativeStats):
     """Aggregate accounting for one relay lifetime.
 
     The same explicit cumulative ``snapshot()/delta()/reset()`` contract
@@ -53,31 +57,6 @@ class RelayStats:
     bytes_served: int = 0
     rounds_served: int = 0
     sessions_evicted: int = 0
-
-    def snapshot(self) -> "RelayStats":
-        """An independent copy of the current totals."""
-        return RelayStats(
-            **{f.name: getattr(self, f.name) for f in fields(self)}
-        )
-
-    def delta(self, since: "RelayStats") -> "RelayStats":
-        """Counts accumulated after ``since`` (an earlier snapshot)."""
-        return RelayStats(
-            **{
-                f.name: getattr(self, f.name) - getattr(since, f.name)
-                for f in fields(self)
-            }
-        )
-
-    def reset(self) -> "RelayStats":
-        """Zero the counters; returns a snapshot of the values cleared."""
-        cleared = self.snapshot()
-        for f in fields(self):
-            setattr(self, f.name, f.default)
-        return cleared
-
-    def as_dict(self) -> dict[str, float]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 class RelayNode(EagerRounds):
@@ -109,9 +88,6 @@ class RelayNode(EagerRounds):
         self.worker_id = worker_id
         self._rng = rng if rng is not None else np.random.default_rng()
         self._recoders: dict[int, Recoder] = {}
-        self._sessions: dict[int, PeerSession] = {}
-        self._disconnected: set[int] = set()
-        self._queue: deque[BlockRequest] = deque()
         self._round_scheduler = ServeRoundScheduler(
             per_peer_quota=per_peer_round_quota
         )
@@ -129,42 +105,44 @@ class RelayNode(EagerRounds):
         """Make a segment servable by seeding the recoder with originals.
 
         A relay holding the source data *is* a valid tree root: the n
-        original blocks enter the buffer with identity coefficient rows,
-        so every recoded emission is a uniformly random combination of
-        the full segment — indistinguishable downstream from an origin
-        server's encode.
+        original blocks enter the recoder with identity coefficient
+        rows, so every recoded emission is a uniformly random
+        combination of the full segment — indistinguishable downstream
+        from an origin server's encode.
         """
         if segment.params != self.profile.params:
             raise ConfigurationError(
                 f"segment geometry {segment.params} does not match profile "
                 f"{self.profile.params}"
             )
-        recoder = self._recoder_for(segment.segment_id)
         n = self.profile.params.num_blocks
-        recoder.add_batch(
-            np.eye(n, dtype=np.uint8), np.ascontiguousarray(segment.blocks)
+        self._keep(
+            segment.segment_id,
+            np.eye(n, dtype=np.uint8),
+            np.ascontiguousarray(segment.blocks),
         )
         self.stats.segments_published += 1
-        self.stats.blocks_ingested += n
-        self._m_ingested.inc(n)
 
     def ingest(self, batch: BlockBatch) -> int:
-        """Buffer upstream coded blocks for recombination; returns count.
+        """Keep the innovative upstream coded blocks; returns rows kept.
 
         The relay's receive path: whatever an uplink unpacked from its
-        parent's frames lands here (no decode, no rank bookkeeping — the
-        random-mix guarantee makes every buffered block useful).
+        parent's frames goes through the segment's recoder, whose
+        progressive decoder drops dependent rows (and every row once it
+        holds full rank), so :meth:`held` is the rank the relay can pass
+        on.
         """
-        recoder = self._recoder_for(batch.segment_id)
-        count = len(batch)
-        if count:
-            recoder.add_batch(batch)
-            self.stats.blocks_ingested += count
-            self._m_ingested.inc(count)
-        return count
+        return self._keep(batch.segment_id, batch)
+
+    def _keep(self, segment_id: int, coefficients, payloads=None) -> int:
+        """Offer rows to the segment's recoder; count and return the kept."""
+        kept = self._recoder_for(segment_id).add_batch(coefficients, payloads)
+        self.stats.blocks_ingested += kept
+        self._m_ingested.inc(kept)
+        return kept
 
     def held(self, segment_id: int) -> int:
-        """Coded blocks buffered for a segment (0 when unknown)."""
+        """Rank held for a segment: its independent rows (0 when unknown)."""
         recoder = self._recoders.get(segment_id)
         return 0 if recoder is None else recoder.buffered
 
@@ -176,47 +154,6 @@ class RelayNode(EagerRounds):
         return recoder
 
     # -- downstream (ServingEndpoint) side ----------------------------------
-
-    def connect(self, peer_id: int) -> PeerSession:
-        """Register a downstream peer (idempotent)."""
-        if peer_id not in self._sessions:
-            self._sessions[peer_id] = PeerSession(peer_id, self.profile)
-            self._disconnected.discard(peer_id)
-        return self._sessions[peer_id]
-
-    def disconnect(self, peer_id: int) -> None:
-        """Evict a downstream peer and drop its queued requests."""
-        if self._sessions.pop(peer_id, None) is None:
-            raise ConfigurationError(f"peer {peer_id} is not connected")
-        self._disconnected.add(peer_id)
-        if self._queue:
-            self._queue = deque(
-                request
-                for request in self._queue
-                if request.peer_id != peer_id
-            )
-        self.stats.sessions_evicted += 1
-
-    @property
-    def pending_requests(self) -> int:
-        """Queued block requests awaiting the next serving round."""
-        return len(self._queue)
-
-    @property
-    def pending_blocks(self) -> int:
-        """Total coded blocks the queue is waiting on."""
-        return sum(request.num_blocks for request in self._queue)
-
-    def session_counters(self) -> dict[int, tuple[int, int, int]]:
-        """Per-peer ``(requested, received, pending)`` block counters."""
-        return {
-            peer_id: (
-                session.blocks_requested,
-                session.blocks_received,
-                session.blocks_pending,
-            )
-            for peer_id, session in self._sessions.items()
-        }
 
     def request_blocks(
         self, peer_id: int, segment_id: int, num_blocks: int
@@ -232,14 +169,7 @@ class RelayNode(EagerRounds):
                 was evicted.
             ConfigurationError: unknown peers or non-positive counts.
         """
-        if peer_id not in self._sessions:
-            if peer_id in self._disconnected:
-                raise CapacityError(
-                    f"peer {peer_id} session was evicted; reconnect first"
-                )
-            raise ConfigurationError(f"peer {peer_id} is not connected")
-        if num_blocks < 1:
-            raise ConfigurationError("must request at least one block")
+        self._check_request(peer_id, num_blocks)
         if self.held(segment_id) == 0:
             raise CapacityError(
                 f"relay {self.name!r} holds no blocks of segment "

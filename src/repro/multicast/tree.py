@@ -11,8 +11,8 @@ and the leaves are ordinary NACK-driven
 :class:`~repro.streaming.client.ClientSession` transports that cannot
 tell a relay from an origin server.
 
-Because relays recode — fresh random combinations of whatever they
-buffered, never store-and-forward of specific blocks — loss on any hop
+Because relays recode — fresh random combinations of the independent
+rows they hold, never store-and-forward of specific blocks — loss on any hop
 is repaired locally by that hop's NACK loop, and rank is preserved end
 to end: the classic RLNC multicast argument, here with every hop's
 frames passing through the real wire format and fault injection.
@@ -51,10 +51,12 @@ from repro.streaming.session import MediaProfile
 class RelayUplink:
     """The client half of a relay: pulls coded blocks from its parent.
 
-    Keeps the relay's buffer topped up to ``num_blocks`` coded blocks of
-    the segment in flight — enough held randomness for its recoded
-    emissions to span the full segment — re-requesting (NACK) whatever
-    injected loss or corruption swallowed.  Frames unpack *leniently*:
+    Tops the relay up to full rank: each round it asks for ``num_blocks``
+    less the rank the relay holds (:meth:`RelayNode.held`) and the
+    blocks still pending, so its recoded emissions come to span the
+    full segment.  That re-requests (NACKs) whatever injected loss or
+    corruption swallowed, and replaces a dependent row, which the
+    relay's recoder drops on arrival.  Frames unpack *leniently*:
     damaged ones are dropped and counted in :attr:`wire`, never
     ingested.
 
@@ -95,7 +97,7 @@ class RelayUplink:
         )
 
     def pre_round(self, segment_id: int) -> None:
-        """Ask the parent for whatever the relay's buffer still misses."""
+        """Ask the parent for the rank the relay still misses."""
         missing = self._target - self.relay.held(segment_id)
         if missing <= 0:
             return
@@ -263,8 +265,8 @@ class MulticastTree:
         the root (one root serve round feeds all relays' asks at once —
         the root coalesces them like any other peers), then each relay
         serves its cohort a recoded round.  Leaves join as soon as
-        their relay holds *anything* — recoded blocks of a partial
-        buffer still carry rank — and their NACK loops repair any
+        their relay holds *anything* — recoded blocks of a relay below
+        full rank still carry rank — and their NACK loops repair any
         losses hop-locally.
 
         Raises:

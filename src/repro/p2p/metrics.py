@@ -10,17 +10,18 @@ speedup with its spread.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.obs.stats import CumulativeStats
 from repro.p2p.simulator import P2PSimulator, SimulationResult, Strategy
 from repro.rlnc.block import CodingParams, Segment
 
 
 @dataclass
-class DistributionStats:
+class DistributionStats(CumulativeStats):
     """Cumulative accounting across p2p simulation runs.
 
     The p2p side's adoption of the explicit cumulative
@@ -58,31 +59,6 @@ class DistributionStats:
         if self.blocks_received == 0:
             return 0.0
         return self.innovative_received / self.blocks_received
-
-    def snapshot(self) -> "DistributionStats":
-        """An independent copy of the current totals."""
-        return DistributionStats(
-            **{f.name: getattr(self, f.name) for f in fields(self)}
-        )
-
-    def delta(self, since: "DistributionStats") -> "DistributionStats":
-        """Counts accumulated after ``since`` (an earlier snapshot)."""
-        return DistributionStats(
-            **{
-                f.name: getattr(self, f.name) - getattr(since, f.name)
-                for f in fields(self)
-            }
-        )
-
-    def reset(self) -> "DistributionStats":
-        """Zero the counters; returns a snapshot of the values cleared."""
-        cleared = self.snapshot()
-        for f in fields(self):
-            setattr(self, f.name, f.default)
-        return cleared
-
-    def as_dict(self) -> dict[str, float]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)

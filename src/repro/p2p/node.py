@@ -18,13 +18,16 @@ from __future__ import annotations
 import numpy as np
 
 from repro.rlnc.block import CodedBlock, CodingParams, Segment
-from repro.rlnc.decoder import ProgressiveDecoder
 from repro.rlnc.encoder import Encoder
 from repro.rlnc.recoder import Recoder
 
 
 class CodingNode:
-    """A peer that decodes progressively and recodes everything it holds."""
+    """A peer that decodes progressively and recodes everything it holds.
+
+    Its rows live in one :class:`~repro.rlnc.recoder.Recoder`, whose
+    progressive decoder gives the node's rank and recovered segment.
+    """
 
     def __init__(
         self,
@@ -37,7 +40,6 @@ class CodingNode:
         self.name = name
         self.params = params
         self._rng = rng
-        self._decoder = ProgressiveDecoder(params)
         self._recoder = Recoder(params)
         self._source_encoder = (
             Encoder(segment, rng) if segment is not None else None
@@ -52,23 +54,20 @@ class CodingNode:
     @property
     def rank(self) -> int:
         n = self.params.num_blocks
-        return n if self.is_source else self._decoder.rank
+        return n if self.is_source else self._recoder.buffered
 
     @property
     def is_complete(self) -> bool:
-        return self.is_source or self._decoder.is_complete
+        return self.is_source or self._recoder.decoder.is_complete
 
     def receive(self, block: CodedBlock) -> bool:
         """Absorb one block; returns True if it raised the node's rank."""
         if self.is_source:
             return False
         self.received += 1
-        was_innovative = (
-            not self._decoder.is_complete and self._decoder.consume(block)
-        )
+        was_innovative = self._recoder.add(block) == 1
         if was_innovative:
             self.innovative += 1
-            self._recoder.add(block)
         return was_innovative
 
     def emit(self) -> CodedBlock | None:
@@ -80,7 +79,7 @@ class CodingNode:
         return self._recoder.recode(self._rng)
 
     def recover(self) -> Segment:
-        return self._decoder.recover_segment()
+        return self._recoder.decoder.recover_segment()
 
 
 class ForwardingNode:

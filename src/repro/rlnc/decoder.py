@@ -392,6 +392,20 @@ class ProgressiveDecoder:
         self._materialize()
         return self._rows, dict(self._pivot_to_row)
 
+    def accepted_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The accepted raw ``(coefficients, payloads)`` in arrival order.
+
+        Read-only ``(rank, n)`` and ``(rank, k)`` views of the rows that
+        raised the rank, exactly as they arrived: the rows a
+        :class:`~repro.rlnc.recoder.Recoder` mixes.  They are views, so
+        a later intake or quarantine changes what they show.
+        """
+        held = self.rank
+        views = self._raw_coefficients[:held], self._raw_payloads[:held]
+        for view in views:
+            view.flags.writeable = False
+        return views
+
     def missing_pivots(self) -> list[int]:
         """Source-block indices not yet resolvable (no pivot held)."""
         n = self._params.num_blocks

@@ -88,6 +88,7 @@ import numpy as np
 
 from repro.errors import IntegrityError, WireError
 from repro.obs.registry import Counter, get_registry
+from repro.obs.stats import CumulativeStats
 from repro.rlnc.block import BlockBatch, CodedBlock
 
 MAGIC = b"RLNC"
@@ -214,7 +215,7 @@ def digest64(
 
 
 @dataclass
-class WireStats:
+class WireStats(CumulativeStats):
     """Counters a lenient unpack accumulates instead of raising.
 
     One instance per receive path (e.g. per peer connection) gives the
@@ -251,37 +252,6 @@ class WireStats:
         self.frames_ok += other.frames_ok
         self.checksum_failures += other.checksum_failures
         self.malformed += other.malformed
-
-    def snapshot(self) -> "WireStats":
-        """An independent copy of the current totals."""
-        return WireStats(
-            frames_ok=self.frames_ok,
-            checksum_failures=self.checksum_failures,
-            malformed=self.malformed,
-        )
-
-    def delta(self, since: "WireStats") -> "WireStats":
-        """Counts accumulated after ``since`` (an earlier snapshot)."""
-        return WireStats(
-            frames_ok=self.frames_ok - since.frames_ok,
-            checksum_failures=self.checksum_failures - since.checksum_failures,
-            malformed=self.malformed - since.malformed,
-        )
-
-    def reset(self) -> "WireStats":
-        """Zero the counters; returns a snapshot of the values cleared."""
-        cleared = self.snapshot()
-        self.frames_ok = 0
-        self.checksum_failures = 0
-        self.malformed = 0
-        return cleared
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "frames_ok": self.frames_ok,
-            "checksum_failures": self.checksum_failures,
-            "malformed": self.malformed,
-        }
 
     # -- registry write-through (one source of truth) ----------------------
 

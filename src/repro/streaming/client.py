@@ -26,7 +26,7 @@ Two layers live here:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.errors import (
@@ -36,6 +36,7 @@ from repro.errors import (
 )
 from repro.faults import FaultPlan
 from repro.obs.registry import get_registry
+from repro.obs.stats import CumulativeStats
 from repro.obs.trace import trace
 from repro.rlnc.block import Segment
 from repro.rlnc.decoder import ProgressiveDecoder
@@ -172,7 +173,7 @@ class StreamingClient:
 
 
 @dataclass
-class SessionStats:
+class SessionStats(CumulativeStats):
     """Accounting for one :class:`ClientSession` lifetime.
 
     ``wire`` aggregates frame-level damage (checksum failures and
@@ -193,39 +194,6 @@ class SessionStats:
     blocks_discarded: int = 0
     segments_completed: int = 0
     wire: WireStats = field(default_factory=WireStats)
-
-    def snapshot(self) -> "SessionStats":
-        """An independent copy of the current totals (wire included)."""
-        values = {
-            f.name: getattr(self, f.name)
-            for f in fields(self)
-            if f.name != "wire"
-        }
-        return SessionStats(wire=self.wire.snapshot(), **values)
-
-    def delta(self, since: "SessionStats") -> "SessionStats":
-        """Counts accumulated after ``since`` (an earlier snapshot)."""
-        values = {
-            f.name: getattr(self, f.name) - getattr(since, f.name)
-            for f in fields(self)
-            if f.name != "wire"
-        }
-        return SessionStats(wire=self.wire.delta(since.wire), **values)
-
-    def reset(self) -> "SessionStats":
-        """Zero the counters; returns a snapshot of the values cleared.
-
-        The same explicit cumulative contract as
-        :class:`~repro.rlnc.wire.WireStats` and
-        :class:`~repro.streaming.server.ServerStats`: nothing in the
-        transport ever resets a stats object behind the caller's back.
-        """
-        cleared = self.snapshot()
-        for f in fields(self):
-            if f.name != "wire":
-                setattr(self, f.name, f.default)
-        self.wire.reset()
-        return cleared
 
 
 class ClientSession:

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Callable
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,6 +44,7 @@ from repro.gpu.spec import DeviceSpec
 from repro.kernels.cost_model import EncodeScheme
 from repro.kernels.encode import GpuEncoder
 from repro.obs.registry import get_registry
+from repro.obs.stats import CumulativeStats
 from repro.obs.trace import trace
 from repro.rlnc.block import BlockBatch, CodedBlock, Segment
 from repro.rlnc.wire import VERSION, VERSION2, pack_blocks, stream_size
@@ -53,7 +54,7 @@ from repro.streaming.session import MediaProfile, PeerSession
 
 
 @dataclass
-class ServerStats:
+class ServerStats(CumulativeStats):
     """Aggregate accounting for one server lifetime.
 
     Accumulation follows the same explicit cumulative contract as
@@ -81,31 +82,6 @@ class ServerStats:
             return 0.0
         return self.bytes_served / self.gpu_seconds
 
-    def snapshot(self) -> "ServerStats":
-        """An independent copy of the current totals."""
-        return ServerStats(
-            **{f.name: getattr(self, f.name) for f in fields(self)}
-        )
-
-    def delta(self, since: "ServerStats") -> "ServerStats":
-        """Counts accumulated after ``since`` (an earlier snapshot)."""
-        return ServerStats(
-            **{
-                f.name: getattr(self, f.name) - getattr(since, f.name)
-                for f in fields(self)
-            }
-        )
-
-    def reset(self) -> "ServerStats":
-        """Zero the counters; returns a snapshot of the values cleared."""
-        cleared = self.snapshot()
-        for f in fields(self):
-            setattr(self, f.name, f.default)
-        return cleared
-
-    def as_dict(self) -> dict[str, float]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
 
 def check_round_format(format: str) -> None:
     """Reject any round output format but wire frames.
@@ -120,28 +96,105 @@ def check_round_format(format: str) -> None:
 
 
 class EagerRounds:
-    """The round output machinery of a synchronous endpoint.
+    """The session bookkeeping and round output of a synchronous endpoint.
 
     Shared by :class:`StreamingServer` and
-    :class:`~repro.multicast.relay.RelayNode`: two alternating wire
-    slots, the one round packer (:meth:`_pack_round`) that writes a
-    round's per-peer batches into them, and the
-    ``begin_round``/``collect_round`` pair.  The round runs inside
-    ``begin_round`` through the endpoint's own ``serve_round`` and the
-    ticket parks the result.  Because the slots alternate, a pipelined
-    driver can still issue round ``r+1`` before round ``r``'s frames
-    have been consumed, and it drives these endpoints exactly as it
-    drives a :class:`~repro.cluster.ServingCluster`, whose workers
-    overlap the round with the caller's work.
+    :class:`~repro.multicast.relay.RelayNode`: the peer sessions and the
+    request queue (``connect``/``disconnect``, the pending counters),
+    two alternating wire slots, the one round packer
+    (:meth:`_pack_round`) that writes a round's per-peer batches into
+    them, and the ``begin_round``/``collect_round`` pair.  The round
+    runs inside ``begin_round`` through the endpoint's own
+    ``serve_round`` and the ticket parks the result.  Because the slots
+    alternate, a pipelined driver can still issue round ``r+1`` before
+    round ``r``'s frames have been consumed, and it drives these
+    endpoints exactly as it drives a
+    :class:`~repro.cluster.ServingCluster`, whose workers overlap the
+    round with the caller's work.
 
-    Subclasses provide ``_sessions`` (peer id ->
-    :class:`~repro.streaming.session.PeerSession`) and ``worker_id``.
+    Subclasses provide ``profile`` (the media profile sessions are
+    opened with), ``stats`` (with a ``sessions_evicted`` counter) and
+    ``worker_id``.
     """
 
     def __init__(self) -> None:
+        self._sessions: dict[int, PeerSession] = {}
+        self._disconnected: set[int] = set()
+        self._queue: deque[BlockRequest] = deque()
         self._wire_buffers = [bytearray(), bytearray()]
         self._wire_slot = 0
         self._wire_packed = memoryview(b"")
+
+    def connect(self, peer_id: int) -> PeerSession:
+        """Register a peer session (idempotent; reconnect after eviction)."""
+        if peer_id not in self._sessions:
+            self._sessions[peer_id] = PeerSession(peer_id, self.profile)
+            self._disconnected.discard(peer_id)
+        return self._sessions[peer_id]
+
+    def disconnect(self, peer_id: int) -> None:
+        """Evict a peer session and drop its queued requests.
+
+        Later requests from the evicted peer raise
+        :class:`~repro.errors.CapacityError` (a clean transport-level
+        rejection the retry loop can surface) rather than the
+        :class:`~repro.errors.ConfigurationError` reserved for peers
+        that never connected.  :meth:`connect` re-admits the peer with a
+        fresh session.
+        """
+        if self._sessions.pop(peer_id, None) is None:
+            raise ConfigurationError(f"peer {peer_id} is not connected")
+        self._disconnected.add(peer_id)
+        if self._queue:
+            self._queue = deque(
+                request
+                for request in self._queue
+                if request.peer_id != peer_id
+            )
+        self.stats.sessions_evicted += 1
+
+    def _check_request(self, peer_id: int, num_blocks: int) -> None:
+        """Reject an ask from an unknown or evicted peer, or for no blocks.
+
+        Raises:
+            CapacityError: the peer's session was evicted.
+            ConfigurationError: unknown peers or non-positive counts.
+        """
+        if peer_id not in self._sessions:
+            if peer_id in self._disconnected:
+                raise CapacityError(
+                    f"peer {peer_id} session was evicted; reconnect first"
+                )
+            raise ConfigurationError(f"peer {peer_id} is not connected")
+        if num_blocks < 1:
+            raise ConfigurationError("must request at least one block")
+
+    @property
+    def pending_requests(self) -> int:
+        """Queued block requests awaiting the next serving round."""
+        return len(self._queue)
+
+    @property
+    def pending_blocks(self) -> int:
+        """Total coded blocks the queue is waiting on."""
+        return sum(request.num_blocks for request in self._queue)
+
+    def session_counters(self) -> dict[int, tuple[int, int, int]]:
+        """Per-peer ``(requested, received, pending)`` block counters.
+
+        The compact session summary a multiprocess cluster worker diffs
+        into its replies, so the parent-side session mirrors (which the
+        client NACK accounting reads) stay exact without shipping
+        :class:`~repro.streaming.session.PeerSession` objects.
+        """
+        return {
+            peer_id: (
+                session.blocks_requested,
+                session.blocks_received,
+                session.blocks_pending,
+            )
+            for peer_id, session in self._sessions.items()
+        }
 
     def begin_round(
         self,
@@ -334,11 +387,8 @@ class StreamingServer(EagerRounds):
         self._encoder = GpuEncoder(spec, scheme)
         self._rng = rng if rng is not None else np.random.default_rng()
         self._segments: dict[int, Segment] = {}
-        self._sessions: dict[int, PeerSession] = {}
         self._capacity = segments_in_device_memory(spec, profile)
         self._max_pending_blocks = max_pending_blocks
-        self._disconnected: set[int] = set()
-        self._queue: deque[BlockRequest] = deque()
         self._round_scheduler = ServeRoundScheduler(
             per_peer_quota=per_peer_round_quota
         )
@@ -394,33 +444,6 @@ class StreamingServer(EagerRounds):
             },
             "histograms": {},
         }
-
-    def session_counters(self) -> dict[int, tuple[int, int, int]]:
-        """Per-peer ``(requested, received, pending)`` block counters.
-
-        The compact session summary a multiprocess cluster worker diffs
-        into its replies, so the parent-side session mirrors (which the
-        client NACK accounting reads) stay exact without shipping
-        :class:`~repro.streaming.session.PeerSession` objects.
-        """
-        return {
-            peer_id: (
-                session.blocks_requested,
-                session.blocks_received,
-                session.blocks_pending,
-            )
-            for peer_id, session in self._sessions.items()
-        }
-
-    @property
-    def pending_requests(self) -> int:
-        """Queued block requests awaiting the next serving round."""
-        return len(self._queue)
-
-    @property
-    def pending_blocks(self) -> int:
-        """Total coded blocks the queue is waiting on."""
-        return sum(request.num_blocks for request in self._queue)
 
     def publish_segment(self, segment: Segment) -> None:
         """Upload one media segment to the device-resident store.
@@ -494,45 +517,10 @@ class StreamingServer(EagerRounds):
             for listener in self._eviction_listeners:
                 listener(segment_id)
 
-    def connect(self, peer_id: int) -> PeerSession:
-        """Register a peer session (idempotent; reconnect after eviction)."""
-        if peer_id not in self._sessions:
-            self._sessions[peer_id] = PeerSession(peer_id, self.profile)
-            self._disconnected.discard(peer_id)
-        return self._sessions[peer_id]
-
-    def disconnect(self, peer_id: int) -> None:
-        """Evict a peer session and drop its queued requests.
-
-        Later requests from the evicted peer raise
-        :class:`~repro.errors.CapacityError` (a clean transport-level
-        rejection the retry loop can surface) rather than the
-        :class:`~repro.errors.ConfigurationError` reserved for peers
-        that never connected.  :meth:`connect` re-admits the peer with a
-        fresh session.
-        """
-        if self._sessions.pop(peer_id, None) is None:
-            raise ConfigurationError(f"peer {peer_id} is not connected")
-        self._disconnected.add(peer_id)
-        if self._queue:
-            self._queue = deque(
-                request
-                for request in self._queue
-                if request.peer_id != peer_id
-            )
-        self.stats.sessions_evicted += 1
-
     def _validate_request(
         self, peer_id: int, segment_id: int, num_blocks: int
     ) -> Segment:
-        if peer_id not in self._sessions:
-            if peer_id in self._disconnected:
-                raise CapacityError(
-                    f"peer {peer_id} session was evicted; reconnect first"
-                )
-            raise ConfigurationError(f"peer {peer_id} is not connected")
-        if num_blocks < 1:
-            raise ConfigurationError("must request at least one block")
+        self._check_request(peer_id, num_blocks)
         segment = self._segments.get(segment_id)
         if segment is None:
             raise CapacityError(f"segment {segment_id} is not on the device")

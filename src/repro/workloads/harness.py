@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,6 +48,7 @@ from repro.obs.registry import (
     get_registry,
     quantile_from_buckets,
 )
+from repro.obs.stats import CumulativeStats
 from repro.rlnc.block import CodingParams
 from repro.rlnc.wire import VERSION2
 from repro.streaming.client import ClientSession
@@ -68,7 +69,7 @@ from repro.workloads.traffic import (
 
 
 @dataclass
-class LoadStats:
+class LoadStats(CumulativeStats):
     """Cumulative load-harness accounting for one run.
 
     Follows the explicit cumulative contract shared by
@@ -85,31 +86,6 @@ class LoadStats:
     completions: int = 0
     flaps: int = 0
     blocks_modelled: float = 0.0
-
-    def snapshot(self) -> "LoadStats":
-        """An independent copy of the current totals."""
-        return LoadStats(
-            **{f.name: getattr(self, f.name) for f in fields(self)}
-        )
-
-    def delta(self, since: "LoadStats") -> "LoadStats":
-        """Counts accumulated after ``since`` (an earlier snapshot)."""
-        return LoadStats(
-            **{
-                f.name: getattr(self, f.name) - getattr(since, f.name)
-                for f in fields(self)
-            }
-        )
-
-    def reset(self) -> "LoadStats":
-        """Zero the counters; returns a snapshot of the values cleared."""
-        cleared = self.snapshot()
-        for f in fields(self):
-            setattr(self, f.name, f.default)
-        return cleared
-
-    def as_dict(self) -> dict[str, float]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 class AdmissionController:

@@ -376,6 +376,21 @@ class TestRegionOps:
             assert np.array_equal(work, held), backend
             assert np.array_equal(pivot_cols, pivots), backend
 
+    def test_fold_over_no_rows_is_a_noop(self):
+        # numpy gives an empty (0, k) matrix strides (0, 0); with no
+        # rows there is no row layout to reject.
+        if not regionops.kernel_available():
+            pytest.skip(f"wide kernel unavailable: {regionops.load_error()}")
+        dst = np.arange(16, dtype=np.uint8)
+        rows = np.zeros((0, 16), dtype=np.uint8)
+        regionops.fold_rows(dst, rows, np.zeros(0, dtype=np.uint8))
+        assert np.array_equal(dst, np.arange(16, dtype=np.uint8))
+
+    def test_noncontiguous_rows_are_named_once(self):
+        rows = np.zeros((3, 8), dtype=np.uint8)[:, ::2]
+        with pytest.raises(ValueError, match="^rows must have contiguous rows$"):
+            regionops._check_row_view(rows, "rows")
+
     def test_region_ops_without_kernel(self, kernel_and_fallback):
         # absorb on the kernel and on the wide backend's table fallback,
         # into a work view fenced by guard bytes, at every tail order.

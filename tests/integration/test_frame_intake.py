@@ -200,12 +200,10 @@ def make_uplink(*, version=VERSION2, checksum=True, fault_plan=None):
 
 
 def relay_rows(relay):
-    """The coefficient and payload rows a relay has buffered, in order."""
+    """The coefficient and payload rows a relay keeps, in arrival order."""
     if relay.held(SEGMENT) == 0:
         return np.empty((0, N), np.uint8), np.empty((0, K), np.uint8)
-    recoder = relay._recoders[SEGMENT]
-    held = recoder.buffered
-    return recoder._coefficients[:held], recoder._payloads[:held]
+    return relay._recoders[SEGMENT].decoder.accepted_rows()
 
 
 def stacked(blocks):
@@ -376,7 +374,9 @@ def test_receivers_match_the_per_frame_path(case):
     oracle_stats = WireStats()
     oracle_decoder = ProgressiveDecoder(PARAMS, SEGMENT)
     relay_stats = WireStats()
-    client_kept, relay_kept = [], []
+    # The relay keeps what its recoder's decoder accepts of each round.
+    relay_decoder = ProgressiveDecoder(PARAMS, SEGMENT)
+    client_kept = []
     received = 0
     for wire in wires:
         frames = reference_split(wire, size, oracle_stats)
@@ -396,9 +396,9 @@ def test_receivers_match_the_per_frame_path(case):
         if kept and not oracle_decoder.is_complete:
             oracle_decoder.consume_batch(*stacked(kept), source=UPSTREAM)
             client_kept.extend(kept)
-        relay_kept.extend(
-            reference_relay_loop(frames, segment_id=SEGMENT, stats=relay_stats)
-        )
+        relay_kept = reference_relay_loop(frames, segment_id=SEGMENT, stats=relay_stats)
+        if relay_kept and not relay_decoder.is_complete:
+            relay_decoder.consume_batch(*stacked(relay_kept))
 
     # The client.
     session, consumed = make_session(
@@ -429,5 +429,5 @@ def test_receivers_match_the_per_frame_path(case):
         uplink.intake(SEGMENT, wire)
     assert uplink.wire.frames_ok == relay_stats.frames_ok
     assert uplink.wire.frames_dropped == relay_stats.frames_dropped
-    for got, want in zip(relay_rows(relay), stacked(relay_kept)):
+    for got, want in zip(relay_rows(relay), relay_decoder.accepted_rows()):
         assert np.array_equal(got, want)

@@ -9,7 +9,7 @@ from repro.gpu import GTX280
 from repro.multicast import MulticastTree, RelayNode, RelayUplink
 from repro.multicast import tree as tree_module
 from repro.p2p import distribution_tree, multicast_capacity
-from repro.rlnc import CodingParams, Segment
+from repro.rlnc import BlockBatch, CodingParams, Encoder, Segment
 from repro.streaming import MediaProfile
 from repro.streaming.server import StreamingServer
 
@@ -121,6 +121,26 @@ class TestDistribution:
                 == reports[1].relay_stats[name].as_dict()
             )
 
+    @pytest.mark.parametrize("n, k", [(8, 128), (32, 256)])
+    def test_lossless_sweep_never_stalls(self, n, k):
+        """Root coefficient seeds 0-59 on a lossless two-relay tree.
+
+        Root seed 54 at (8, 128) and seed 1 at (32, 256) send a relay a
+        dependent row; a relay topped up to n *buffered* rows then sat
+        at rank n-1 and its leaves ran out of retries.  What reaches a
+        relay depends only on the uplinks' asks, not on the leaves, so
+        the same seeds stall with 1, 2, 4 or 8 leaves per relay; two
+        keep the sweep short on the table path.
+        """
+        params = CodingParams(n, k)
+        profile = MediaProfile(params=params)
+        segment = Segment.random(params, np.random.default_rng(1000))
+        for seed in range(60):
+            root = StreamingServer(GTX280, profile, rng=np.random.default_rng(seed))
+            root.publish(segment)
+            tree = MulticastTree(root, profile, relays=2, leaves_per_relay=2)
+            assert tree.distribute(segment).payload_ok, f"root seed {seed}"
+
     def test_relay_root_feeds_a_nested_tree(self):
         # Any endpoint can be an interior node — including another
         # relay as the tree's root (publish seeds identity originals).
@@ -185,6 +205,26 @@ class TestRelayUplink:
         assert wire.checksum_failures + wire.malformed == plan.counters.corrupted
         assert relay.held(segment.segment_id) == kept
         assert kept < served
+
+    def test_dependent_row_leaves_one_block_to_ask_for(self):
+        segment = make_segment()
+        root = make_root(segment)
+        relay = RelayNode(PROFILE, rng=np.random.default_rng(1))
+        uplink = RelayUplink(root, relay, 0)
+        n = PARAMS.num_blocks
+        coefficients, payloads = Encoder(
+            segment, np.random.default_rng(2)
+        ).encode_batch(n)
+        coefficients[-1], payloads[-1] = coefficients[0], payloads[0]
+        kept = relay.ingest(BlockBatch(coefficients=coefficients, payloads=payloads))
+        assert kept == relay.held(segment.segment_id) == n - 1
+        uplink.pre_round(segment.segment_id)
+        assert root.pending_blocks == 1
+        frames = root.serve_round(version=2)
+        assert uplink.intake(segment.segment_id, frames.get(0)) == 1
+        assert relay.held(segment.segment_id) == n
+        uplink.pre_round(segment.segment_id)
+        assert root.pending_blocks == 0
 
     def test_empty_intake_is_a_no_op(self):
         relay = RelayNode(PROFILE, rng=np.random.default_rng(1))

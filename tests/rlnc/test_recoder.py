@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import DecodingError
+from repro.gf256 import rank
 from repro.rlnc import (
     CodedBlock,
     CodingParams,
@@ -88,6 +89,48 @@ class TestRecoder:
         assert innovative == decoder.rank
 
 
+class TestRowStore:
+    """The recoder's rows are its progressive decoder's accepted rows."""
+
+    def test_dependent_row_is_dropped_and_counted(self):
+        segment = make_segment(4, 8, seed=7)
+        block = Encoder(segment, np.random.default_rng(8)).encode_block()
+        recoder = Recoder(segment.params)
+        assert recoder.add(block) == 1
+        assert recoder.add(block) == 0
+        assert recoder.buffered == recoder.decoder.rank == 1
+        assert recoder.discarded == 1
+
+    def test_rows_after_full_rank_are_discarded_not_raised(self):
+        segment = make_segment(4, 8, seed=9)
+        coefficients, payloads = Encoder(
+            segment, np.random.default_rng(10)
+        ).encode_batch(6)
+        recoder = Recoder(segment.params)
+        assert recoder.add_batch(coefficients[:4], payloads[:4]) == 4
+        assert recoder.decoder.is_complete
+        assert recoder.add_batch(coefficients[4:], payloads[4:]) == 0
+        late = Encoder(segment, np.random.default_rng(11)).encode_block()
+        assert recoder.add(late) == 0
+        assert recoder.buffered == 4
+        assert recoder.discarded == 3
+        assert np.array_equal(recoder.decoder.recover_segment().blocks, segment.blocks)
+
+    def test_accepted_rows_are_read_only_arrival_order_views(self):
+        segment = make_segment(5, 8, seed=12)
+        coefficients, payloads = Encoder(
+            segment, np.random.default_rng(13)
+        ).encode_batch(3)
+        coefficients[1], payloads[1] = coefficients[0], payloads[0]
+        recoder = Recoder(segment.params)
+        recoder.add_batch(coefficients, payloads)
+        held_coefficients, held_payloads = recoder.decoder.accepted_rows()
+        assert np.array_equal(held_coefficients, coefficients[[0, 2]])
+        assert np.array_equal(held_payloads, payloads[[0, 2]])
+        for view in (held_coefficients, held_payloads):
+            assert not view.flags.writeable
+
+
 class TestBatchIntake:
     def test_add_batch_matches_per_block_adds(self):
         from repro.rlnc import BlockBatch
@@ -123,14 +166,20 @@ class TestBatchIntake:
         with pytest.raises(DecodingError):
             recoder.add_batch(np.zeros((2, 4), dtype=np.uint8))
 
-    def test_buffer_grows_past_initial_capacity(self):
+    def test_holds_at_most_n_independent_rows(self):
+        """80 rows offered at n=4: the recoder keeps only independent
+        ones, drops and counts the rest, and still recodes consistent
+        combinations."""
         segment = make_segment(4, 8, seed=5)
         rng = np.random.default_rng(6)
         coefficients, payloads = Encoder(segment, rng).encode_batch(40)
         recoder = Recoder(segment.params)
-        recoder.add_batch(coefficients, payloads)
-        recoder.add_batch(coefficients, payloads)
-        assert recoder.buffered == 80
+        assert recoder.add_batch(coefficients, payloads) == 4
+        assert recoder.add_batch(coefficients, payloads) == 0
+        assert recoder.buffered == 4
+        assert recoder.discarded == 76
+        held, _ = recoder.decoder.accepted_rows()
+        assert rank(held) == 4
         from repro.gf256 import matmul
 
         recoded = recoder.recode_matrix(3, np.random.default_rng(7))

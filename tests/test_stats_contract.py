@@ -13,18 +13,21 @@ import dataclasses
 
 import pytest
 
-from repro.cluster import ClusterStats
+from repro.cluster import ClusterStats, SupervisorStats
 from repro.multicast import RelayStats
 from repro.p2p import DistributionStats
 from repro.rlnc.wire import WireStats
 from repro.streaming import ServerStats, SessionStats
+from repro.workloads import LoadStats
 
 STATS_TYPES = [
     ClusterStats,
     DistributionStats,
+    LoadStats,
     RelayStats,
     ServerStats,
     SessionStats,
+    SupervisorStats,
     WireStats,
 ]
 
@@ -105,3 +108,9 @@ class TestNestedWireStats:
         cleared = stats.reset()
         assert cleared.wire.frames_ok == 6
         assert stats.wire.frames_ok == 0
+
+    def test_as_dict_nests_the_wire_counters(self):
+        stats = SessionStats(nacks=2)
+        stats.wire.malformed += 1
+        assert stats.as_dict()["nacks"] == 2
+        assert stats.as_dict()["wire"] == WireStats(malformed=1).as_dict()
