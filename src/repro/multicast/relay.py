@@ -21,22 +21,19 @@ be an interior node of a multicast tree.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import CapacityError, ConfigurationError, RetryLater
+from repro.errors import CapacityError, RetryLater
 from repro.obs.registry import get_registry
 from repro.obs.stats import CumulativeStats
-from repro.obs.trace import trace
 from repro.rlnc.block import BlockBatch, Segment
 from repro.rlnc.recoder import Recoder
 from repro.rlnc.wire import VERSION
 # perfbench's traced run patches this name: its "rlnc.wire.pack" boundary.
 from repro.rlnc.wire import pack_blocks  # noqa: F401
-from repro.streaming.scheduler import BlockRequest, ServeRoundScheduler
-from repro.streaming.server import EagerRounds, check_round_format
+from repro.streaming.server import EagerRounds
 from repro.streaming.session import MediaProfile
 
 
@@ -62,6 +59,17 @@ class RelayStats(CumulativeStats):
 class RelayNode(EagerRounds):
     """A recoding interior node implementing the serving protocol.
 
+    An :class:`~repro.streaming.server.EagerRounds` endpoint whose rows
+    are fresh recodes of what it holds: one
+    :class:`~repro.rlnc.recoder.Recoder` per segment, fed by
+    :meth:`publish` (the source blocks) or :meth:`ingest` (an uplink's
+    coded blocks).  Admission, the round body, the packer and
+    :meth:`evict_segment` are the server's; a relay only says whether
+    it holds a segment, recodes it, and drops its recoder on eviction.
+    :class:`~repro.multicast.tree.MulticastTree` evicts a segment from
+    every relay once every leaf has finished it, so a relay holds rows
+    only for segments still in flight.
+
     Args:
         profile: media/coding configuration (shared by the whole tree).
         rng: randomness source for recoding mix coefficients; pass a
@@ -83,15 +91,12 @@ class RelayNode(EagerRounds):
         per_peer_round_quota: int | None = None,
         worker_id: int | None = None,
     ) -> None:
+        super().__init__(per_peer_round_quota=per_peer_round_quota)
         self.profile = profile
         self.name = name
         self.worker_id = worker_id
         self._rng = rng if rng is not None else np.random.default_rng()
         self._recoders: dict[int, Recoder] = {}
-        self._round_scheduler = ServeRoundScheduler(
-            per_peer_quota=per_peer_round_quota
-        )
-        super().__init__()
         self.stats = RelayStats()
         registry = get_registry()
         self._m_ingested = registry.counter("relay_blocks_ingested")
@@ -110,11 +115,7 @@ class RelayNode(EagerRounds):
         combination of the full segment — indistinguishable downstream
         from an origin server's encode.
         """
-        if segment.params != self.profile.params:
-            raise ConfigurationError(
-                f"segment geometry {segment.params} does not match profile "
-                f"{self.profile.params}"
-            )
+        self._check_geometry(segment)
         n = self.profile.params.num_blocks
         self._keep(
             segment.segment_id,
@@ -136,7 +137,12 @@ class RelayNode(EagerRounds):
 
     def _keep(self, segment_id: int, coefficients, payloads=None) -> int:
         """Offer rows to the segment's recoder; count and return the kept."""
-        kept = self._recoder_for(segment_id).add_batch(coefficients, payloads)
+        recoder = self._recoders.get(segment_id)
+        if recoder is None:
+            recoder = self._recoders[segment_id] = Recoder(
+                self.profile.params, segment_id
+            )
+        kept = recoder.add_batch(coefficients, payloads)
         self.stats.blocks_ingested += kept
         self._m_ingested.inc(kept)
         return kept
@@ -146,12 +152,29 @@ class RelayNode(EagerRounds):
         recoder = self._recoders.get(segment_id)
         return 0 if recoder is None else recoder.buffered
 
-    def _recoder_for(self, segment_id: int) -> Recoder:
-        recoder = self._recoders.get(segment_id)
-        if recoder is None:
-            recoder = Recoder(self.profile.params, segment_id)
-            self._recoders[segment_id] = recoder
-        return recoder
+    # -- the three EagerRounds hooks ----------------------------------------
+
+    def _require_servable(self, segment_id: int) -> None:
+        """CapacityError unless the relay holds rows of the segment."""
+        if self.held(segment_id) == 0:
+            raise CapacityError(
+                f"relay {self.name!r} holds no blocks of segment "
+                f"{segment_id} yet"
+            )
+
+    def _emit(self, segment_id: int, total: int) -> BlockBatch:
+        """``total`` recodes of the held rows: one mix-matrix draw, one
+        pair of engine matmuls."""
+        batch = self._recoders[segment_id].recode_matrix(total, self._rng)
+        self.stats.recode_calls += 1
+        self.stats.blocks_recoded += total
+        self.stats.blocks_served += total
+        self._m_recoded.inc(total)
+        return batch
+
+    def _forget(self, segment_id: int) -> None:
+        """Drop the segment's recoder and the rows it holds."""
+        self._recoders.pop(segment_id, None)
 
     # -- downstream (ServingEndpoint) side ----------------------------------
 
@@ -160,27 +183,13 @@ class RelayNode(EagerRounds):
     ) -> RetryLater | None:
         """Enqueue a downstream ask for recoded blocks.
 
-        Requests carry the same nearly-complete-first priority as the
-        origin server, so NACK retransmissions outrank bulk fetches.
-
-        Raises:
-            CapacityError: the relay holds nothing for the segment yet
-                (its uplink has not delivered), or the peer's session
-                was evicted.
-            ConfigurationError: unknown peers or non-positive counts.
+        Admission is the server's
+        (:meth:`~repro.streaming.server.EagerRounds._admit`), so NACK
+        retransmissions outrank bulk fetches.  Raises
+        :class:`~repro.errors.CapacityError` while the relay holds
+        nothing of the segment (not yet delivered, or evicted).
         """
-        self._check_request(peer_id, num_blocks)
-        if self.held(segment_id) == 0:
-            raise CapacityError(
-                f"relay {self.name!r} holds no blocks of segment "
-                f"{segment_id} yet"
-            )
-        priority = max(0, self.profile.params.num_blocks - num_blocks)
-        self._queue.append(
-            BlockRequest(peer_id, segment_id, num_blocks, priority=priority)
-        )
-        self._sessions[peer_id].record_request(num_blocks)
-        return None
+        return self._admit(peer_id, segment_id, num_blocks)
 
     def serve_round(
         self,
@@ -192,78 +201,18 @@ class RelayNode(EagerRounds):
         """Drain one scheduling round of the downstream request queue.
 
         All grants against the same segment coalesce into a *single*
-        :meth:`~repro.rlnc.recoder.Recoder.recode_matrix` emission (one
-        mix-matrix draw, one pair of engine matmuls) — the relay's
-        analogue of the server's coalesced encode — packed by the same
-        round packer as the server into the relay's double-buffered
-        wire storage.
-
-        Args:
-            format: the round output; only ``"frames"`` is served.
-            checksum: whether frames carry integrity trailers.
-            version: wire version (``version=2`` stamps per-session
-                sequences and the worker id).
-
-        Returns:
-            ``peer_id -> memoryview`` of the peer's frames, valid for
-            two rounds (one pipelined round may be in flight while the
-            next packs).
-
-        Raises:
-            ConfigurationError: on any ``format`` but ``"frames"``.
+        :meth:`~repro.rlnc.recoder.Recoder.recode_matrix` emission,
+        through the server's round body and packer, into the relay's
+        two alternating wire slots; arguments and the returned
+        ``peer_id -> memoryview`` map are as in
+        :meth:`~repro.streaming.server.StreamingServer.serve_round`.
+        ``stats.bytes_served`` counts the round's wire bytes.
         """
-        check_round_format(format)
-        frames = self._slot_frames(
-            self._pack_round(
-                self._round_batches(),
-                self._alloc_wire,
-                checksum=checksum,
-                version=version,
-            )
-        )
+        frames = self._serve_frames(format, checksum, version)
         served = sum(len(view) for view in frames.values())
         self.stats.bytes_served += served
         self._m_bytes.inc(served)
         return frames
-
-    def _round_batches(self) -> dict[int, list[BlockBatch]]:
-        if not self._queue:
-            return {}
-        with trace("relay_round", relay=self.name):
-            plan = self._round_scheduler.plan_round(self._queue)
-            for segment_id in plan.grants:
-                if self.held(segment_id) == 0:
-                    raise CapacityError(
-                        f"relay {self.name!r} holds no blocks of segment "
-                        f"{segment_id}"
-                    )
-            self._queue = deque(plan.carryover)
-            fanout: dict[int, list[BlockBatch]] = {}
-            for segment_id, grants in plan.grants.items():
-                counts = [count for _, count in grants]
-                total = sum(counts)
-                batch = self._recoders[segment_id].recode_matrix(
-                    total, self._rng
-                )
-                self.stats.recode_calls += 1
-                self.stats.blocks_recoded += total
-                self.stats.blocks_served += total
-                self._m_recoded.inc(total)
-                row = 0
-                for (peer_id, count) in grants:
-                    view = BlockBatch(
-                        coefficients=batch.coefficients[row : row + count],
-                        payloads=batch.payloads[row : row + count],
-                        segment_id=segment_id,
-                    )
-                    row += count
-                    fanout.setdefault(peer_id, []).append(view)
-                    self._sessions[peer_id].record_blocks(count)
-            for peer_id in fanout:
-                self._sessions[peer_id].rounds_served += 1
-            self.stats.rounds_served += 1
-            self._m_rounds.inc()
-        return fanout
 
     def stats_snapshot(self) -> dict:
         """A registry-shaped counters/gauges/histograms snapshot."""
@@ -286,4 +235,3 @@ class RelayNode(EagerRounds):
             },
             "histograms": {},
         }
-

@@ -35,17 +35,27 @@ from repro.multicast.relay import RelayNode, RelayStats
 from repro.obs.trace import trace
 from repro.p2p.topology import distribution_tree, multicast_capacity
 from repro.rlnc.block import Segment
-from repro.rlnc.wire import (
-    VERSION2,
-    WireStats,
-    frame_rows,
-    frame_size,
-    unpack_round,
-)
+from repro.rlnc.wire import VERSION2, WireStats, frame_size
 # perfbench's traced run patches this name: its "rlnc.wire.unpack" boundary.
 from repro.rlnc.wire import unpack_frame  # noqa: F401
-from repro.streaming.client import ClientSession
+from repro.streaming.client import ClientSession, receive_round
 from repro.streaming.session import MediaProfile
+
+
+@functools.cache
+def _min_cut_bound(relays: int, leaves_per_relay: int) -> int:
+    """The source -> leaves multicast capacity of one tree shape.
+
+    A max-flow per leaf, computed once per ``(relays,
+    leaves_per_relay)``: the value depends only on the shape, and
+    every tree of a shape reports it.
+    """
+    graph = distribution_tree(relays, leaves_per_relay)
+    return multicast_capacity(
+        graph,
+        "source",
+        [node for node, role in graph.nodes(data="role") if role == "leaf"],
+    )
 
 
 class RelayUplink:
@@ -114,20 +124,9 @@ class RelayUplink:
         another segment — a stale grant from the previous segment's
         rounds — is dropped uncounted.
         """
-        frames = frame_rows(wire_bytes, self._frame_bytes, self.wire)
-        if self.fault_plan is not None and len(frames):
-            frames = self.fault_plan.apply_frames(frames)
-        params = self.relay.profile.params
-        with trace("wire_unpack", peer=self.peer_id):
-            batch, _ = unpack_round(
-                frames,
-                segment_id=segment_id,
-                num_blocks=params.num_blocks,
-                block_size=params.block_size,
-                checksum=self.checksum,
-                version=self.wire_version,
-                stats=self.wire,
-            )
+        batch, _, _ = receive_round(
+            self, wire_bytes, self.relay.profile.params, segment_id, self.wire
+        )
         if not len(batch):
             return 0
         return self.relay.ingest(batch)
@@ -238,18 +237,10 @@ class MulticastTree:
                 ]
             )
 
-    @functools.cached_property
+    @property
     def min_cut_bound(self) -> int:
-        """The source -> leaves multicast capacity of :attr:`graph`.
-
-        A max-flow per leaf; computed on first use and kept, because
-        the topology never changes after construction.
-        """
-        return multicast_capacity(
-            self.graph,
-            "source",
-            [node for node, role in self.graph.nodes(data="role") if role == "leaf"],
-        )
+        """The source -> leaves multicast capacity of :attr:`graph`."""
+        return _min_cut_bound(len(self.relays), len(self.cohorts[0]))
 
     @property
     def leaf_sessions(self) -> list[ClientSession]:
@@ -315,6 +306,8 @@ class MulticastTree:
             == expected
             for session in self.leaf_sessions
         )
+        for relay in self.relays:
+            relay.evict_segment(segment_id)
         return TreeReport(
             rounds=rounds,
             relays=len(self.relays),

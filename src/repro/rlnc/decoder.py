@@ -38,7 +38,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import DecodingError
-from repro.obs import obs_counter, obs_gauge
+from repro.obs import obs_counter
 from repro.obs.trace import trace
 from repro.gf256 import matmul, select_and_invert
 from repro.gf256.engine import ENGINE
@@ -220,7 +220,6 @@ class ProgressiveDecoder:
             accepted = self._absorb(coefficients, payloads, [source] * m)
         obs_counter("decoder_blocks_innovative").inc(accepted)
         obs_counter("decoder_blocks_discarded").inc(m - accepted)
-        obs_gauge("decoder_rank").set(self.rank)
         return accepted
 
     def _absorb(
@@ -335,7 +334,6 @@ class ProgressiveDecoder:
         if self.rank < held:
             self._rank_regressions += 1
             obs_counter("decoder_rank_regressions").inc()
-        obs_gauge("decoder_rank").set(self.rank)
         return self.rank
 
     def quarantine_source(self, source: object) -> int:

@@ -38,7 +38,7 @@ from repro.faults import FaultPlan
 from repro.obs.registry import get_registry
 from repro.obs.stats import CumulativeStats
 from repro.obs.trace import trace
-from repro.rlnc.block import Segment
+from repro.rlnc.block import BlockBatch, CodingParams, Segment
 from repro.rlnc.decoder import ProgressiveDecoder
 from repro.rlnc.wire import (
     VERSION2,
@@ -170,6 +170,41 @@ class StreamingClient:
 
 
 # -- the fault-tolerant transport ------------------------------------------
+
+
+def receive_round(
+    receiver, wire_bytes, params: CodingParams, segment_id: int, stats: WireStats
+) -> tuple[BlockBatch, int, int]:
+    """The one receive step of a :class:`ClientSession` and a relay's
+    :class:`~repro.multicast.tree.RelayUplink`.
+
+    Views ``wire_bytes`` (``None`` when the round granted nothing) as
+    one frame matrix, passes it through the receiver's ``fault_plan``
+    if it has one, and verifies it in one
+    :func:`~repro.rlnc.wire.unpack_round` call against ``params`` and
+    the receiver's ``checksum`` and ``wire_version``, counting damage
+    in ``stats``.  The ``wire_unpack`` span carries the receiver's
+    ``peer_id``.
+
+    Returns:
+        ``(batch, foreign, received)``: the intact rows of
+        ``segment_id``, the count of intact frames of another segment
+        and the count of frames that survived the fault plan.
+    """
+    frames = frame_rows(wire_bytes, receiver._frame_bytes, stats)
+    if receiver.fault_plan is not None and len(frames):
+        frames = receiver.fault_plan.apply_frames(frames)
+    with trace("wire_unpack", peer=receiver.peer_id):
+        batch, foreign = unpack_round(
+            frames,
+            segment_id=segment_id,
+            num_blocks=params.num_blocks,
+            block_size=params.block_size,
+            checksum=receiver.checksum,
+            version=receiver.wire_version,
+            stats=stats,
+        )
+    return batch, foreign, len(frames)
 
 
 @dataclass
@@ -393,23 +428,11 @@ class ClientSession:
                 f"segment {self._segment_id} exceeded "
                 f"{self.max_rounds_per_segment} rounds"
             )
-        frames = frame_rows(wire_bytes, self._frame_bytes, self.stats.wire)
-        if self.fault_plan is not None and len(frames):
-            frames = self.fault_plan.apply_frames(frames)
-        received = len(frames)
+        batch, foreign, received = receive_round(
+            self, wire_bytes, decoder.params, self._segment_id, self.stats.wire
+        )
         self.stats.frames_received += received
         self._m_frames.inc(received)
-        params = decoder.params
-        with trace("wire_unpack", peer=self.peer_id):
-            batch, foreign = unpack_round(
-                frames,
-                segment_id=self._segment_id,
-                num_blocks=params.num_blocks,
-                block_size=params.block_size,
-                checksum=self.checksum,
-                version=self.wire_version,
-                stats=self.stats.wire,
-            )
         if foreign:
             # An intact frame of another segment is damage on this wire.
             self.stats.wire.record_malformed(foreign)

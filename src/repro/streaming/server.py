@@ -21,9 +21,10 @@ Two serving paths coexist:
   every peer gets a ``memoryview`` slice of one reused contiguous wire
   buffer.  Rounds are packed by :meth:`StreamingServer.serve_round_into`
   into *caller-allocated* storage — the hook the multiprocess cluster
-  uses to land frames directly in a shared-memory ring — and the one
-  round packer (:meth:`EagerRounds._pack_round`) is shared with the
-  recoding :class:`~repro.multicast.relay.RelayNode`.
+  uses to land frames directly in a shared-memory ring.  Admission,
+  the round body and eviction live once in :class:`EagerRounds`,
+  which the recoding :class:`~repro.multicast.relay.RelayNode` shares:
+  the two endpoints differ only in where a segment's rows come from.
 
 The server implements the :class:`repro.serving.ServingEndpoint`
 protocol, so anything written against the unified serving facade drives
@@ -96,34 +97,71 @@ def check_round_format(format: str) -> None:
 
 
 class EagerRounds:
-    """The session bookkeeping and round output of a synchronous endpoint.
+    """The one body of a synchronous serving endpoint.
 
-    Shared by :class:`StreamingServer` and
-    :class:`~repro.multicast.relay.RelayNode`: the peer sessions and the
-    request queue (``connect``/``disconnect``, the pending counters),
-    two alternating wire slots, the one round packer
-    (:meth:`_pack_round`) that writes a round's per-peer batches into
-    them, and the ``begin_round``/``collect_round`` pair.  The round
-    runs inside ``begin_round`` through the endpoint's own
-    ``serve_round`` and the ticket parks the result.  Because the slots
-    alternate, a pipelined driver can still issue round ``r+1`` before
-    round ``r``'s frames have been consumed, and it drives these
-    endpoints exactly as it drives a
-    :class:`~repro.cluster.ServingCluster`, whose workers overlap the
-    round with the caller's work.
+    :class:`StreamingServer` and :class:`~repro.multicast.relay.RelayNode`
+    differ only in where a segment's rows come from, so the rest lives
+    here once: the peer sessions and the request queue, admission
+    (:meth:`_admit`), the round body (:meth:`_round_batches`), the wire
+    output (:meth:`serve_round_into`, the packer, two alternating wire
+    slots, ``begin_round`` / ``collect_round``) and :meth:`evict_segment`.
+    An endpoint supplies three hooks:
 
-    Subclasses provide ``profile`` (the media profile sessions are
-    opened with), ``stats`` (with a ``sessions_evicted`` counter) and
-    ``worker_id``.
+    * ``_require_servable(segment_id)`` raises its
+      :class:`~repro.errors.CapacityError` when it cannot serve the
+      segment;
+    * ``_emit(segment_id, total)`` returns a
+      :class:`~repro.rlnc.block.BlockBatch` of ``total`` fresh coded
+      rows — the server encodes its source blocks, a relay recodes the
+      rows it holds;
+    * ``_forget(segment_id)`` drops what it keeps of the segment;
+
+    and ``profile``, ``worker_id`` (the v2 frame stamp), ``stats`` and
+    the registry counter ``_m_rounds`` (``_m_shed`` and ``_m_retry``
+    too, and the matching ``stats`` fields, if it sets
+    ``max_pending_blocks``).
+
+    A round runs inside ``begin_round`` and the ticket parks the result.
+    Because the wire slots alternate, a pipelined driver can issue round
+    ``r+1`` before round ``r``'s frames have been consumed, exactly as
+    it drives a :class:`~repro.cluster.ServingCluster`.
+
+    Args:
+        per_peer_round_quota: most blocks one peer may be granted per
+            round (``None`` = unbounded).
+        max_pending_blocks: bound on the coded blocks the queue may
+            hold (``None`` = unbounded); see :meth:`_admit`.
     """
 
-    def __init__(self) -> None:
+    def __init__(
+        self,
+        *,
+        per_peer_round_quota: int | None = None,
+        max_pending_blocks: int | None = None,
+    ) -> None:
+        if max_pending_blocks is not None and max_pending_blocks < 1:
+            raise ConfigurationError(
+                f"max_pending_blocks must be >= 1, got {max_pending_blocks}"
+            )
+        self._max_pending_blocks = max_pending_blocks
+        self._round_scheduler = ServeRoundScheduler(
+            per_peer_quota=per_peer_round_quota
+        )
         self._sessions: dict[int, PeerSession] = {}
         self._disconnected: set[int] = set()
         self._queue: deque[BlockRequest] = deque()
         self._wire_buffers = [bytearray(), bytearray()]
         self._wire_slot = 0
         self._wire_packed = memoryview(b"")
+
+    def _check_geometry(self, segment: Segment) -> None:
+        """Raise ConfigurationError unless ``segment`` has the profile's
+        geometry (every ``publish`` checks this first)."""
+        if segment.params != self.profile.params:
+            raise ConfigurationError(
+                f"segment geometry {segment.params} does not match profile "
+                f"{self.profile.params}"
+            )
 
     def connect(self, peer_id: int) -> PeerSession:
         """Register a peer session (idempotent; reconnect after eviction)."""
@@ -169,6 +207,78 @@ class EagerRounds:
         if num_blocks < 1:
             raise ConfigurationError("must request at least one block")
 
+    def _admit(
+        self, peer_id: int, segment_id: int, num_blocks: int
+    ) -> RetryLater | None:
+        """Admit a peer's ask into the queue (the ``request_blocks`` body).
+
+        Requests carry a priority favouring nearly-complete sessions
+        (the fewer blocks asked, the higher the priority), so NACK
+        retransmissions are planned ahead of whole-segment bulk fetches.
+
+        Load shedding: when ``max_pending_blocks`` is set and the queue
+        cannot absorb the ask, the largest queued request is shed if it
+        is larger than the ask and frees enough room (its blocks are
+        refunded to its session; that peer re-requests); otherwise the
+        ask is answered with a :class:`~repro.errors.RetryLater` hint.
+
+        Raises:
+            CapacityError: the endpoint cannot serve the segment, or the
+                peer's session was evicted.
+            ConfigurationError: unknown peers or non-positive counts.
+        """
+        self._check_request(peer_id, num_blocks)
+        self._require_servable(segment_id)
+        limit = self._max_pending_blocks
+        overflow = 0 if limit is None else self.pending_blocks + num_blocks - limit
+        if overflow > 0:
+            victim = max(
+                self._queue, key=lambda request: request.num_blocks, default=None
+            )
+            freed = 0 if victim is None else victim.num_blocks
+            if num_blocks < freed and overflow <= freed:
+                self._queue.remove(victim)
+                self._refund(victim)
+                self.stats.requests_shed += 1
+                self._m_shed.inc()
+            else:
+                self.stats.retry_later_responses += 1
+                self._m_retry.inc()
+                return RetryLater(retry_after_rounds=max(1, -(-overflow // limit)))
+        priority = max(0, self.profile.params.num_blocks - num_blocks)
+        self._queue.append(
+            BlockRequest(peer_id, segment_id, num_blocks, priority=priority)
+        )
+        self._sessions[peer_id].record_request(num_blocks)
+        return None
+
+    def _refund(self, request: BlockRequest) -> None:
+        """Return a dropped request's blocks to its session's pending count."""
+        session = self._sessions.get(request.peer_id)
+        if session is not None:
+            session.blocks_pending = max(
+                0, session.blocks_pending - request.num_blocks
+            )
+
+    def evict_segment(self, segment_id: int) -> None:
+        """Stop serving a segment: drop its queued asks, then forget it.
+
+        Each dropped request's blocks are refunded to its session's
+        pending count, so a client's NACK accounting does not wait on
+        blocks that will never come, and later asks for the segment
+        raise the endpoint's :class:`~repro.errors.CapacityError`.
+        Other segments keep serving.
+        """
+        if self._queue:
+            kept: deque[BlockRequest] = deque()
+            for request in self._queue:
+                if request.segment_id == segment_id:
+                    self._refund(request)
+                else:
+                    kept.append(request)
+            self._queue = kept
+        self._forget(segment_id)
+
     @property
     def pending_requests(self) -> int:
         """Queued block requests awaiting the next serving round."""
@@ -195,6 +305,67 @@ class EagerRounds:
             )
             for peer_id, session in self._sessions.items()
         }
+
+    # -- the round ----------------------------------------------------------
+
+    def _round_batches(self) -> dict[int, list[BlockBatch]]:
+        """One scheduling round's emissions, as zero-copy per-peer batches.
+
+        Every grant against a segment shares one :meth:`_emit` call and
+        each peer's grant is a row-slice view of it, in grant order.  A
+        granted segment that is no longer servable raises before the
+        queue changes.
+        """
+        if not self._queue:
+            return {}
+        with trace("scheduler_plan"):
+            plan = self._round_scheduler.plan_round(self._queue)
+        for segment_id in plan.grants:
+            self._require_servable(segment_id)
+        self._queue = deque(plan.carryover)
+        fanout: dict[int, list[BlockBatch]] = {}
+        for segment_id, grants in plan.grants.items():
+            batch = self._emit(segment_id, sum(count for _, count in grants))
+            row = 0
+            for peer_id, count in grants:
+                fanout.setdefault(peer_id, []).append(
+                    batch.slice_rows(slice(row, row + count))
+                )
+                row += count
+                self._sessions[peer_id].record_blocks(count)
+        for peer_id in fanout:
+            self._sessions[peer_id].rounds_served += 1
+        self.stats.rounds_served += 1
+        self._m_rounds.inc()
+        return fanout
+
+    def serve_round_into(
+        self,
+        alloc: Callable[[int], tuple[object, int]],
+        *,
+        checksum: bool = True,
+        version: int = VERSION,
+    ) -> dict[int, list[tuple[int, int]]]:
+        """Serve one round packed into caller-allocated wire storage.
+
+        ``serve_round`` allocates out of the endpoint's reused wire
+        slots, a multiprocess cluster worker out of its shared-memory
+        ring; either way :meth:`_pack_round` writes the frames in place.
+        ``alloc`` and the returned spans are as in :meth:`_pack_round`.
+        """
+        with trace("serve_round"):
+            return self._pack_round(
+                self._round_batches(), alloc, checksum=checksum, version=version
+            )
+
+    def _serve_frames(
+        self, format: str, checksum: bool, version: int
+    ) -> dict[int, memoryview]:
+        """The ``serve_round`` body: one round into the next wire slot."""
+        check_round_format(format)
+        return self._slot_frames(
+            self.serve_round_into(self._alloc_wire, checksum=checksum, version=version)
+        )
 
     def begin_round(
         self,
@@ -344,6 +515,9 @@ class EagerRoundTicket:
 class StreamingServer(EagerRounds):
     """Serves network-coded media segments to downstream peers.
 
+    An :class:`EagerRounds` endpoint whose rows are fresh encodes of the
+    device-resident source blocks.
+
     Args:
         spec: GPU the server runs on.
         profile: media/coding configuration.
@@ -376,10 +550,10 @@ class StreamingServer(EagerRounds):
         max_pending_blocks: int | None = None,
         worker_id: int | None = None,
     ) -> None:
-        if max_pending_blocks is not None and max_pending_blocks < 1:
-            raise ConfigurationError(
-                f"max_pending_blocks must be >= 1, got {max_pending_blocks}"
-            )
+        super().__init__(
+            per_peer_round_quota=per_peer_round_quota,
+            max_pending_blocks=max_pending_blocks,
+        )
         self.spec = spec
         self.profile = profile
         self.worker_id = worker_id
@@ -388,11 +562,6 @@ class StreamingServer(EagerRounds):
         self._rng = rng if rng is not None else np.random.default_rng()
         self._segments: dict[int, Segment] = {}
         self._capacity = segments_in_device_memory(spec, profile)
-        self._max_pending_blocks = max_pending_blocks
-        self._round_scheduler = ServeRoundScheduler(
-            per_peer_quota=per_peer_round_quota
-        )
-        super().__init__()
         self.stats = ServerStats()
         # Registry write-through handles, cached once per server so the
         # serve paths pay a plain method call, not a label resolution.
@@ -403,8 +572,6 @@ class StreamingServer(EagerRounds):
         self._m_rounds = registry.counter("server_rounds_served")
         self._m_shed = registry.counter("server_requests_shed")
         self._m_retry = registry.counter("server_retry_later")
-        self._m_queue_depth = registry.gauge("server_queue_depth")
-        self._m_queue_blocks = registry.gauge("server_queue_blocks")
         self._m_coalesce = registry.histogram("server_coalesce_batch_size")
 
     @property
@@ -455,11 +622,7 @@ class StreamingServer(EagerRounds):
             ConfigurationError: on geometry mismatch.
             CapacityError: if the device segment store is full.
         """
-        if segment.params != self.profile.params:
-            raise ConfigurationError(
-                f"segment geometry {segment.params} does not match profile "
-                f"{self.profile.params}"
-            )
+        self._check_geometry(segment)
         if segment.segment_id not in self._segments and (
             len(self._segments) >= self._capacity
         ):
@@ -487,44 +650,46 @@ class StreamingServer(EagerRounds):
         """
         self._eviction_listeners.append(listener)
 
-    def evict_segment(self, segment_id: int) -> None:
-        """Drop a segment from the device store (e.g. past the live edge).
+    # -- the three EagerRounds hooks ----------------------------------------
 
-        Also drops the segment from the encoder's uploaded set, so a
-        long-running live session holds no reference to segments past
-        the live edge.  Queued requests for the evicted
-        segment are dropped (their pending counts are returned to the
-        sessions), and every registered eviction listener is notified —
-        this is how a cluster router learns to withdraw the segment from
-        its placement ring.
-        """
-        evicted = self._segments.pop(segment_id, None)
-        self._encoder.drop_segment(segment_id)
-        self.stats.segments_stored = len(self._segments)
-        if self._queue:
-            kept: deque[BlockRequest] = deque()
-            for request in self._queue:
-                if request.segment_id == segment_id:
-                    session = self._sessions.get(request.peer_id)
-                    if session is not None:
-                        session.blocks_pending = max(
-                            0, session.blocks_pending - request.num_blocks
-                        )
-                else:
-                    kept.append(request)
-            self._queue = kept
-        if evicted is not None:
-            for listener in self._eviction_listeners:
-                listener(segment_id)
-
-    def _validate_request(
-        self, peer_id: int, segment_id: int, num_blocks: int
-    ) -> Segment:
-        self._check_request(peer_id, num_blocks)
+    def _require_servable(self, segment_id: int) -> Segment:
+        """The device-resident segment; CapacityError when it is not."""
         segment = self._segments.get(segment_id)
         if segment is None:
             raise CapacityError(f"segment {segment_id} is not on the device")
         return segment
+
+    def _emit(self, segment_id: int, total: int) -> BlockBatch:
+        """``total`` fresh encodes of a segment: one coefficient draw,
+        one bulk multiply, one cost-model charge."""
+        with trace("encode_coalesced", segment=segment_id):
+            result = self._encoder.encode(self._segments[segment_id], total, self._rng)
+        self.stats.encode_calls += 1
+        self.stats.blocks_served += total
+        self.stats.bytes_served += result.coded_bytes
+        self.stats.gpu_seconds += result.time_seconds
+        self._m_encodes.inc()
+        self._m_blocks.inc(total)
+        self._m_bytes.inc(result.coded_bytes)
+        self._m_coalesce.observe(total)
+        return BlockBatch(
+            coefficients=result.coefficients,
+            payloads=result.payloads,
+            segment_id=segment_id,
+        )
+
+    def _forget(self, segment_id: int) -> None:
+        """Drop a segment from the device store and the encoder's
+        uploaded set, then notify every eviction listener — how a
+        cluster router learns to withdraw it from its placement ring."""
+        evicted = self._segments.pop(segment_id, None)
+        self._encoder.drop_segment(segment_id)
+        self.stats.segments_stored = len(self._segments)
+        if evicted is not None:
+            for listener in self._eviction_listeners:
+                listener(segment_id)
+
+    # -- serving ------------------------------------------------------------
 
     def serve(
         self, peer_id: int, segment_id: int, num_blocks: int
@@ -538,91 +703,25 @@ class StreamingServer(EagerRounds):
             CapacityError: if the segment is not resident on the device.
             ConfigurationError: for unknown peers or non-positive counts.
         """
-        segment = self._validate_request(peer_id, segment_id, num_blocks)
-        result = self._encoder.encode(segment, num_blocks, self._rng)
-        self.stats.encode_calls += 1
-        self.stats.blocks_served += num_blocks
-        self.stats.bytes_served += result.coded_bytes
-        self.stats.gpu_seconds += result.time_seconds
-        self._m_encodes.inc()
-        self._m_blocks.inc(num_blocks)
-        self._m_bytes.inc(result.coded_bytes)
+        self._check_request(peer_id, num_blocks)
+        self._require_servable(segment_id)
+        batch = self._emit(segment_id, num_blocks)
         self._sessions[peer_id].record_blocks(num_blocks)
-        return [
-            CodedBlock(
-                coefficients=result.coefficients[i],
-                payload=result.payloads[i],
-                segment_id=segment_id,
-            )
-            for i in range(num_blocks)
-        ]
-
-    # -- the batched round pipeline ----------------------------------------
+        return batch.rows()
 
     def request_blocks(
         self, peer_id: int, segment_id: int, num_blocks: int
     ) -> RetryLater | None:
         """Enqueue a peer's ask for coded blocks (drained by rounds).
 
-        Requests carry a priority favouring nearly-complete sessions
-        (the fewer blocks asked, the higher the priority), so NACK
-        retransmissions of a handful of missing blocks are planned ahead
-        of whole-segment bulk fetches.
-
-        Load shedding: when ``max_pending_blocks`` is configured and the
-        queue cannot absorb the ask, the server first tries to shed the
-        single largest queued request if it is strictly larger than the
-        new ask (its pending count is refunded to its session — that
-        peer will simply re-request).  If shedding cannot make room, the
-        ask is rejected with a :class:`~repro.errors.RetryLater` hint
-        instead of being queued.
-
-        Returns:
-            ``None`` when queued, or a :class:`~repro.errors.RetryLater`
-            backoff hint when the ask was shed at admission.
-
-        Raises:
-            CapacityError: if the segment is not resident on the device,
-                or the peer's session was evicted.
-            ConfigurationError: for unknown peers or non-positive counts.
+        Admission is :meth:`EagerRounds._admit`: nearly-complete
+        sessions first; with ``max_pending_blocks`` set, an overflowing
+        ask sheds the largest queued request or returns
+        :class:`~repro.errors.RetryLater`.  Raises
+        :class:`~repro.errors.CapacityError` when the segment is not on
+        the device or the peer's session was evicted.
         """
-        self._validate_request(peer_id, segment_id, num_blocks)
-        limit = self._max_pending_blocks
-        if limit is not None and self.pending_blocks + num_blocks > limit:
-            victim = max(
-                self._queue,
-                key=lambda request: request.num_blocks,
-                default=None,
-            )
-            freed = 0 if victim is None else victim.num_blocks
-            if (
-                victim is not None
-                and victim.num_blocks > num_blocks
-                and self.pending_blocks - freed + num_blocks <= limit
-            ):
-                self._queue.remove(victim)
-                shed_session = self._sessions.get(victim.peer_id)
-                if shed_session is not None:
-                    shed_session.blocks_pending = max(
-                        0, shed_session.blocks_pending - victim.num_blocks
-                    )
-                self.stats.requests_shed += 1
-                self._m_shed.inc()
-            else:
-                self.stats.retry_later_responses += 1
-                self._m_retry.inc()
-                overflow = self.pending_blocks + num_blocks - limit
-                return RetryLater(
-                    retry_after_rounds=max(1, -(-overflow // limit))
-                )
-        priority = max(0, self.profile.params.num_blocks - num_blocks)
-        self._queue.append(
-            BlockRequest(peer_id, segment_id, num_blocks, priority=priority)
-        )
-        self._sessions[peer_id].record_request(num_blocks)
-        self._m_queue_depth.set(len(self._queue))
-        self._m_queue_blocks.set(self.pending_blocks)
-        return None
+        return self._admit(peer_id, segment_id, num_blocks)
 
     def serve_round(
         self,
@@ -634,113 +733,21 @@ class StreamingServer(EagerRounds):
         """Drain one scheduling round of the request queue onto the wire.
 
         All pending requests against the same segment coalesce into a
-        single engine-level batch encode; the round is then packed into
-        the server's reused wire storage (two alternating slots, each
-        grown across rounds) and every peer gets one ``memoryview``
-        slice of it — valid for two rounds, so one round may stay on
-        the wire while the next packs; consume or copy before the slot
-        is reused.  Requests beyond a peer's round quota stay queued
-        for the next round.
+        single engine-level batch encode; every peer gets one
+        ``memoryview`` slice of the server's reused wire storage, valid
+        for two rounds (consume or copy it before then).  Requests
+        beyond a peer's round quota stay queued for the next round.
 
         Args:
             format: the round output; only ``"frames"`` is served.
             checksum: whether frames carry integrity trailers.
-            version: wire format version.  ``version=2`` emits the
-                integrity format: digest trailers, per-session monotonic
-                sequence numbers (from
+            version: wire format version.  ``version=2`` frames carry
+                digest trailers, per-session sequence numbers (from
                 :attr:`~repro.streaming.session.PeerSession.tx_sequence`)
-                and, when the server has a :attr:`worker_id`, the
-                cluster worker stamp.
+                and the :attr:`worker_id` stamp, if any.
 
         Returns:
             ``peer_id -> memoryview`` of the peer's frames (empty dict
             when the queue is empty).
-
-        Raises:
-            ConfigurationError: on any ``format`` but ``"frames"``.
-            CapacityError: if a queued segment was evicted behind the
-                queue's back (cannot normally happen —
-                :meth:`evict_segment` drops its queued requests).
         """
-        check_round_format(format)
-        return self._slot_frames(
-            self.serve_round_into(self._alloc_wire, checksum=checksum, version=version)
-        )
-
-    def _round_batches(self) -> dict[int, list[BlockBatch]]:
-        """One scheduling round's encodes, as zero-copy per-peer batches."""
-        if not self._queue:
-            return {}
-        with trace("scheduler_plan"):
-            plan = self._round_scheduler.plan_round(self._queue)
-        segments: dict[int, Segment] = {}
-        for segment_id in plan.grants:
-            segment = self._segments.get(segment_id)
-            if segment is None:
-                raise CapacityError(f"segment {segment_id} is not on the device")
-            segments[segment_id] = segment
-        self._queue = deque(plan.carryover)
-        self._m_queue_depth.set(len(self._queue))
-        self._m_queue_blocks.set(self.pending_blocks)
-
-        fanout: dict[int, list[BlockBatch]] = {}
-        for segment_id, grants in plan.grants.items():
-            counts = [count for _, count in grants]
-            with trace("encode_coalesced", segment=segment_id):
-                result, slices = self._encoder.encode_coalesced(
-                    segments[segment_id], counts, self._rng
-                )
-            self.stats.encode_calls += 1
-            self.stats.blocks_served += sum(counts)
-            self.stats.bytes_served += result.coded_bytes
-            self.stats.gpu_seconds += result.time_seconds
-            self._m_encodes.inc()
-            self._m_blocks.inc(sum(counts))
-            self._m_bytes.inc(result.coded_bytes)
-            self._m_coalesce.observe(sum(counts))
-            for (peer_id, count), rows in zip(grants, slices):
-                batch = BlockBatch(
-                    coefficients=result.coefficients[rows],
-                    payloads=result.payloads[rows],
-                    segment_id=segment_id,
-                )
-                fanout.setdefault(peer_id, []).append(batch)
-                self._sessions[peer_id].record_blocks(count)
-        for peer_id in fanout:
-            self._sessions[peer_id].rounds_served += 1
-        self.stats.rounds_served += 1
-        self._m_rounds.inc()
-        return fanout
-
-    def serve_round_into(
-        self,
-        alloc: Callable[[int], tuple[object, int]],
-        *,
-        checksum: bool = True,
-        version: int = VERSION,
-    ) -> dict[int, list[tuple[int, int]]]:
-        """Serve one round packed into caller-allocated wire storage.
-
-        :meth:`serve_round` allocates out of the server's reused
-        buffer, while a multiprocess cluster worker allocates out of its
-        shared-memory ring — either way :meth:`_pack_round` writes the
-        frames in place, so the zero-copy wire path survives the process
-        boundary.
-
-        Args:
-            alloc: called once per non-empty round with the round's
-                total wire size; must return ``(buffer, offset)``.
-            checksum: whether frames carry integrity trailers.
-            version: wire format version (``version=2`` adds digests,
-                sequences and the worker stamp).
-
-        Returns:
-            ``peer_id -> [(offset, length), ...]`` spans into the
-            returned buffer, one per granted batch; a peer's spans are
-            contiguous and in grant order.  Empty dict when the queue
-            was empty.
-        """
-        with trace("serve_round"):
-            return self._pack_round(
-                self._round_batches(), alloc, checksum=checksum, version=version
-            )
+        return self._serve_frames(format, checksum, version)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.errors import ConfigurationError
+from repro.errors import CapacityError, ConfigurationError
 from repro.gpu import GTX280
 from repro.rlnc import (
     VERSION,
@@ -116,6 +116,28 @@ class TestProtocol:
     def test_stats_snapshot_is_registry_shaped(self, factory):
         snapshot = factory().stats_snapshot()
         assert set(snapshot) >= {"counters", "gauges", "histograms"}
+
+
+class TestEviction:
+    @pytest.mark.parametrize("factory", ENDPOINT_FACTORIES)
+    def test_evict_segment_drops_its_asks_and_keeps_serving(self, factory):
+        endpoint = factory()
+        endpoint.publish(make_segment(0, seed=1))
+        endpoint.publish(make_segment(1, seed=2))
+        view = endpoint.connect(1)
+        endpoint.request_blocks(1, 0, 3)
+        endpoint.request_blocks(1, 1, 2)
+        assert view.blocks_pending == 5
+        endpoint.evict_segment(0)
+        assert view.blocks_pending == 2  # the evicted asks are refunded
+        assert endpoint.pending_blocks == 2
+        blocks = unpack_blocks(bytes(endpoint.serve_round(version=VERSION2)[1]))
+        assert [block.segment_id for block in blocks] == [1, 1]
+        assert view.blocks_pending == 0
+        with pytest.raises(CapacityError):
+            endpoint.request_blocks(1, 0, 1)
+        endpoint.request_blocks(1, 1, 1)
+        assert len(unpack_blocks(bytes(endpoint.serve_round()[1]))) == 1
 
 
 class TestPipelinedRounds:

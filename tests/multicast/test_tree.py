@@ -57,16 +57,36 @@ class TestDistribution:
             return multicast_capacity(graph, source, sinks)
 
         monkeypatch.setattr(tree_module, "multicast_capacity", counting)
+        tree_module._min_cut_bound.cache_clear()
         first, second = make_segment(1), make_segment(2)
         second = Segment(blocks=second.blocks, segment_id=1)
         root = make_root(first)
         root.publish(second)
-        tree = MulticastTree(root, PROFILE, relays=2, leaves_per_relay=2)
+        trees = [
+            MulticastTree(root, PROFILE, relays=2, leaves_per_relay=2, seed=seed)
+            for seed in range(2)
+        ]
         assert calls == []  # lazy: construction computes nothing
-        reports = [tree.distribute(first), tree.distribute(second)]
+        reports = [trees[0].distribute(first), trees[1].distribute(second)]
         assert len(calls) == 1
         assert all(report.payload_ok for report in reports)
         assert reports[0].min_cut_bound == reports[1].min_cut_bound >= 1
+
+    def test_relays_evict_each_distributed_segment(self):
+        segments = [
+            Segment(blocks=make_segment(seed).blocks, segment_id=seed)
+            for seed in range(20)
+        ]
+        root = make_root(segments[0])
+        for segment in segments[1:]:
+            root.publish(segment)
+        tree = MulticastTree(root, PROFILE, relays=2, leaves_per_relay=2)
+        for segment in segments:
+            assert tree.distribute(segment).payload_ok
+            for relay in tree.relays:
+                gauges = relay.stats_snapshot()["gauges"]
+                assert gauges["relay_segments_buffered"] == 0
+                assert gauges["relay_queue_blocks"] == 0
 
     def test_lossless_tree_delivers_every_leaf(self):
         segment = make_segment()
