@@ -27,7 +27,7 @@ from repro.faults import ChaosPlan, WorkerKillPlan
 from repro.gpu.spec import GTX280, DeviceSpec
 from repro.rlnc.block import CodingParams, Segment
 from repro.rlnc.wire import VERSION2
-from repro.streaming.client import ClientSession
+from repro.streaming.client import ClientSession, receive_round
 from repro.streaming.session import MediaProfile
 
 
@@ -208,13 +208,12 @@ def run_cluster_workload(
                 except RetryExhaustedError:
                     undecoded.add(session.peer_id)
             frames = cluster.serve_round(version=wire_version)
-            for session in live:
-                if session.peer_id in undecoded:
-                    continue
-                try:
-                    session.intake(frames.get(session.peer_id))
-                except RetryExhaustedError:
-                    undecoded.add(session.peer_id)
+            receiving = [s for s in live if s.peer_id not in undecoded]
+            receive_round(
+                receiving,
+                [frames.get(session.peer_id) for session in receiving],
+                on_exhausted=lambda session, _: undecoded.add(session.peer_id),
+            )
             rounds += 1
             if (
                 cluster.supervisor is not None

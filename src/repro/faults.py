@@ -253,8 +253,8 @@ class FaultPlan:
         back as a new matrix in delivery order, and corruption flips a
         bit in a copy of the row — the caller's matrix is never
         mutated.  This is the wire-path hook: both receivers run their
-        round through it, then hand the result to
-        :func:`~repro.rlnc.wire.unpack_round`, whose
+        round through it, then the receive step verifies the result
+        with :func:`~repro.rlnc.wire.unpack_cohort`, whose
         :class:`~repro.rlnc.wire.WireStats` tests compare against
         :attr:`counters`.
         """

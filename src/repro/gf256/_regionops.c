@@ -2,11 +2,11 @@
  *
  * Two kernel shapes share one lane multiply.
  *
- * * Region passes (`mul_add`, and on it `gf256_absorb`, the library's
- *   one Gauss-Jordan body): one fused `dst ^= c * src` pass per (row,
- *   nonzero coefficient), 64 bytes at a time; a length that is not a
- *   multiple of the vector finishes with one byte-masked load and
- *   store on AVX-512.
+ * * Region passes (`mul_add`, and on it `gf256_absorb_many`, the
+ *   library's one Gauss-Jordan entry point): one fused `dst ^= c * src`
+ *   pass per (row, nonzero coefficient), 64 bytes at a time; a length
+ *   that is not a multiple of the vector finishes with one byte-masked
+ *   load and store on AVX-512.
  * * `gf256_matmul` is register-blocked on AVX-512: a block of rows x
  *   64-byte lanes lives in zmm accumulators (4 x 4 with GFNI, 8 x 1
  *   with shuffles), each source vector is loaded once per block (not
@@ -459,9 +459,9 @@ static size_t span(size_t used, size_t row_bytes) {
  * and in the row being reduced, so each region pass stops at the first
  * whole vector past them (`span`).  Returns the number of rows
  * accepted; stops early at full rank. */
-size_t gf256_absorb(uint8_t *work, size_t work_stride, size_t n, size_t held,
-                    const uint8_t *incoming, size_t in_stride, size_t m,
-                    int64_t *pivot_cols, int64_t *accepted) {
+static size_t absorb(uint8_t *work, size_t work_stride, size_t n, size_t held,
+                     const uint8_t *incoming, size_t in_stride, size_t m,
+                     int64_t *pivot_cols, int64_t *accepted) {
     size_t count = 0;
     for (size_t i = 0; i < m && held < n; i++) {
         uint8_t *row = work + held * work_stride;
@@ -496,4 +496,41 @@ size_t gf256_absorb(uint8_t *work, size_t work_stride, size_t n, size_t held,
         held++;
     }
     return count;
+}
+
+/* The fields of one absorb job, a row of `count` uint64 words.  All
+ * addresses and strides are in bytes; HELD is read and written back
+ * (it grows by the rows the job accepted). */
+enum {
+    JOB_WORK,
+    JOB_WORK_STRIDE,
+    JOB_N,
+    JOB_HELD,
+    JOB_INCOMING,
+    JOB_IN_STRIDE,
+    JOB_M,
+    JOB_PIVOTS,
+    JOB_ACCEPTED,
+    JOB_FIELDS
+};
+
+/* The library's one elimination entry point: `absorb` for each of
+ * `count` jobs in order, in one call -- a receiving cohort's decoders,
+ * or one matrix.  A job with m = 0 or held = n accepts nothing.
+ * Returns the rows accepted over all jobs. */
+size_t gf256_absorb_many(uint64_t *jobs, size_t count) {
+    size_t total = 0;
+    for (size_t j = 0; j < count; j++) {
+        uint64_t *job = jobs + j * JOB_FIELDS;
+        size_t accepted = absorb(
+            (uint8_t *)(uintptr_t)job[JOB_WORK], (size_t)job[JOB_WORK_STRIDE],
+            (size_t)job[JOB_N], (size_t)job[JOB_HELD],
+            (const uint8_t *)(uintptr_t)job[JOB_INCOMING],
+            (size_t)job[JOB_IN_STRIDE], (size_t)job[JOB_M],
+            (int64_t *)(uintptr_t)job[JOB_PIVOTS],
+            (int64_t *)(uintptr_t)job[JOB_ACCEPTED]);
+        job[JOB_HELD] += accepted;
+        total += accepted;
+    }
+    return total;
 }

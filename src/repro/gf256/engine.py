@@ -6,9 +6,11 @@ rref, rank, inversion, solve and row selection) funnels through one
 :class:`Gf256Engine`.  It has two field operations:
 
 * :meth:`Gf256Engine.matmul` — the matrix product (paper Eq. 1);
-* :meth:`Gf256Engine.absorb` — a batch of progressive Gauss–Jordan
-  intake into an ``[C | M]`` work matrix, the library's one
-  elimination body.
+* :meth:`Gf256Engine.absorb_many` — progressive Gauss–Jordan intake
+  of row batches into ``[C | M]`` work matrices, the library's one
+  elimination body: one call absorbs a whole receiving cohort's rows,
+  each job into its own :class:`AbsorbTarget`.
+  :meth:`Gf256Engine.absorb` is the one-job form.
 
 and two implementations of both:
 
@@ -17,7 +19,7 @@ and two implementations of both:
   AVX-512 a block of output rows times 64-byte lanes stays in vector
   registers while every source row is loaded once per block, so no
   intermediate product row and no per-pass reload of the output
-  exists.  ``absorb`` runs the whole batch in one C call, one fused
+  exists.  ``absorb_many`` runs every job in one C call, one fused
   multiply-accumulate pass per nonzero factor.  The lane multiply is
   one GFNI ``vgf2p8mulb`` where the CPU has it (its hard-wired
   polynomial 0x11B is this library's), else the nibble shuffle of
@@ -30,8 +32,8 @@ and two implementations of both:
   back to the table formulation below, so it works on every host —
   just slower.
 * ``table`` — the reference oracle: gathers from the dense 256x256
-  product table (the seed formulation), with ``absorb`` as a numpy
-  loop.  Tests force it to cross-validate the kernel.
+  product table (the seed formulation), with absorb as a numpy loop
+  run once per job.  Tests force it to cross-validate the kernel.
 
 Select one per engine (``Gf256Engine("table")``) or on the process-wide
 instance (``ENGINE.set_backend("table")``).  Unknown names raise
@@ -65,6 +67,35 @@ def _as_rows(array: np.ndarray) -> np.ndarray:
     if m and k > 1 and array.strides[1] != 1:
         raise FieldError("matmul out must have contiguous rows")
     return array
+
+
+class AbsorbTarget:
+    """An elimination target checked once: ``[C | M]`` and its pivots.
+
+    ``work`` is a C-contiguous (n, 2n) uint8 control plane and
+    ``pivot_cols`` a contiguous (n,) int64 array.  Their layout is
+    checked and their kernel addresses are taken here, once, so an
+    owner that never reallocates them (a
+    :class:`~repro.rlnc.decoder.ProgressiveDecoder` clears them in
+    place) pays no per-intake validation or pointer conversion.
+
+    Raises:
+        FieldError: on any other layout.
+    """
+
+    __slots__ = ("work", "pivot_cols", "n", "_work_fields", "_pivots")
+
+    def __init__(self, work: np.ndarray, pivot_cols: np.ndarray) -> None:
+        _as_u8(work)
+        try:
+            address, stride, n, pivots = regionops.absorb_target(work, pivot_cols)
+        except ValueError as exc:
+            raise FieldError(f"absorb target: {exc}") from None
+        self.work = work
+        self.pivot_cols = pivot_cols
+        self.n = n
+        self._work_fields = (address, stride, n)
+        self._pivots = pivots
 
 
 class Gf256Engine:
@@ -159,6 +190,78 @@ class Gf256Engine:
 
     # -- progressive elimination -------------------------------------------
 
+    def absorb_many(
+        self,
+        jobs: list[tuple[AbsorbTarget, int, int, int]],
+        incoming: np.ndarray,
+    ) -> tuple[np.ndarray, list[int]]:
+        """Progressive Gauss–Jordan intake of several row batches at once.
+
+        Job ``(target, held, start, stop)`` absorbs rows ``[start,
+        stop)`` of the (R, n) ``incoming`` matrix into ``target``,
+        whose rows ``[0, held)`` are in RREF with pivots
+        ``pivot_cols[:held]`` and the rest zero.  Every row is reduced
+        against the held rows; a row that reduces to zero is dropped,
+        any other is normalised on its first nonzero column (transform
+        column ``n + held`` set to 1 first, so the scale is
+        attributed), eliminated from the held rows and appended as row
+        ``held``.  Work matrices and pivots are updated in place; a
+        job stops at full rank.  Jobs run in order, so two jobs on one
+        target must not share a call (the second's ``held`` would be
+        stale).
+
+        The compiled kernel runs every job in one C call: one pointer
+        conversion for ``incoming`` and one for the result, whatever
+        the job count.  The table formulation (the oracle, and the
+        no-compiler path) runs its numpy elimination per job; the
+        stored RREF is unique, so both leave byte-identical state.
+
+        Returns:
+            ``(accepted, counts)``: job ``i``'s accepted rows, as int64
+            indices relative to its ``start`` and in order, are
+            ``accepted[start : start + counts[i]]`` (row ``j`` of them
+            went to ``work[held + j]``).
+        """
+        _as_u8(incoming)
+        if incoming.ndim != 2:
+            raise FieldError("absorb requires a 2-D incoming matrix")
+        rows, n = incoming.shape
+        kernel = self._kernel()
+        if kernel and (incoming.strides[0] < 0 or (n > 1 and incoming.strides[1] != 1)):
+            incoming = np.ascontiguousarray(incoming)
+        accepted = np.empty(rows, dtype=np.int64)
+        base = stride = out = 0
+        if kernel:
+            base, stride = incoming.ctypes.data, incoming.strides[0]
+            out = accepted.ctypes.data
+        # One regionops job row per job: the target's cached addresses,
+        # then the job's own fields (see regionops.JOB_FIELDS).
+        words: list[int] = []
+        for target, held, start, stop in jobs:
+            if target.n != n or not 0 <= held <= n or not 0 <= start <= stop <= rows:
+                raise FieldError(
+                    f"absorb job (held {held}, rows [{start}, {stop})) does not "
+                    f"fit an order-{target.n} target and a ({rows}, {n}) batch"
+                )
+            words += target._work_fields
+            words += (held, base + start * stride, stride, stop - start)
+            words += (target._pivots, out + 8 * start)
+        if not kernel:
+            counts = []
+            for target, held, start, stop in jobs:
+                taken = self._absorb_table(
+                    target.work, held, incoming[start:stop], target.pivot_cols
+                )
+                accepted[start : start + taken.size] = taken
+                counts.append(taken.size)
+            return accepted, counts
+        if not jobs:
+            return accepted, []
+        table = np.array(words, dtype=np.uint64).reshape(-1, regionops.JOB_FIELDS)
+        regionops.absorb_many(table)
+        held_after = table[:, regionops.JOB_HELD].tolist()
+        return accepted, [after - job[1] for after, job in zip(held_after, jobs)]
+
     def absorb(
         self,
         work: np.ndarray,
@@ -166,48 +269,36 @@ class Gf256Engine:
         incoming: np.ndarray,
         pivot_cols: np.ndarray,
     ) -> np.ndarray:
-        """Progressive Gauss–Jordan intake of a coefficient batch.
+        """One batch into one work matrix: :meth:`absorb_many` with one job.
 
-        ``work`` is the (n, 2n) control plane ``[C | M]``: rows
-        ``[0, held)`` in RREF with pivots ``pivot_cols[:held]``, the
-        rest zero.  Every row of the (m, n) ``incoming`` matrix is
-        reduced against the held rows; a row that reduces to zero is
-        dropped, any other is normalised on its first nonzero column
-        (transform column ``n + held`` set to 1 first, so the scale is
-        attributed), eliminated from the held rows and appended as row
-        ``held``.  ``work`` and ``pivot_cols`` are updated in place;
-        intake stops at full rank.
-
-        The compiled kernel does the whole batch in one call.  The
-        table formulation (the oracle, and the no-compiler path)
-        reduces the batch against the held rows with one matmul and
-        then finishes row by row; the stored RREF is unique, so both
-        leave byte-identical state.
+        ``work`` and ``pivot_cols`` are checked as an
+        :class:`AbsorbTarget`; arguments are as in :meth:`absorb_many`.
 
         Returns:
             The int64 indices of the accepted ``incoming`` rows, in
             order (row ``i`` of the result went to ``work[held + i]``).
         """
-        _as_u8(work)
-        _as_u8(incoming)
-        n = work.shape[0] if work.ndim == 2 else -1
-        if work.shape != (n, 2 * n) or not work.flags.c_contiguous:
-            raise FieldError("absorb requires a C-contiguous (n, 2n) work matrix")
-        if incoming.ndim != 2 or incoming.shape[1] != n:
-            raise FieldError(f"absorb requires an (m, {n}) incoming matrix")
-        if pivot_cols.dtype != np.int64 or pivot_cols.shape != (n,):
-            raise FieldError(f"absorb requires ({n},) int64 pivot columns")
-        if not 0 <= held <= n:
-            raise FieldError(f"held rank {held} outside [0, {n}]")
+        target = AbsorbTarget(work, pivot_cols)
+        stop = incoming.shape[0] if incoming.ndim else 0
+        accepted, counts = self.absorb_many([(target, held, 0, stop)], incoming)
+        return accepted[: counts[0]]
+
+    def _absorb_table(
+        self,
+        work: np.ndarray,
+        held: int,
+        incoming: np.ndarray,
+        pivot_cols: np.ndarray,
+    ) -> np.ndarray:
+        """The oracle elimination of one job (see :meth:`absorb_many`).
+
+        Reduces the batch against the held rows with one matmul, then
+        finishes row by row.
+        """
+        n = work.shape[0]
         m = incoming.shape[0]
         if m == 0 or held == n:
             return np.empty(0, dtype=np.int64)
-        if self._kernel():
-            if incoming.strides[0] < 0 or (n > 1 and incoming.strides[1] != 1):
-                incoming = np.ascontiguousarray(incoming)
-            accepted = np.empty(m, dtype=np.int64)
-            count = regionops.absorb(work, held, incoming, pivot_cols, accepted)
-            return accepted[:count]
         rows = np.zeros((m, 2 * n), dtype=np.uint8)
         rows[:, :n] = incoming
         if held:

@@ -3,10 +3,15 @@
 The ``wide`` engine backend's fast path is ``_regionops.c`` — a
 dependency-free C translation unit with a register-blocked matmul (and
 its one-row case, ``fold_rows``) and the progressive Gauss–Jordan
-``absorb`` built on fused multiply-accumulate region passes, whose lane
-multiply is GFNI or the nibble shuffle, picked at runtime per CPU
-(module docs there; :data:`SIMD_LEVELS`).  This module owns its whole
-lifecycle:
+``gf256_absorb_many`` built on fused multiply-accumulate region passes,
+whose lane multiply is GFNI or the nibble shuffle, picked at runtime per
+CPU (module docs there; :data:`SIMD_LEVELS`).  ``absorb_many`` is the
+one elimination entry point: it takes a table of jobs, one row of
+:data:`JOB_FIELDS` words per work matrix, so a whole receiving cohort's
+decoders absorb a round in one C call.  Callers that keep their work
+matrices for their lifetime validate them once (:func:`absorb_target`)
+and reuse the addresses; :func:`absorb` is the checked one-job form.
+This module owns the kernel's whole lifecycle:
 
 * compile the bundled source with the host's ``cc`` into a content-
   addressed shared object under a per-user cache directory (one compile
@@ -105,18 +110,8 @@ def _declare(lib: ctypes.CDLL) -> None:
     lib.gf256_matmul.restype = None
     lib.gf256_fold_rows.argtypes = [void_p, void_p, size_t, void_p, size_t, size_t]
     lib.gf256_fold_rows.restype = None
-    lib.gf256_absorb.argtypes = [
-        void_p,
-        size_t,
-        size_t,
-        size_t,
-        void_p,
-        size_t,
-        size_t,
-        void_p,
-        void_p,
-    ]
-    lib.gf256_absorb.restype = size_t
+    lib.gf256_absorb_many.argtypes = [void_p, size_t]
+    lib.gf256_absorb_many.restype = size_t
 
 
 def _load() -> ctypes.CDLL | None:
@@ -222,6 +217,55 @@ def fold_rows(dst: np.ndarray, rows: np.ndarray, factors: np.ndarray) -> None:
     )
 
 
+#: Words per :func:`absorb_many` job: work address, work row stride, n,
+#: held (written back), incoming address, incoming row stride, m, pivot
+#: columns address, accepted address.  Strides are in bytes.
+JOB_FIELDS = 9
+#: Column of the held count in a job row.
+JOB_HELD = 3
+
+
+def absorb_target(
+    work: np.ndarray, pivot_cols: np.ndarray
+) -> tuple[int, int, int, int]:
+    """Check an elimination target once; return ``(work, stride, n, pivots)``.
+
+    ``work`` must be a C-contiguous (n, 2n) uint8 control plane and
+    ``pivot_cols`` a contiguous (n,) int64 array.  The addresses stay
+    valid as long as neither array is reallocated.
+
+    Raises:
+        ValueError: on any other layout.
+    """
+    n = work.shape[0] if work.ndim == 2 else -1
+    if work.dtype != np.uint8 or work.shape != (n, 2 * n):
+        raise ValueError("work must be a (n, 2n) uint8 matrix")
+    if not work.flags.c_contiguous:
+        raise ValueError("work must be C-contiguous")
+    _check_int64(pivot_cols, "pivot_cols", n)
+    return work.ctypes.data, work.strides[0], n, pivot_cols.ctypes.data
+
+
+def _check_int64(array: np.ndarray, name: str, size: int) -> None:
+    if array.dtype != np.int64 or array.ndim != 1:
+        raise ValueError(f"{name} must be a 1-D int64 array")
+    if not array.flags.c_contiguous or array.shape[0] < size:
+        raise ValueError(f"{name} must be contiguous with {size} entries")
+
+
+def absorb_many(jobs: np.ndarray) -> int:
+    """Run every job of a ``(J, JOB_FIELDS)`` uint64 table in one C call.
+
+    Job ``j`` absorbs its ``m`` incoming rows into its work matrix as
+    :func:`absorb` does, in table order; its held count (column
+    :data:`JOB_HELD`) is advanced in place by the rows it accepted.
+    Addresses are taken on trust: build them from arrays checked by
+    :func:`absorb_target` and :func:`absorb`'s rules.  Returns the rows
+    accepted over all jobs.
+    """
+    return _load().gf256_absorb_many(jobs.ctypes.data, jobs.shape[0])
+
+
 def absorb(
     work: np.ndarray,
     held: int,
@@ -238,39 +282,34 @@ def absorb(
     int64.  Appends every innovative row to ``work`` (pivot into
     ``pivot_cols[held + i]``, incoming index into ``accepted[i]``) and
     returns how many it accepted.  Layouts are checked here so a bad
-    view raises instead of reaching C.
+    view raises instead of reaching C; the work is one
+    :func:`absorb_many` job.
     """
-    lib = _load()
-    n = work.shape[0] if work.ndim == 2 else -1
-    if work.dtype != np.uint8 or work.shape != (n, 2 * n):
-        raise ValueError("work must be a (n, 2n) uint8 matrix")
-    if not work.flags.c_contiguous:
-        raise ValueError("work must be C-contiguous")
+    work_address, work_stride, n, pivots = absorb_target(work, pivot_cols)
     stride = _check_row_view(incoming, "incoming")
     m = incoming.shape[0]
     if incoming.shape[1] != n or stride < 0:
         raise ValueError(f"incoming must have {n} columns and a forward stride")
-    for array, name, size in (
-        (pivot_cols, "pivot_cols", n),
-        (accepted, "accepted", m),
-    ):
-        if array.dtype != np.int64 or array.ndim != 1:
-            raise ValueError(f"{name} must be a 1-D int64 array")
-        if not array.flags.c_contiguous or array.shape[0] < size:
-            raise ValueError(f"{name} must be contiguous with {size} entries")
+    _check_int64(accepted, "accepted", m)
     if not 0 <= held <= n:
         raise ValueError(f"held {held} outside [0, {n}]")
-    return lib.gf256_absorb(
-        work.ctypes.data,
-        work.strides[0],
-        n,
-        held,
-        incoming.ctypes.data,
-        stride,
-        m,
-        pivot_cols.ctypes.data,
-        accepted.ctypes.data,
+    job = np.array(
+        [
+            [
+                work_address,
+                work_stride,
+                n,
+                held,
+                incoming.ctypes.data,
+                stride,
+                m,
+                pivots,
+                accepted.ctypes.data,
+            ]
+        ],
+        dtype=np.uint64,
     )
+    return absorb_many(job)
 
 
 def _reset_for_tests() -> None:

@@ -24,11 +24,8 @@ kernels and the reference codec.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 import numpy as np
 
-from repro.errors import ConfigurationError
 from repro.gf256 import (
     matmul,
     mul_scalar_loop,
@@ -147,57 +144,6 @@ class GpuEncoder:
             stats=stats,
             spec=self.spec,
         )
-
-    def encode_coalesced(
-        self,
-        segment: Segment,
-        counts: Sequence[int],
-        rng: np.random.Generator,
-        *,
-        coefficients: np.ndarray | None = None,
-    ) -> tuple[EncodeResult, list[slice]]:
-        """Serve several peers' block requests with one kernel launch.
-
-        This is the serving pipeline's coalescing primitive: the block
-        counts of every request pending against one segment are summed
-        into a single :meth:`encode` call — one coefficient draw, one
-        engine-level batch multiply, one cost-model charge — and the
-        returned row slices fan the combined coefficient/payload
-        matrices back out per request without copying.
-
-        Args:
-            segment: source segment.
-            counts: blocks requested, one entry per pending request.
-            rng: generator for the combined coefficient matrix.
-            coefficients: fixed combined coefficient matrix
-                (tests/cross-checks); must have ``sum(counts)`` rows.
-
-        Returns:
-            The combined :class:`EncodeResult` and one ``slice`` per
-            request, in order, indexing its rows of the result matrices.
-
-        Raises:
-            ConfigurationError: on an empty request list or non-positive
-                counts.
-        """
-        counts = list(counts)
-        if not counts:
-            raise ConfigurationError("coalesced encode needs at least one request")
-        if any(count < 1 for count in counts):
-            raise ConfigurationError(f"block counts must be >= 1, got {counts}")
-        total = sum(counts)
-        if coefficients is not None and coefficients.shape[0] != total:
-            raise ConfigurationError(
-                f"coefficient matrix has {coefficients.shape[0]} rows for "
-                f"{total} requested blocks"
-            )
-        result = self.encode(segment, total, rng, coefficients=coefficients)
-        slices: list[slice] = []
-        offset = 0
-        for count in counts:
-            slices.append(slice(offset, offset + count))
-            offset += count
-        return result, slices
 
     def estimate(
         self, *, num_blocks: int, block_size: int, coded_rows: int

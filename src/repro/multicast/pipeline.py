@@ -48,7 +48,7 @@ from repro.multicast.timeline import OverlapReport, TimelineModel
 from repro.obs.trace import trace
 from repro.rlnc.block import Segment
 from repro.rlnc.wire import VERSION2, frame_sequence, frame_size, frame_worker_id
-from repro.streaming.client import ClientSession
+from repro.streaming.client import ClientSession, receive_round
 from repro.streaming.nic import GIGABIT_ETHERNET, NicModel
 
 
@@ -391,8 +391,8 @@ def _lockstep_loop(state: _RunState, max_rounds: int) -> None:
             state.record_round(
                 frames, None if before is None else after - before
             )
-        for session in state.incomplete():
-            session.intake(frames.get(session.peer_id))
+        active = state.incomplete()
+        receive_round(active, [frames.get(session.peer_id) for session in active])
 
 
 def _pipelined_loop(state: _RunState, max_rounds: int) -> None:
@@ -421,8 +421,8 @@ def _pipelined_loop(state: _RunState, max_rounds: int) -> None:
             for session in incomplete:
                 session.pre_round()
             if state.endpoint.pending_blocks == 0:
-                for session in incomplete:
-                    session.intake(None)  # tick the retry/backoff clock
+                # Tick the retry/backoff clock.
+                receive_round(incomplete, [None] * len(incomplete))
                 continue
         if ticket is None and state.endpoint.pending_blocks > 0:
             gpu_before = state.gpu_seconds()
@@ -431,8 +431,8 @@ def _pipelined_loop(state: _RunState, max_rounds: int) -> None:
             )
         if pending is not None:
             # The overlap window: round r-1 decodes while round r encodes.
-            for session in state.incomplete():
-                session.intake(pending.get(session.peer_id))
+            active = state.incomplete()
+            receive_round(active, [pending.get(session.peer_id) for session in active])
             pending = None
         if ticket is not None:
             served = state.endpoint.collect_round(ticket)

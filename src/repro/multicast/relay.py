@@ -137,15 +137,32 @@ class RelayNode(EagerRounds):
 
     def _keep(self, segment_id: int, coefficients, payloads=None) -> int:
         """Offer rows to the segment's recoder; count and return the kept."""
+        kept = self._recoder(segment_id).add_batch(coefficients, payloads)
+        self._count_ingested(kept)
+        return kept
+
+    def _recoder(self, segment_id: int) -> Recoder:
         recoder = self._recoders.get(segment_id)
         if recoder is None:
             recoder = self._recoders[segment_id] = Recoder(
                 self.profile.params, segment_id
             )
-        kept = recoder.add_batch(coefficients, payloads)
+        return recoder
+
+    def _intake_decoder(self, segment_id: int, rows: int):
+        """:meth:`ingest` split for a receiving cohort: the decoder that
+        takes ``rows`` offered rows of the segment (``None`` at full
+        rank, the rows counted as discarded); the cohort absorbs into
+        it and reports the kept count to :meth:`_ingested`."""
+        return self._recoder(segment_id)._offer(rows)
+
+    def _ingested(self, segment_id: int, kept: int) -> None:
+        self._recoders[segment_id]._kept(kept)
+        self._count_ingested(kept)
+
+    def _count_ingested(self, kept: int) -> None:
         self.stats.blocks_ingested += kept
         self._m_ingested.inc(kept)
-        return kept
 
     def held(self, segment_id: int) -> int:
         """Rank held for a segment: its independent rows (0 when unknown)."""

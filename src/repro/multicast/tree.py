@@ -105,6 +105,8 @@ class RelayUplink:
             checksum=checksum,
             version=wire_version,
         )
+        self._wire_key = (params.num_blocks, params.block_size, checksum, wire_version)
+        self._segment_id: int | None = None
 
     def pre_round(self, segment_id: int) -> None:
         """Ask the parent for the rank the relay still misses."""
@@ -119,17 +121,37 @@ class RelayUplink:
     def intake(self, segment_id: int, wire_bytes) -> int:
         """Unpack one round's frames into the relay; returns blocks kept.
 
-        The round is verified as one frame matrix by
-        :func:`~repro.rlnc.wire.unpack_round`.  An intact frame of
+        A cohort of one of :func:`~repro.streaming.client.receive_round`:
+        the round is verified as one frame matrix.  An intact frame of
         another segment — a stale grant from the previous segment's
         rounds — is dropped uncounted.
         """
-        batch, _, _ = receive_round(
-            self, wire_bytes, self.relay.profile.params, segment_id, self.wire
-        )
-        if not len(batch):
+        self._segment_id = segment_id
+        return receive_round([self], [wire_bytes])[0]
+
+    # -- the receive step's hooks (see receive_round) -----------------------
+
+    @property
+    def _sink(self) -> object:
+        return self.relay
+
+    def _open_round(self) -> int:
+        return self._segment_id
+
+    def _settle_may_raise(self) -> bool:
+        return False
+
+    def _take_round(self, rows: int, foreign: int, received: int):
+        if not rows:
+            return None
+        decoder = self.relay._intake_decoder(self._segment_id, rows)
+        return None if decoder is None else (decoder, None)
+
+    def _settle_round(self, rows: int, kept: int | None) -> int:
+        if kept is None:
             return 0
-        return self.relay.ingest(batch)
+        self.relay._ingested(self._segment_id, kept)
+        return kept
 
 
 @dataclass(frozen=True)
@@ -267,6 +289,8 @@ class MulticastTree:
         segment_id = segment.segment_id
         for session in self.leaf_sessions:
             session.begin_segment(segment_id)
+        for uplink in self.uplinks:
+            uplink._segment_id = segment_id
         rounds = 0
         with trace("multicast_tree", relays=len(self.relays)):
             while any(not s.complete for s in self.leaf_sessions):
@@ -281,8 +305,10 @@ class MulticastTree:
                         checksum=self.checksum,
                         version=self.wire_version,
                     )
-                    for uplink in self.uplinks:
-                        uplink.intake(segment_id, frames.get(uplink.peer_id))
+                    receive_round(
+                        self.uplinks,
+                        [frames.get(uplink.peer_id) for uplink in self.uplinks],
+                    )
                 for relay, cohort in zip(self.relays, self.cohorts):
                     if relay.held(segment_id) == 0:
                         continue
@@ -297,8 +323,9 @@ class MulticastTree:
                         if relay.pending_requests
                         else {}
                     )
-                    for session in active:
-                        session.intake(served.get(session.peer_id))
+                    receive_round(
+                        active, [served.get(session.peer_id) for session in active]
+                    )
                 rounds += 1
         expected = segment.to_bytes()
         payload_ok = all(

@@ -18,12 +18,16 @@ The progressive decoder splits the work the way the paper's TB-1
 preprocessing splits encoding.  The *control plane* — the coefficient
 matrix ``C`` and the row transform ``M`` with ``rows = M @
 raw_payloads`` — is kept in exact RREF after every intake by one engine
-call per batch, :meth:`~repro.gf256.engine.Gf256Engine.absorb`: on the
+call, :meth:`~repro.gf256.engine.Gf256Engine.absorb_many`: on the
 compiled kernel, pivot search, normalisation, forward reduction and
-back-elimination of the whole batch run in C over the nibble-shuffle
-region ops, and the table backend runs the same elimination as a numpy
-loop, the oracle (and the path on hosts without a compiler).  A single
-block, a batch and a quarantine rebuild all go through that one call.
+back-elimination of the whole batch run in C over the fused region
+ops, and the table backend runs the same elimination as a numpy loop,
+the oracle (and the path on hosts without a compiler).  A single
+block, a batch, a quarantine rebuild and a whole receiving cohort
+(:func:`consume_cohort`: every decoder's rows of one round, in one
+call) all go through that one call.  Each decoder checks its work
+matrix and pivot array once, at construction, as an
+:class:`~repro.gf256.engine.AbsorbTarget`.
 The *data plane* (the k-byte payload side) is stored raw and
 materialized on demand with a single dense engine matmul accumulated
 directly into the aggregate view.  Because the RREF of a row space
@@ -41,7 +45,7 @@ from repro.errors import DecodingError
 from repro.obs import obs_counter
 from repro.obs.trace import trace
 from repro.gf256 import matmul, select_and_invert
-from repro.gf256.engine import ENGINE
+from repro.gf256.engine import ENGINE, AbsorbTarget
 from repro.rlnc.block import BlockBatch, CodedBlock, CodingParams, Segment
 
 
@@ -78,6 +82,8 @@ class ProgressiveDecoder:
         self._materialized_rank = 0
         self._pivot_to_row: dict[int, int] = {}
         self._pivot_cols = np.empty(n, dtype=np.int64)
+        # Checked once: both arrays are cleared in place, never replaced.
+        self._target = AbsorbTarget(self._work, self._pivot_cols)
         self._received = 0
         self._discarded = 0
         self._quarantined = 0
@@ -200,27 +206,12 @@ class ProgressiveDecoder:
             coefficients = blocks
             if payloads is None:
                 raise DecodingError("payload matrix required with raw coefficients")
-        n, k = self._params.num_blocks, self._params.block_size
         if coefficients.ndim != 2 or payloads.ndim != 2:
             raise DecodingError("batch intake requires 2-D matrices")
         if coefficients.shape[0] != payloads.shape[0]:
             raise DecodingError("coefficient/payload row counts differ")
-        if coefficients.shape[1] != n or payloads.shape[1] != k:
-            raise DecodingError(
-                f"batch geometry ({coefficients.shape[1]}, {payloads.shape[1]}) "
-                f"does not match decoder ({n}, {k})"
-            )
         m = coefficients.shape[0]
-        if m == 0:
-            return 0
-        if self.is_complete:
-            raise DecodingError("decoder already holds a full-rank system")
-        self._received += m
-        with trace("decode_intake", segment=self._segment_id):
-            accepted = self._absorb(coefficients, payloads, [source] * m)
-        obs_counter("decoder_blocks_innovative").inc(accepted)
-        obs_counter("decoder_blocks_discarded").inc(m - accepted)
-        return accepted
+        return consume_cohort([self], coefficients, payloads, [(0, m)], [source])[0]
 
     def _absorb(
         self,
@@ -230,40 +221,52 @@ class ProgressiveDecoder:
         *,
         count_discards: bool = True,
     ) -> int:
-        """The elimination core shared by consume, intake and rebuild.
+        """Absorb rows into this decoder alone (consume and rebuild).
 
-        One engine :meth:`~repro.gf256.engine.Gf256Engine.absorb` call
-        reduces the whole batch into ``_work``; only the accepted rows'
-        raw payloads, raw coefficients, sources (``sources[i]`` tags
-        incoming row ``i``) and pivot entries are copied here.  Does not
-        touch the ``received`` counter; ``count_discards=False`` (the
+        ``sources[i]`` tags incoming row ``i``.  Does not touch the
+        ``received`` counter; ``count_discards=False`` (the
         quarantine-rebuild path) suppresses the ``discarded`` counter
         too, so replaying retained rows never inflates stats.
         """
+        return _absorb(
+            [self],
+            coefficients,
+            payloads,
+            [(0, coefficients.shape[0])],
+            [sources],
+            count_discards=count_discards,
+        )[0]
+
+    def _keep_rows(
+        self,
+        coefficients: np.ndarray,
+        payloads: np.ndarray,
+        accepted: np.ndarray,
+        sources,
+    ) -> None:
+        """Record the rows the engine accepted into ``_work``.
+
+        Only the accepted rows' raw payloads, raw coefficients, sources
+        and pivot entries are copied; ``accepted`` indexes
+        ``coefficients``/``payloads`` and ``sources``.
+        """
         held = self.rank
-        accepted = ENGINE.absorb(self._work, held, coefficients, self._pivot_cols)
         count = accepted.size
-        if count_discards:
-            self._discarded += coefficients.shape[0] - count
-        if count:
-            rows = slice(held, held + count)
-            # mode="clip" writes straight into ``out`` (mode="raise"
-            # would stage a copy); the indices come from the engine.
-            np.take(
-                coefficients,
-                accepted,
-                axis=0,
-                out=self._raw_coefficients[rows],
-                mode="clip",
-            )
-            np.take(
-                payloads, accepted, axis=0, out=self._raw_payloads[rows], mode="clip"
-            )
-            self._sources[rows] = [sources[index] for index in accepted.tolist()]
-            self._pivot_to_row.update(
-                zip(self._pivot_cols[rows].tolist(), range(held, held + count))
-            )
-        return count
+        rows = slice(held, held + count)
+        # mode="clip" writes straight into ``out`` (mode="raise"
+        # would stage a copy); the indices come from the engine.
+        np.take(
+            coefficients,
+            accepted,
+            axis=0,
+            out=self._raw_coefficients[rows],
+            mode="clip",
+        )
+        np.take(payloads, accepted, axis=0, out=self._raw_payloads[rows], mode="clip")
+        self._sources[rows] = [sources[index] for index in accepted.tolist()]
+        self._pivot_to_row.update(
+            zip(self._pivot_cols[rows].tolist(), range(held, held + count))
+        )
 
     # -- poisoned-block quarantine -----------------------------------------
 
@@ -434,6 +437,108 @@ class ProgressiveDecoder:
             segment_id=self._segment_id,
             original_length=original_length,
         )
+
+
+def _absorb(
+    decoders: list[ProgressiveDecoder],
+    coefficients: np.ndarray,
+    payloads: np.ndarray,
+    bounds: list[tuple[int, int]],
+    sources: list,
+    *,
+    count_discards: bool = True,
+) -> list[int]:
+    """The elimination core of every intake: one engine call for all.
+
+    Decoder ``i`` absorbs rows ``bounds[i]`` of the stacked
+    ``coefficients``/``payloads`` through one
+    :meth:`~repro.gf256.engine.Gf256Engine.absorb_many` call; then each
+    keeps its accepted rows (``sources[i]`` is indexed like its rows).
+    The decoders must be distinct.  Returns the rows each accepted.
+    """
+    accepted, counts = ENGINE.absorb_many(
+        [
+            (decoder._target, decoder.rank, start, stop)
+            for decoder, (start, stop) in zip(decoders, bounds)
+        ],
+        coefficients,
+    )
+    for decoder, (start, stop), tags, count in zip(decoders, bounds, sources, counts):
+        if count_discards:
+            decoder._discarded += stop - start - count
+        if count:
+            decoder._keep_rows(
+                coefficients[start:stop],
+                payloads[start:stop],
+                accepted[start : start + count],
+                tags,
+            )
+    return counts
+
+
+def consume_cohort(
+    decoders: list[ProgressiveDecoder],
+    coefficients: np.ndarray,
+    payloads: np.ndarray,
+    bounds: list[tuple[int, int]],
+    sources: list[object],
+) -> list[int]:
+    """:meth:`ProgressiveDecoder.consume_batch` for a whole cohort at once.
+
+    Decoder ``i`` absorbs rows ``[start, stop) = bounds[i]`` of the
+    stacked (R, n) ``coefficients`` and (R, k) ``payloads`` (rows
+    contiguous, row stride free: a round's frame matrix works as is),
+    tagged ``sources[i]``, and every decoder's rows go through *one*
+    :meth:`~repro.gf256.engine.Gf256Engine.absorb_many` call.  Each
+    decoder ends byte-identical to its own ``consume_batch`` of its
+    rows.  A decoder with no rows is left alone.
+
+    Returns:
+        The innovative count of each decoder, in order.
+
+    Raises:
+        DecodingError: on geometry mismatch, a decoder listed twice, or
+            rows for a decoder that is already complete.
+    """
+    live = []
+    offered = 0
+    for index, (decoder, (start, stop)) in enumerate(zip(decoders, bounds)):
+        n, k = decoder._params.num_blocks, decoder._params.block_size
+        if coefficients.shape[1] != n or payloads.shape[1] != k:
+            raise DecodingError(
+                f"batch geometry ({coefficients.shape[1]}, {payloads.shape[1]}) "
+                f"does not match decoder ({n}, {k})"
+            )
+        if stop > start:
+            if decoder.is_complete:
+                raise DecodingError("decoder already holds a full-rank system")
+            live.append(index)
+            offered += stop - start
+    if len({id(decoders[index]) for index in live}) != len(live):
+        raise DecodingError("a cohort lists one decoder twice")
+    counts = [0] * len(decoders)
+    if not live:
+        return counts
+    for index in live:
+        start, stop = bounds[index]
+        decoders[index]._received += stop - start
+    with trace("decode_intake", decoders=len(live)):
+        taken = _absorb(
+            [decoders[index] for index in live],
+            coefficients,
+            payloads,
+            [bounds[index] for index in live],
+            [
+                [sources[index]] * (bounds[index][1] - bounds[index][0])
+                for index in live
+            ],
+        )
+    for index, count in zip(live, taken):
+        counts[index] = count
+    innovative = sum(taken)
+    obs_counter("decoder_blocks_innovative").inc(innovative)
+    obs_counter("decoder_blocks_discarded").inc(offered - innovative)
+    return counts
 
 
 class TwoStageDecoder:

@@ -80,13 +80,29 @@ class Recoder:
         Raises:
             DecodingError: on geometry or row-count mismatch.
         """
-        if self._decoder.is_complete:
-            self._offered_at_full_rank += len(coefficients)
+        decoder = self._offer(len(coefficients))
+        if decoder is None:
             return 0
         with trace("recode_intake", segment=self._segment_id):
-            accepted = self._decoder.consume_batch(coefficients, payloads)
-        obs_counter("recoder_blocks_buffered").inc(accepted)
+            accepted = decoder.consume_batch(coefficients, payloads)
+        self._kept(accepted)
         return accepted
+
+    def _offer(self, rows: int) -> ProgressiveDecoder | None:
+        """The decoder that takes ``rows`` offered rows, or ``None``.
+
+        At full rank the rows are counted in :attr:`discarded` instead.
+        A receiving cohort absorbs into the returned decoder with every
+        other receiver's (:func:`~repro.rlnc.decoder.consume_cohort`),
+        then reports the kept count to :meth:`_kept`.
+        """
+        if self._decoder.is_complete:
+            self._offered_at_full_rank += rows
+            return None
+        return self._decoder
+
+    def _kept(self, accepted: int) -> None:
+        obs_counter("recoder_blocks_buffered").inc(accepted)
 
     def recode(self, rng: np.random.Generator) -> CodedBlock:
         """Emit one recoded block combining everything held.

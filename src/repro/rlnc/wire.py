@@ -424,6 +424,8 @@ def pack_blocks(
     offset: int = 0,
     version: int = VERSION,
     first_sequence: int = 0,
+    sequences: np.ndarray | None = None,
+    slots: np.ndarray | None = None,
     worker_id: int | None = None,
 ) -> memoryview:
     """Serialize a whole batch into one contiguous buffer; return its view.
@@ -432,69 +434,82 @@ def pack_blocks(
     strided numpy assignments into the (optionally caller-preallocated)
     buffer.  Version-1 integrity is one CRC32 C call per frame;
     version-2 computes every frame's :func:`digest64` in one vectorized
-    pass, stamps consecutive sequence numbers starting at
-    ``first_sequence``, and carries the optional ``worker_id`` stamp in
-    every frame's flags.  When ``out`` is omitted a fresh ``bytearray``
-    of exactly :func:`stream_size` bytes is allocated; pass a reusable
-    buffer (and an ``offset``) to pack several batches back to back
-    without reallocating — the round-based serving pipeline packs every
-    peer's blocks for one round into a single buffer this way.
+    pass over the batch's own rows, stamps sequence numbers, and carries
+    the optional ``worker_id`` stamp in every frame's flags.  When
+    ``out`` is omitted a fresh ``bytearray`` of exactly
+    :func:`stream_size` bytes is allocated; pass a reusable buffer (and
+    an ``offset``) to pack several batches into one buffer without
+    reallocating.
 
-    The version-1 bytes are identical to concatenating
-    ``encode_frame(block)`` over ``batch.rows()``.
+    The serving round packs each granted segment's emission with one
+    call: ``slots[i]`` is the frame index, counted from ``offset``, that
+    row ``i`` lands in (by default the rows fill consecutive frames),
+    so a segment's rows go straight to their peers' places in a
+    peer-major round, and ``sequences[i]`` is row ``i``'s version-2
+    sequence number (by default ``first_sequence + i``; both wrap mod
+    2^32).
+
+    Returns:
+        The view of the frames written: ``stream_size`` bytes from
+        ``offset``, or up to the last slot's frame when ``slots`` is
+        given.  The version-1 bytes are identical to concatenating
+        ``encode_frame(block)`` over ``batch.rows()``.
     """
     m = len(batch)
     n, k = batch.num_blocks, batch.block_size
     header = _header_struct(version)
     size_one = frame_size(n, k, checksum=checksum, version=version)
-    total = m * size_one
+    rows = slice(0, m) if slots is None else np.asarray(slots, dtype=np.intp)
+    count = m if slots is None or not m else int(rows.max()) + 1
     if out is None:
-        if offset:
-            raise WireError("offset requires a caller-supplied buffer")
-        out = bytearray(total)
+        if offset or slots is not None:
+            raise WireError("offset and slots require a caller-supplied buffer")
+        out = bytearray(m * size_one)
     view = memoryview(out)
-    if offset + total > len(view):
+    if offset + count * size_one > len(view):
         raise WireError(
-            f"buffer too small: need {offset + total} bytes, have {len(view)}"
+            f"buffer too small: need {offset + count * size_one} bytes, "
+            f"have {len(view)}"
         )
-    region = view[offset : offset + total]
+    region = view[offset : offset + count * size_one]
     if m == 0:
         return region
-    frames = np.frombuffer(region, dtype=np.uint8).reshape(m, size_one)
+    frames = np.frombuffer(region, dtype=np.uint8).reshape(count, size_one)
     flags = (FLAG_CHECKSUM if checksum else 0) | _worker_flag_bits(
         version, worker_id
     )
+    # Headers are built as their own zero-padded rows: the digest reads
+    # them (and the batch's rows) as they are, never the frame columns.
+    heads = np.zeros((m, _HEADER2_PAD), dtype=np.uint8)
     if version == VERSION:
         packed = header.pack(MAGIC, version, flags, batch.segment_id, n, k)
     else:
-        packed = header.pack(
-            MAGIC, version, flags, batch.segment_id, n, k, 0
-        )
-    frames[:, : header.size] = np.frombuffer(packed, dtype=np.uint8)
+        packed = header.pack(MAGIC, version, flags, batch.segment_id, n, k, 0)
+    heads[:, : header.size] = np.frombuffer(packed, dtype=np.uint8)
     if version == VERSION2:
-        sequences = (
-            np.uint64(first_sequence) + np.arange(m, dtype=np.uint64)
-        ) & np.uint64(0xFFFFFFFF)
-        frames[:, _SEQ_OFFSET : _SEQ_OFFSET + 4] = (
+        if sequences is None:
+            sequences = np.uint64(first_sequence) + np.arange(m, dtype=np.uint64)
+        sequences = np.asarray(sequences, dtype=np.uint64) & np.uint64(0xFFFFFFFF)
+        heads[:, _SEQ_OFFSET : _SEQ_OFFSET + 4] = (
             sequences.astype(">u4").view(np.uint8).reshape(m, 4)
         )
-    frames[:, header.size : header.size + n] = batch.coefficients
+    frames[rows, : header.size] = heads[:, : header.size]
+    frames[rows, header.size : header.size + n] = batch.coefficients
     body = header.size + n + k
-    frames[:, header.size + n : body] = batch.payloads
+    frames[rows, header.size + n : body] = batch.payloads
     if checksum:
+        targets = range(m) if slots is None else rows.tolist()
         if version == VERSION:
-            for row in range(m):
+            for row in targets:
                 crc = zlib.crc32(frames[row, :body]) & 0xFFFFFFFF
                 _CRC.pack_into(region, row * size_one + body, crc)
         else:
-            digests = _digest64_rows(
-                frames[:, : header.size], batch.coefficients, batch.payloads
-            )
-            frames[:, body : body + 8] = (
+            digests = _digest64_rows(heads, batch.coefficients, batch.payloads)
+            frames[rows, body : body + 8] = (
                 digests.astype(">u8").view(np.uint8).reshape(m, 8)
             )
     _wire_counter("wire_frames_packed").inc(m)
-    _wire_counter("wire_bytes_packed").inc(total)
+    _wire_counter("wire_bytes_packed").inc(m * size_one)
     return region
 
 
@@ -618,9 +633,10 @@ def _verify_rows(
     return framed, framed & (stored == digests)
 
 
-def _segment_rows(frames: np.ndarray, segment_id: int) -> np.ndarray:
-    expected = np.frombuffer(segment_id.to_bytes(4, "big"), np.uint8)
-    return np.all(frames[:, 6:10] == expected, axis=1)
+def _segment_rows(frames: np.ndarray, segment_ids) -> np.ndarray:
+    """Rows whose segment id is ``segment_ids`` (one id, or one per row)."""
+    expected = np.array(segment_ids, dtype=">u4").reshape(-1).view(np.uint8)
+    return np.all(frames[:, 6:10] == expected.reshape(-1, 4), axis=1)
 
 
 def _rows_batch(frames, keep, header_size, n, k, segment_id, copy=False):
@@ -634,6 +650,74 @@ def _rows_batch(frames, keep, header_size, n, k, segment_id, copy=False):
     return BlockBatch(coefficients, payloads, segment_id)
 
 
+def unpack_cohort(
+    frames: np.ndarray,
+    counts: list[int],
+    segment_ids: list[int],
+    *,
+    num_blocks: int,
+    block_size: int,
+    checksum: bool = True,
+    version: int = VERSION,
+    stats: list[WireStats | None],
+) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int]], list[int]]:
+    """Verify a receiving cohort's stacked frames; the lenient intake.
+
+    ``frames`` stacks the receivers' rounds in order: receiver ``i``
+    owns the next ``counts[i]`` rows, expects ``segment_ids[i]`` and
+    counts its damage in ``stats[i]``.  One vectorized pass checks
+    every row against the geometry the receivers expect, never against
+    another frame, so any row (the first included) is dropped on its
+    own: rows with the wrong magic, version, checksum flag, n or k
+    count as malformed, rows whose trailer fails as checksum failures,
+    the rest as ``frames_ok``.
+
+    Returns:
+        ``(coefficients, payloads, bounds, foreign)``: every receiver's
+        intact rows of its segment, stacked in order as views of one
+        frame matrix (``frames`` itself when no row is dropped, else
+        one compacted copy); receiver ``i``'s rows are
+        ``bounds[i] = (start, stop)``, and ``foreign[i]`` counts its
+        intact rows of another segment, which its policy accounts for.
+    """
+    n, k = num_blocks, block_size
+    _wire_counter("wire_bytes_unpacked").inc(frames.size)
+    framed, intact = _verify_rows(frames, version, n, k, checksum)
+    if len(set(segment_ids)) == 1:
+        expected = segment_ids[0]
+    else:
+        expected = np.repeat(np.asarray(segment_ids, dtype=np.int64), counts)
+    ours = intact & _segment_rows(frames, expected)
+    bounds = []
+    foreign = []
+    start = kept = 0
+    for count, receiver_stats in zip(counts, stats):
+        rows = slice(start, start + count)
+        start += count
+        framed_count = int(np.count_nonzero(framed[rows]))
+        intact_count = int(np.count_nonzero(intact[rows]))
+        ours_count = int(np.count_nonzero(ours[rows]))
+        bounds.append((kept, kept + ours_count))
+        kept += ours_count
+        foreign.append(intact_count - ours_count)
+        if receiver_stats is not None:
+            if framed_count < count:
+                receiver_stats.record_malformed(count - framed_count)
+            if intact_count < framed_count:
+                receiver_stats.record_checksum_failure(framed_count - intact_count)
+            if intact_count:
+                receiver_stats.record_ok(intact_count)
+    if kept < len(frames):
+        frames = frames[ours]
+    header_size = _header_struct(version).size
+    return (
+        frames[:, header_size : header_size + n],
+        frames[:, header_size + n : header_size + n + k],
+        bounds,
+        foreign,
+    )
+
+
 def unpack_round(
     frames: np.ndarray,
     *,
@@ -644,37 +728,27 @@ def unpack_round(
     version: int = VERSION,
     stats: WireStats | None = None,
 ) -> tuple[BlockBatch, int]:
-    """Verify a round's ``(m, frame_size)`` frame matrix; the lenient intake.
+    """Verify one receiver's ``(m, frame_size)`` round: a cohort of one.
 
-    Every row is checked against the geometry the *receiver* expects,
-    never against another frame, so any row (the first included) is
-    dropped on its own.  Rows with the wrong magic, version, checksum
-    flag, n or k count as malformed in ``stats``; rows whose trailer
-    fails count as checksum failures; the rest count as ``frames_ok``.
+    See :func:`unpack_cohort` for the checks and the accounting in
+    ``stats``.
 
     Returns:
         ``(batch, foreign)``: the intact rows of ``segment_id`` in order
         (views into ``frames`` when no row is dropped), and the number
-        of intact rows of another segment, which the receiver's policy
-        accounts for.
+        of intact rows of another segment.
     """
-    n, k = num_blocks, block_size
-    _wire_counter("wire_bytes_unpacked").inc(frames.size)
-    framed, intact = _verify_rows(frames, version, n, k, checksum)
-    ours = intact & _segment_rows(frames, segment_id)
-    m = len(frames)
-    framed_count = int(np.count_nonzero(framed))
-    intact_count = int(np.count_nonzero(intact))
-    if stats is not None:
-        if framed_count < m:
-            stats.record_malformed(m - framed_count)
-        if intact_count < framed_count:
-            stats.record_checksum_failure(framed_count - intact_count)
-        if intact_count:
-            stats.record_ok(intact_count)
-    header_size = _header_struct(version).size
-    batch = _rows_batch(frames, ours, header_size, n, k, segment_id)
-    return batch, intact_count - len(batch)
+    coefficients, payloads, _, foreign = unpack_cohort(
+        frames,
+        [len(frames)],
+        [segment_id],
+        num_blocks=num_blocks,
+        block_size=block_size,
+        checksum=checksum,
+        version=version,
+        stats=[stats],
+    )
+    return BlockBatch(coefficients, payloads, segment_id), foreign[0]
 
 
 def unpack_blocks(data, *, copy: bool = False) -> BlockBatch:

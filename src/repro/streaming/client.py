@@ -29,6 +29,8 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro.errors import (
     ConfigurationError,
     RetryExhaustedError,
@@ -38,14 +40,14 @@ from repro.faults import FaultPlan
 from repro.obs.registry import get_registry
 from repro.obs.stats import CumulativeStats
 from repro.obs.trace import trace
-from repro.rlnc.block import BlockBatch, CodingParams, Segment
-from repro.rlnc.decoder import ProgressiveDecoder
+from repro.rlnc.block import BlockBatch, Segment
+from repro.rlnc.decoder import ProgressiveDecoder, consume_cohort
 from repro.rlnc.wire import (
     VERSION2,
     WireStats,
     frame_rows,
     frame_size,
-    unpack_round,
+    unpack_cohort,
 )
 # perfbench's traced run patches this name: its "rlnc.wire.unpack" boundary.
 from repro.rlnc.wire import unpack_frame  # noqa: F401
@@ -172,39 +174,122 @@ class StreamingClient:
 # -- the fault-tolerant transport ------------------------------------------
 
 
-def receive_round(
-    receiver, wire_bytes, params: CodingParams, segment_id: int, stats: WireStats
-) -> tuple[BlockBatch, int, int]:
-    """The one receive step of a :class:`ClientSession` and a relay's
-    :class:`~repro.multicast.tree.RelayUplink`.
+def receive_round(receivers, deliveries, *, on_exhausted=None) -> list[int]:
+    """The one receive step: a cohort's round, verified and absorbed at once.
 
-    Views ``wire_bytes`` (``None`` when the round granted nothing) as
-    one frame matrix, passes it through the receiver's ``fault_plan``
-    if it has one, and verifies it in one
-    :func:`~repro.rlnc.wire.unpack_round` call against ``params`` and
-    the receiver's ``checksum`` and ``wire_version``, counting damage
-    in ``stats``.  The ``wire_unpack`` span carries the receiver's
-    ``peer_id``.
+    ``receivers`` are :class:`ClientSession` and
+    :class:`~repro.multicast.tree.RelayUplink` objects, ``deliveries[i]``
+    receiver ``i``'s slice of the round (``None`` when the round
+    granted it nothing); a single receiver is a cohort of one.
+
+    Each receiver, in order, opens its round (a session counts it, and
+    raises :class:`~repro.errors.RetryExhaustedError` past
+    ``max_rounds_per_segment``), views its delivery as one frame matrix
+    (a torn tail counts as malformed) and passes it through its
+    ``fault_plan`` if it has one.  The survivors of receivers sharing a
+    geometry are stacked and verified by one
+    :func:`~repro.rlnc.wire.unpack_cohort` pass under one
+    ``wire_unpack`` span, damage counted in each receiver's own
+    :class:`~repro.rlnc.wire.WireStats`, and every receiver's intact
+    rows of its segment go to its decoder through one
+    :func:`~repro.rlnc.decoder.consume_cohort` call.  Then each
+    receiver, in order, settles its round (a session's retry and
+    backoff bookkeeping).
+
+    A receiver whose settling could raise (a session with no retry
+    left) closes the cohort it is in, and later receivers start a new
+    one, so when it raises, every receiver's fault plan, wire stats and
+    decoder stand exactly as a loop of single intakes leaves them: the
+    receivers after it have not been touched.  With ``on_exhausted``,
+    a receiver's :class:`~repro.errors.RetryExhaustedError` is handed to
+    ``on_exhausted(receiver, error)`` instead and the round goes on, as
+    a loop that catches per receiver would.
 
     Returns:
-        ``(batch, foreign, received)``: the intact rows of
-        ``segment_id``, the count of intact frames of another segment
-        and the count of frames that survived the fault plan.
+        Each receiver's result: the innovative rows for a session, the
+        rows a relay kept for an uplink (0 for a receiver that raised
+        into ``on_exhausted``).
     """
-    frames = frame_rows(wire_bytes, receiver._frame_bytes, stats)
-    if receiver.fault_plan is not None and len(frames):
-        frames = receiver.fault_plan.apply_frames(frames)
-    with trace("wire_unpack", peer=receiver.peer_id):
-        batch, foreign = unpack_round(
-            frames,
-            segment_id=segment_id,
-            num_blocks=params.num_blocks,
-            block_size=params.block_size,
-            checksum=receiver.checksum,
-            version=receiver.wire_version,
-            stats=stats,
+    results = [0] * len(receivers)
+    cohort: list[tuple[int, object, int, np.ndarray]] = []
+    for index, (receiver, data) in enumerate(zip(receivers, deliveries)):
+        if cohort and (
+            receiver._wire_key != cohort[0][1]._wire_key
+            or any(receiver._sink is other._sink for _, other, _, _ in cohort)
+        ):
+            _receive_cohort(cohort, results, on_exhausted)
+            cohort = []
+        try:
+            segment_id = receiver._open_round()
+        except BaseException as error:
+            # As in a loop of intakes, the receivers before it finish.
+            _receive_cohort(cohort, results, on_exhausted)
+            cohort = []
+            if on_exhausted is None or not isinstance(error, RetryExhaustedError):
+                raise
+            on_exhausted(receiver, error)
+            continue
+        frames = frame_rows(data, receiver._frame_bytes, receiver.wire)
+        if receiver.fault_plan is not None and len(frames):
+            frames = receiver.fault_plan.apply_frames(frames)
+        cohort.append((index, receiver, segment_id, frames))
+        if on_exhausted is None and receiver._settle_may_raise():
+            _receive_cohort(cohort, results, on_exhausted)
+            cohort = []
+    _receive_cohort(cohort, results, on_exhausted)
+    return results
+
+
+def _receive_cohort(cohort, results: list[int], on_exhausted) -> None:
+    """Verify, absorb and settle one cohort of :func:`receive_round`."""
+    if not cohort:
+        return
+    receivers = [receiver for _, receiver, _, _ in cohort]
+    sizes = [len(frames) for *_, frames in cohort]
+    stacked = (
+        cohort[0][3]
+        if len(cohort) == 1
+        else np.concatenate([frames for *_, frames in cohort])
+    )
+    n, k, checksum, version = receivers[0]._wire_key
+    with trace("wire_unpack", receivers=len(cohort)):
+        coefficients, payloads, bounds, foreign = unpack_cohort(
+            stacked,
+            sizes,
+            [segment_id for _, _, segment_id, _ in cohort],
+            num_blocks=n,
+            block_size=k,
+            checksum=checksum,
+            version=version,
+            stats=[receiver.wire for receiver in receivers],
         )
-    return batch, foreign, len(frames)
+    rows = [stop - start for start, stop in bounds]
+    takers, decoders, sources = [], [], []
+    for position, receiver in enumerate(receivers):
+        taken = receiver._take_round(rows[position], foreign[position], sizes[position])
+        if taken is not None:
+            takers.append(position)
+            decoders.append(taken[0])
+            sources.append(taken[1])
+    kept: list[int | None] = [None] * len(cohort)
+    taken_bounds = [bounds[position] for position in takers]
+    if len(takers) == 1:
+        # A lone decoder absorbs through its own consume_batch (the same
+        # call with one job), so its intake stays that method's.
+        (start, stop), decoder = taken_bounds[0], decoders[0]
+        batch = BlockBatch(coefficients[start:stop], payloads[start:stop])
+        kept[takers[0]] = decoder.consume_batch(batch, source=sources[0])
+    elif takers:
+        counts = consume_cohort(decoders, coefficients, payloads, taken_bounds, sources)
+        for position, count in zip(takers, counts):
+            kept[position] = count
+    for position, (index, receiver, _, _) in enumerate(cohort):
+        try:
+            results[index] = receiver._settle_round(rows[position], kept[position])
+        except RetryExhaustedError as error:
+            if on_exhausted is None:
+                raise
+            on_exhausted(receiver, error)
 
 
 @dataclass
@@ -324,6 +409,7 @@ class ClientSession:
             checksum=checksum,
             version=wire_version,
         )
+        self._wire_key = (params.num_blocks, params.block_size, checksum, wire_version)
         self._decoder: ProgressiveDecoder | None = None
         self._segment_id: int | None = None
         self._segment_rounds = 0
@@ -337,6 +423,11 @@ class ClientSession:
     def decoder(self) -> ProgressiveDecoder | None:
         """The in-progress segment's decoder (None between segments)."""
         return self._decoder
+
+    @property
+    def wire(self) -> WireStats:
+        """This session's frame-damage counters (``stats.wire``)."""
+        return self.stats.wire
 
     @property
     def complete(self) -> bool:
@@ -406,9 +497,9 @@ class ClientSession:
         """Absorb one round's wire delivery; return innovative blocks.
 
         ``wire_bytes`` is the peer's slice of the server round (or
-        ``None`` when the round granted it nothing).  The round is viewed
-        as one frame matrix, passes through the fault plan (if any), and
-        is verified in one :func:`~repro.rlnc.wire.unpack_round` call
+        ``None`` when the round granted it nothing): a cohort of one of
+        :func:`receive_round`.  The round is viewed as one frame
+        matrix, passes through the fault plan (if any), and is verified
         against this session's geometry: checksum failures, malformed
         frames and intact frames of another segment are counted in
         :attr:`SessionStats.wire` and charged to the upstream's
@@ -420,7 +511,17 @@ class ClientSession:
             RetryExhaustedError: after ``max_retries`` consecutive
                 misses or ``max_rounds_per_segment`` total rounds.
         """
-        decoder = self._require_segment()
+        return receive_round([self], [wire_bytes])[0]
+
+    # -- the receive step's hooks (see receive_round) -----------------------
+
+    @property
+    def _sink(self) -> object:
+        return self
+
+    def _open_round(self) -> int:
+        """Count the round; return the segment its frames must carry."""
+        self._require_segment()
         self.stats.rounds += 1
         self._segment_rounds += 1
         if self._segment_rounds > self.max_rounds_per_segment:
@@ -428,29 +529,43 @@ class ClientSession:
                 f"segment {self._segment_id} exceeded "
                 f"{self.max_rounds_per_segment} rounds"
             )
-        batch, foreign, received = receive_round(
-            self, wire_bytes, decoder.params, self._segment_id, self.stats.wire
-        )
+        return self._segment_id
+
+    def _settle_may_raise(self) -> bool:
+        """True when a round without rank progress exhausts the retries."""
+        return not self._idle_round and self._retries >= self.max_retries
+
+    def _take_round(self, rows: int, foreign: int, received: int):
+        """Account the verified round; the ``(decoder, source)`` to
+        absorb ``rows`` intact rows into, or ``None``."""
+        decoder = self._decoder
         self.stats.frames_received += received
         self._m_frames.inc(received)
         if foreign:
             # An intact frame of another segment is damage on this wire.
             self.stats.wire.record_malformed(foreign)
-        decoder.record_corrupt(self.upstream, received - len(batch))
-        innovative = 0
-        if len(batch):
-            if decoder.is_complete:
-                self.stats.blocks_discarded += len(batch)
-                self._m_discarded.inc(len(batch))
-            else:
-                innovative = decoder.consume_batch(batch, source=self.upstream)
-                self.stats.blocks_innovative += innovative
-                self.stats.blocks_discarded += len(batch) - innovative
-                self._m_innovative.inc(innovative)
-                self._m_discarded.inc(len(batch) - innovative)
+        decoder.record_corrupt(self.upstream, received - rows)
+        if not rows:
+            return None
+        if decoder.is_complete:
+            self.stats.blocks_discarded += rows
+            self._m_discarded.inc(rows)
+            return None
+        return decoder, self.upstream
+
+    def _settle_round(self, rows: int, innovative: int | None) -> int:
+        """Retry bookkeeping once the round is absorbed (``innovative``
+        is ``None`` when nothing was); returns the innovative count."""
+        if innovative is None:
+            innovative = 0
+        else:
+            self.stats.blocks_innovative += innovative
+            self.stats.blocks_discarded += rows - innovative
+            self._m_innovative.inc(innovative)
+            self._m_discarded.inc(rows - innovative)
         if self._idle_round:
             self._idle_round = False
-        elif innovative > 0 or decoder.is_complete:
+        elif innovative > 0 or self._decoder.is_complete:
             self._retries = 0
             self._backoff = self.base_backoff_rounds
         else:
@@ -552,12 +667,10 @@ def drive_sessions(
             raise RetryExhaustedError(
                 f"sessions still incomplete after {max_rounds} rounds"
             )
-        for session in sessions:
-            if not session.complete:
-                session.pre_round()
+        active = [session for session in sessions if not session.complete]
+        for session in active:
+            session.pre_round()
         frames = server.serve_round(checksum=checksum, version=version)
-        for session in sessions:
-            if not session.complete:
-                session.intake(frames.get(session.peer_id))
+        receive_round(active, [frames.get(session.peer_id) for session in active])
         rounds += 1
     return rounds

@@ -17,7 +17,8 @@ Two serving paths coexist:
   drains the queue through a :class:`~repro.streaming.scheduler.ServeRoundScheduler`
   plan, coalescing every request against the same segment into a single
   engine-level batch encode (one coefficient draw, one bulk multiply,
-  one cost-model charge), and packs the round straight onto the wire:
+  one cost-model charge), and packs the round straight onto the wire,
+  one :func:`~repro.rlnc.wire.pack_blocks` call per granted segment:
   every peer gets a ``memoryview`` slice of one reused contiguous wire
   buffer.  Rounds are packed by :meth:`StreamingServer.serve_round_into`
   into *caller-allocated* storage — the hook the multiprocess cluster
@@ -48,7 +49,7 @@ from repro.obs.registry import get_registry
 from repro.obs.stats import CumulativeStats
 from repro.obs.trace import trace
 from repro.rlnc.block import BlockBatch, CodedBlock, Segment
-from repro.rlnc.wire import VERSION, VERSION2, pack_blocks, stream_size
+from repro.rlnc.wire import VERSION, VERSION2, frame_size, pack_blocks
 from repro.streaming.capacity import segments_in_device_memory
 from repro.streaming.scheduler import BlockRequest, ServeRoundScheduler
 from repro.streaming.session import MediaProfile, PeerSession
@@ -102,7 +103,7 @@ class EagerRounds:
     :class:`StreamingServer` and :class:`~repro.multicast.relay.RelayNode`
     differ only in where a segment's rows come from, so the rest lives
     here once: the peer sessions and the request queue, admission
-    (:meth:`_admit`), the round body (:meth:`_round_batches`), the wire
+    (:meth:`_admit`), the round body (:meth:`_round_emissions`), the wire
     output (:meth:`serve_round_into`, the packer, two alternating wire
     slots, ``begin_round`` / ``collect_round``) and :meth:`evict_segment`.
     An endpoint supplies three hooks:
@@ -308,36 +309,34 @@ class EagerRounds:
 
     # -- the round ----------------------------------------------------------
 
-    def _round_batches(self) -> dict[int, list[BlockBatch]]:
-        """One scheduling round's emissions, as zero-copy per-peer batches.
+    def _round_emissions(self) -> list[tuple[BlockBatch, list[tuple[int, int]]]]:
+        """One scheduling round's emissions, each with its grants.
 
-        Every grant against a segment shares one :meth:`_emit` call and
-        each peer's grant is a row-slice view of it, in grant order.  A
-        granted segment that is no longer servable raises before the
-        queue changes.
+        Every grant against a segment shares one :meth:`_emit` call,
+        whose rows are the segment's grants ``[(peer_id, count), ...]``
+        in order.  A granted segment that is no longer servable raises
+        before the queue changes.
         """
         if not self._queue:
-            return {}
+            return []
         with trace("scheduler_plan"):
             plan = self._round_scheduler.plan_round(self._queue)
         for segment_id in plan.grants:
             self._require_servable(segment_id)
         self._queue = deque(plan.carryover)
-        fanout: dict[int, list[BlockBatch]] = {}
+        emissions = []
+        served: set[int] = set()
         for segment_id, grants in plan.grants.items():
             batch = self._emit(segment_id, sum(count for _, count in grants))
-            row = 0
+            emissions.append((batch, grants))
             for peer_id, count in grants:
-                fanout.setdefault(peer_id, []).append(
-                    batch.slice_rows(slice(row, row + count))
-                )
-                row += count
                 self._sessions[peer_id].record_blocks(count)
-        for peer_id in fanout:
+                served.add(peer_id)
+        for peer_id in served:
             self._sessions[peer_id].rounds_served += 1
         self.stats.rounds_served += 1
         self._m_rounds.inc()
-        return fanout
+        return emissions
 
     def serve_round_into(
         self,
@@ -355,7 +354,7 @@ class EagerRounds:
         """
         with trace("serve_round"):
             return self._pack_round(
-                self._round_batches(), alloc, checksum=checksum, version=version
+                self._round_emissions(), alloc, checksum=checksum, version=version
             )
 
     def _serve_frames(
@@ -411,23 +410,30 @@ class EagerRounds:
 
     def _pack_round(
         self,
-        fanout: dict[int, list[BlockBatch]],
+        emissions: list[tuple[BlockBatch, list[tuple[int, int]]]],
         alloc: Callable[[int], tuple[object, int]],
         *,
         checksum: bool,
         version: int,
     ) -> dict[int, list[tuple[int, int]]]:
-        """Pack a round's per-peer batches into ``alloc``'s storage.
+        """Pack a round's emissions into ``alloc``'s storage, peer-major.
 
-        Frames are written in place by :func:`~repro.rlnc.wire.pack_blocks`
-        with no intermediate ``bytes()`` objects.  Version-2 frames
-        consume each session's monotonic
-        :attr:`~repro.streaming.session.PeerSession.tx_sequence` and
-        carry the endpoint's :attr:`worker_id` stamp; version-1 frames
-        carry no sequence, so they leave ``tx_sequence`` where it was.
+        Each peer's frames are contiguous, in grant order across the
+        round's segments, and each peer is placed where it is first
+        granted.  Every granted segment is packed by *one*
+        :func:`~repro.rlnc.wire.pack_blocks` call, which writes the
+        segment's rows straight into their peers' places (the
+        ``slots``), so the call count is the segment count, not the
+        peer count.  Version-2 frames consume each session's monotonic
+        :attr:`~repro.streaming.session.PeerSession.tx_sequence` in the
+        peer's frame order and carry the endpoint's :attr:`worker_id`
+        stamp; version-1 frames carry no sequence, so they leave
+        ``tx_sequence`` where it was.
 
         Args:
-            fanout: ``peer_id -> [BlockBatch, ...]`` in grant order.
+            emissions: ``(batch, grants)`` per granted segment, the
+                batch's rows being ``grants = [(peer_id, count), ...]``
+                in order.
             alloc: called once per non-empty round with the round's
                 total wire size; must return ``(buffer, offset)`` — any
                 writable buffer and the position to start packing at.
@@ -436,46 +442,63 @@ class EagerRounds:
 
         Returns:
             ``peer_id -> [(offset, length), ...]`` spans into the
-            allocated buffer, one per granted batch; a peer's spans are
+            allocated buffer, one per grant; a peer's spans are
             contiguous and in grant order.  Empty dict for an empty
             round.
         """
-        if not fanout:
+        if not emissions:
             return {}
-        total = sum(
-            stream_size(
-                len(batch),
-                batch.num_blocks,
-                batch.block_size,
-                checksum=checksum,
-                version=version,
-            )
-            for batches in fanout.values()
-            for batch in batches
+        params = self.profile.params
+        size = frame_size(
+            params.num_blocks, params.block_size, checksum=checksum, version=version
         )
-        buffer, offset = alloc(total)
+        # Each peer's first frame: peers in order of first grant.
+        place: dict[int, int] = {}
+        for _, grants in emissions:
+            for peer_id, count in grants:
+                place[peer_id] = place.get(peer_id, 0) + count
+        frames = 0
+        for peer_id, count in place.items():
+            place[peer_id], frames = frames, frames + count
+        buffer, offset = alloc(frames * size)
         view = memoryview(buffer)
-        spans: dict[int, list[tuple[int, int]]] = {}
         sequenced = version == VERSION2
         stamp = self.worker_id if sequenced else None
+        # Each peer's next slot; a peer's frame in slot ``f`` carries
+        # sequence number ``shift[peer] + f``, continuing its session's.
+        cursor = dict(place)
+        shift = {
+            peer_id: self._sessions[peer_id].tx_sequence - first
+            for peer_id, first in place.items()
+        }
+        spans: dict[int, list[tuple[int, int]]] = {peer_id: [] for peer_id in place}
         with trace("wire_pack"):
-            for peer_id, batches in fanout.items():
-                session = self._sessions[peer_id]
-                peer_spans = spans.setdefault(peer_id, [])
-                for batch in batches:
-                    packed = pack_blocks(
-                        batch,
-                        checksum=checksum,
-                        out=view,
-                        offset=offset,
-                        version=version,
-                        first_sequence=session.tx_sequence,
-                        worker_id=stamp,
-                    )
+            for batch, grants in emissions:
+                slots: list[int] = []
+                numbers: list[int] = []
+                for peer_id, count in grants:
+                    at = cursor[peer_id]
+                    cursor[peer_id] = at + count
+                    spans[peer_id].append((offset + at * size, count * size))
+                    slots.extend(range(at, at + count))
                     if sequenced:
-                        session.tx_sequence += len(batch)
-                    peer_spans.append((offset, len(packed)))
-                    offset += len(packed)
+                        base = shift[peer_id] + at
+                        numbers.extend(range(base, base + count))
+                first = slots[0]
+                consecutive = slots == list(range(first, first + len(slots)))
+                pack_blocks(
+                    batch,
+                    checksum=checksum,
+                    out=view,
+                    offset=offset + first * size if consecutive else offset,
+                    version=version,
+                    sequences=np.array(numbers, dtype=np.uint64) if sequenced else None,
+                    slots=None if consecutive else np.array(slots, dtype=np.intp),
+                    worker_id=stamp,
+                )
+        if sequenced:
+            for peer_id, first in place.items():
+                self._sessions[peer_id].tx_sequence += cursor[peer_id] - first
         return spans
 
     def _slot_frames(

@@ -51,7 +51,7 @@ from repro.obs.registry import (
 from repro.obs.stats import CumulativeStats
 from repro.rlnc.block import CodingParams
 from repro.rlnc.wire import VERSION2
-from repro.streaming.client import ClientSession
+from repro.streaming.client import ClientSession, receive_round
 from repro.streaming.session import MediaProfile
 from repro.workloads.autoscaler import (
     ADMISSION_DELAY_HISTOGRAM,
@@ -423,13 +423,17 @@ def run_loadtest(
                 except RetryExhaustedError:
                     exhausted.add(peer_id)
             frames = cluster.serve_round(version=VERSION2)
-            for peer_id, session in enumerate(cohort):
+            receiving = [
+                peer_id for peer_id in range(len(cohort)) if peer_id not in exhausted
+            ]
+            receive_round(
+                [cohort[peer_id] for peer_id in receiving],
+                [frames.get(peer_id) for peer_id in receiving],
+                on_exhausted=lambda session, _: exhausted.add(session.peer_id),
+            )
+            for peer_id in receiving:
+                session = cohort[peer_id]
                 if peer_id in exhausted:
-                    continue
-                try:
-                    session.intake(frames.get(peer_id))
-                except RetryExhaustedError:
-                    exhausted.add(peer_id)
                     continue
                 if session.complete:
                     segment_id = session._segment_id

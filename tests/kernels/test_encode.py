@@ -122,74 +122,6 @@ class TestResultMetrics:
             assert fast.time_seconds(GTX280) < slow.time_seconds(GEFORCE_8800GT)
 
 
-class TestCoalescedEncode:
-    def test_slices_tile_the_result(self):
-        segment = make_segment(8, 32)
-        encoder = GpuEncoder(GTX280, EncodeScheme.TABLE_5)
-        result, slices = encoder.encode_coalesced(
-            segment, [3, 1, 4], np.random.default_rng(0)
-        )
-        assert result.coefficients.shape == (8, 8)
-        assert [s.stop - s.start for s in slices] == [3, 1, 4]
-        assert slices[0].start == 0 and slices[-1].stop == 8
-
-    def test_fanout_views_share_the_result_buffer(self):
-        segment = make_segment(8, 32)
-        encoder = GpuEncoder(GTX280, EncodeScheme.TABLE_5)
-        result, slices = encoder.encode_coalesced(
-            segment, [2, 2], np.random.default_rng(1)
-        )
-        for rows in slices:
-            assert result.payloads[rows].base is result.payloads
-
-    def test_coalesced_payloads_match_separate_encodes(self):
-        """Coalescing requests must not change a payload byte."""
-        segment = make_segment(8, 32)
-        encoder = GpuEncoder(GTX280, EncodeScheme.TABLE_5)
-        coefficients = np.random.default_rng(2).integers(
-            0, 256, size=(6, 8), dtype=np.uint8
-        )
-        result, slices = encoder.encode_coalesced(
-            segment, [4, 2], np.random.default_rng(3),
-            coefficients=coefficients.copy(),
-        )
-        for rows in slices:
-            separate = encoder.encode(
-                segment,
-                rows.stop - rows.start,
-                np.random.default_rng(4),
-                coefficients=coefficients[rows].copy(),
-            )
-            assert np.array_equal(separate.payloads, result.payloads[rows])
-
-    def test_one_cost_model_charge_for_the_combined_shape(self):
-        segment = make_segment(8, 32)
-        encoder = GpuEncoder(GTX280, EncodeScheme.TABLE_5)
-        encoder.upload_segment(segment)
-        combined, _ = encoder.encode_coalesced(
-            segment, [5, 3], np.random.default_rng(5)
-        )
-        direct = encoder.encode(segment, 8, np.random.default_rng(6))
-        assert combined.time_seconds == pytest.approx(direct.time_seconds)
-
-    def test_rejects_bad_counts(self):
-        from repro.errors import ConfigurationError
-
-        segment = make_segment(4, 16)
-        encoder = GpuEncoder(GTX280, EncodeScheme.TABLE_5)
-        with pytest.raises(ConfigurationError):
-            encoder.encode_coalesced(segment, [], np.random.default_rng(0))
-        with pytest.raises(ConfigurationError):
-            encoder.encode_coalesced(segment, [2, 0], np.random.default_rng(0))
-        with pytest.raises(ConfigurationError):
-            encoder.encode_coalesced(
-                segment,
-                [2, 2],
-                np.random.default_rng(0),
-                coefficients=np.zeros((3, 4), dtype=np.uint8),
-            )
-
-
 class TestDropSegmentReleasesCache:
     def test_drop_segment_releases_log_cache(self):
         """Regression: drop_segment must leave no reference to the

@@ -216,11 +216,20 @@ def reference_round_frames(relay, *, checksum, version):
     """The relay's own pack loop before it shared the server's round
     packer (``RelayNode._round_frames``), kept as the oracle.
 
-    Packs ``relay._round_batches()`` into a fresh buffer and returns
+    Packs the round's per-peer batches (each peer's grants, as row
+    slices of ``relay._round_emissions()``, in grant order) into a fresh
+    buffer one ``pack_blocks`` call per (peer, batch) and returns
     ``peer_id -> bytes``, stamping sequences and counting served bytes
     exactly as that loop did.
     """
-    fanout = relay._round_batches()
+    fanout = {}
+    for emission, grants in relay._round_emissions():
+        row = 0
+        for peer_id, count in grants:
+            fanout.setdefault(peer_id, []).append(
+                emission.slice_rows(slice(row, row + count))
+            )
+            row += count
     if not fanout:
         return {}
     total = sum(

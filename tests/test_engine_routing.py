@@ -72,12 +72,14 @@ def test_decoder_inverse_scalar_comes_from_engine():
 
 
 def test_decoder_row_reduction_uses_region_ops():
-    # Every elimination (consume, consume_batch and the quarantine
-    # rebuild) funnels through one call of the engine's absorb op, which
-    # runs forward reduction and back-elimination as fused region ops;
-    # the decoder keeps no row-operation body of its own.
+    # Every elimination (consume, consume_batch, a receiving cohort and
+    # the quarantine rebuild) funnels through one call of the engine's
+    # absorb op, which runs forward reduction and back-elimination as
+    # fused region ops; the decoder keeps no row-operation body of its
+    # own.
     decoder_text = (SRC_ROOT / "rlnc" / "decoder.py").read_text()
-    assert decoder_text.count("ENGINE.absorb(") == 1
+    assert decoder_text.count("ENGINE.absorb_many(") == 1
+    assert "ENGINE.absorb(" not in decoder_text
     assert "ENGINE.fold_rows" not in decoder_text
     assert "ENGINE.axpy_rows" not in decoder_text
 
