@@ -48,7 +48,6 @@ from repro.errors import (
     FieldError,
     IntegrityError,
     LaunchError,
-    PipelineStallError,
     ReproError,
     RetryExhaustedError,
     RetryLater,
@@ -113,7 +112,6 @@ __all__ = [
     "MultiSegmentDecoder",
     "MulticastTree",
     "OverlapReport",
-    "PipelineStallError",
     "ProgressiveDecoder",
     "Recoder",
     "RelayNode",

@@ -75,17 +75,6 @@ class CapacityError(ReproError):
     """A streaming-server request exceeds available resources."""
 
 
-class PipelineStallError(ConfigurationError):
-    """A pipelined serve round was planned over undrained carryover.
-
-    The two-slot round pipeline (:class:`repro.streaming.scheduler.RoundPipeline`)
-    permits at most ``depth`` planned-but-undrained rounds; planning a
-    further round would double-count carryover remainders that are still
-    in flight, silently breaking the per-peer quota accounting.  The
-    caller must drain (``mark_drained``) before beginning another round.
-    """
-
-
 class RetryExhaustedError(ReproError):
     """A reliable-transport retry loop ran out of attempts.
 

@@ -10,7 +10,8 @@ one elimination entry point: it takes a table of jobs, one row of
 :data:`JOB_FIELDS` words per work matrix, so a whole receiving cohort's
 decoders absorb a round in one C call.  Callers that keep their work
 matrices for their lifetime validate them once (:func:`absorb_target`)
-and reuse the addresses; :func:`absorb` is the checked one-job form.
+and reuse the addresses; :meth:`~repro.gf256.engine.Gf256Engine.absorb_many`
+is the one place that writes job rows.
 This module owns the kernel's whole lifecycle:
 
 * compile the bundled source with the host's ``cc`` into a content-
@@ -256,60 +257,18 @@ def _check_int64(array: np.ndarray, name: str, size: int) -> None:
 def absorb_many(jobs: np.ndarray) -> int:
     """Run every job of a ``(J, JOB_FIELDS)`` uint64 table in one C call.
 
-    Job ``j`` absorbs its ``m`` incoming rows into its work matrix as
-    :func:`absorb` does, in table order; its held count (column
-    :data:`JOB_HELD`) is advanced in place by the rows it accepted.
-    Addresses are taken on trust: build them from arrays checked by
-    :func:`absorb_target` and :func:`absorb`'s rules.  Returns the rows
-    accepted over all jobs.
+    Job ``j`` appends every innovative row of its ``m`` incoming rows
+    to its work matrix, the C-contiguous (n, 2n) control plane ``[C |
+    M]`` whose rows ``[0, held)`` are in RREF (pivot into
+    ``pivot_cols[held + i]``, incoming index into ``accepted[i]``), in
+    table order; its held count (column :data:`JOB_HELD`) is advanced
+    in place by the rows it accepted.  Addresses are taken on trust:
+    build them from arrays checked by :func:`absorb_target`, incoming
+    rows that are contiguous with a forward row stride, and int64
+    ``accepted`` space for ``m`` rows.  Returns the rows accepted over
+    all jobs.
     """
     return _load().gf256_absorb_many(jobs.ctypes.data, jobs.shape[0])
-
-
-def absorb(
-    work: np.ndarray,
-    held: int,
-    incoming: np.ndarray,
-    pivot_cols: np.ndarray,
-    accepted: np.ndarray,
-) -> int:
-    """Progressive Gauss–Jordan intake of ``incoming`` into ``work``.
-
-    ``work`` is the C-contiguous (n, 2n) control plane ``[C | M]`` with
-    rows ``[0, held)`` in RREF and the rest zero; ``incoming`` is the
-    (m, n) coefficient batch (rows contiguous, row stride free);
-    ``pivot_cols`` (n,) and ``accepted`` (at least m) are contiguous
-    int64.  Appends every innovative row to ``work`` (pivot into
-    ``pivot_cols[held + i]``, incoming index into ``accepted[i]``) and
-    returns how many it accepted.  Layouts are checked here so a bad
-    view raises instead of reaching C; the work is one
-    :func:`absorb_many` job.
-    """
-    work_address, work_stride, n, pivots = absorb_target(work, pivot_cols)
-    stride = _check_row_view(incoming, "incoming")
-    m = incoming.shape[0]
-    if incoming.shape[1] != n or stride < 0:
-        raise ValueError(f"incoming must have {n} columns and a forward stride")
-    _check_int64(accepted, "accepted", m)
-    if not 0 <= held <= n:
-        raise ValueError(f"held {held} outside [0, {n}]")
-    job = np.array(
-        [
-            [
-                work_address,
-                work_stride,
-                n,
-                held,
-                incoming.ctypes.data,
-                stride,
-                m,
-                pivots,
-                accepted.ctypes.data,
-            ]
-        ],
-        dtype=np.uint64,
-    )
-    return absorb_many(job)
 
 
 def _reset_for_tests() -> None:

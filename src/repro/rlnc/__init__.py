@@ -36,7 +36,6 @@ from repro.rlnc.wire import (
     WireStats,
     decode_frame,
     decode_stream,
-    digest64,
     encode_frame,
     encode_stream,
     frame_rows,
@@ -44,11 +43,9 @@ from repro.rlnc.wire import (
     frame_size,
     frame_worker_id,
     pack_blocks,
-    pack_frame_into,
     stream_size,
     unpack_blocks,
     unpack_frame,
-    unpack_round,
 )
 
 __all__ = [
@@ -74,7 +71,6 @@ __all__ = [
     "blocks_needed_over_lossy_channel",
     "decode_frame",
     "decode_stream",
-    "digest64",
     "encode_frame",
     "encode_stream",
     "expected_extra_blocks",
@@ -88,10 +84,8 @@ __all__ = [
     "join_segments",
     "measure_reception_overhead",
     "pack_blocks",
-    "pack_frame_into",
     "split_into_segments",
     "stream_size",
     "unpack_blocks",
     "unpack_frame",
-    "unpack_round",
 ]

@@ -356,7 +356,7 @@ class ProgressiveDecoder:
         return len(rows)
 
     def _reset_elimination(self) -> None:
-        """Clear the decoder's rows for a quarantine rebuild.
+        """Clear the decoder's rows for a quarantine rebuild or a restart.
 
         Leaves the state of a fresh decoder, so a rebuild from the kept
         rows matches one that only ever saw them.
@@ -368,6 +368,14 @@ class ProgressiveDecoder:
         self._pivot_to_row.clear()
         self._materialized_rank = 0
         self._rows[:] = 0
+
+    def _restart(self, segment_id: int) -> None:
+        """Become a fresh decoder of ``segment_id``, keeping the arrays."""
+        self._reset_elimination()
+        self._segment_id = segment_id
+        self._received = self._discarded = 0
+        self._quarantined = self._rank_regressions = 0
+        self._corruption_counts.clear()
 
     def _materialize(self) -> None:
         """Refresh the payload side of ``_rows`` from the control plane."""

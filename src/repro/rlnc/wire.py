@@ -20,7 +20,7 @@ offset  size  field
 
 Version 2 (the fault-tolerant transport format) adds a per-frame
 sequence number and replaces the CRC32 with an 8-byte multiply-
-accumulate digest (see :func:`digest64`) that vectorizes across a whole
+accumulate digest (see ``_digest64_rows``) that vectorizes across a whole
 batch — the serving pipeline checksums hundreds of frames with three
 numpy passes instead of one C call per frame:
 
@@ -52,34 +52,45 @@ Readers accept both versions; writers emit version 1 unless asked for
 ``version=2``, so PR 2 peers parse this writer's default output and
 vice versa.
 
-The self-describing readers (:func:`unpack_frame`, :func:`unpack_blocks`,
-:func:`decode_stream`) are strict: they raise
+One writer, one header builder and one verifier carry both versions.
+:func:`pack_blocks` is the only frame writer: it writes a whole
+:class:`~repro.rlnc.block.BlockBatch` (the paper's ``C`` and ``x``
+matrices) into one contiguous buffer with three strided numpy
+assignments, and computes every trailer (one CRC32 call per v1 frame,
+one vectorized digest pass per v2 batch).  :func:`encode_frame` is its
+one-row form, and :func:`encode_stream` packs each run of blocks that
+share a segment and geometry with one call.  Its header rows come from
+``_header_rows``, which also makes the framing row the verifier checks
+received headers against.  :func:`frame_size` and :func:`stream_size`
+tell callers how many bytes a frame or a homogeneous batch occupies,
+so buffers are sized up front and packed in place.
+
+Every reader goes through one verifier, ``_verify``, which returns
+three masks over an ``(m, frame_size)`` byte matrix: *framed* (magic,
+version, checksum flag, n and k as expected), *intact* (framed, and
+the trailer verifies) and *ours* (the expected segment id).  The
+self-describing readers (:func:`unpack_frame`, :func:`unpack_blocks`,
+and :func:`decode_frame` / :func:`decode_stream` over
+:func:`unpack_frame`) are strict: they raise
 :class:`~repro.errors.IntegrityError` on a checksum mismatch and
 :class:`~repro.errors.WireError` on structural damage (bad
 magic/version, torn frames, length fields that disagree with the buffer
 — every length is bound-checked before slicing, so a lying header can
-never over-read).  The one lenient receive path is :func:`unpack_round`:
-it checks every row of a round's ``(m, frame_size)`` byte matrix against
-the receiver's own geometry, so damaged rows (the first included) are
-dropped one by one and counted in a :class:`WireStats`.
-
-Serialization is sized up front and packed in place: :func:`frame_size`
-and :func:`stream_size` tell callers exactly how many bytes a frame or a
-homogeneous batch occupies, :func:`pack_frame_into` writes one frame
-into a caller-supplied buffer through a :class:`memoryview` (no
-intermediate per-field ``bytes()`` copies), and :func:`pack_blocks` /
-:func:`unpack_blocks` / :func:`unpack_round` move whole
-:class:`~repro.rlnc.block.BlockBatch` matrices through a single
-contiguous buffer — the batch path writes all headers, coefficient rows
-and payload rows with three strided numpy assignments, and the intake
-path hands back coefficient/payload matrices that are zero-copy views
-into the received buffer.  The version-1 batch layout is byte-identical
-to concatenated :func:`encode_frame` output, so old readers can parse
-new writers' individual records.
+never over-read).  The lenient receive path is :func:`unpack_cohort`,
+which :func:`~repro.streaming.client.receive_round` calls once per
+receiving cohort: it checks every row of the cohort's stacked rounds
+against the receivers' own geometry, so damaged rows (the first
+included) are dropped one by one and counted in each receiver's
+:class:`WireStats`, and hands back coefficient/payload matrices that
+are views into the received buffer.  The version-1 batch layout is
+byte-identical to concatenated :func:`encode_frame` output, so old
+readers can parse new writers' individual records.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import struct
 import zlib
 from dataclasses import dataclass
@@ -103,8 +114,9 @@ _HEADER = struct.Struct(">4sBBIII")
 _HEADER2 = struct.Struct(">4sBBIIII")
 _CRC = struct.Struct(">I")
 _DIGEST = struct.Struct(">Q")
-#: v2 header bytes are zero-padded to this width for the digest.
-_HEADER2_PAD = 24
+#: Header rows are zero-padded to this width, as the v2 digest reads them.
+_HEADER_PAD = 24
+_SEGMENT_OFFSET = 6  # big-endian u32 segment id inside either header
 _SEQ_OFFSET = 18  # big-endian u32 sequence inside the v2 header
 #: The header bits a receiver checks against its own geometry: magic,
 #: version, the checksum flag, n and k.
@@ -196,21 +208,6 @@ def _digest64_rows(
         np.einsum("ij,j->i", hw, weights[:nh])
         + np.einsum("ij,j->i", cw, weights[nh : nh + nc])
         + np.einsum("ij,j->i", pw, weights[nh + nc :])
-    )
-
-
-def digest64(
-    header: bytes, coefficients: np.ndarray, payload: np.ndarray
-) -> int:
-    """The version-2 integrity digest of one frame (see module docs)."""
-    head = np.zeros(_HEADER2_PAD, dtype=np.uint8)
-    head[: len(header)] = np.frombuffer(header, dtype=np.uint8)
-    return int(
-        _digest64_rows(
-            head.reshape(1, -1),
-            coefficients.reshape(1, -1),
-            payload.reshape(1, -1),
-        )[0]
     )
 
 
@@ -353,67 +350,41 @@ def stream_size(
     )
 
 
-def pack_frame_into(
-    block: CodedBlock,
-    buffer,
-    offset: int = 0,
-    *,
-    checksum: bool = True,
-    version: int = VERSION,
-    sequence: int = 0,
-    worker_id: int | None = None,
-) -> int:
-    """Write one frame into ``buffer`` at ``offset``; return bytes written.
+def _header_rows(
+    m: int,
+    version: int,
+    flags: int,
+    segment_id: int,
+    n: int,
+    k: int,
+    sequences: np.ndarray | None = None,
+) -> np.ndarray:
+    """The one header builder: ``m`` zero-padded ``(m, 24)`` header rows.
 
-    ``buffer`` is any writable buffer (``bytearray``, ``memoryview``,
-    ``np.ndarray``).  The coefficient and payload arrays are copied into
-    place through memoryview slice assignment — no intermediate
-    ``bytes()`` objects are materialized.  ``sequence`` and the optional
-    ``worker_id`` stamp are carried only by version-2 frames (the
-    sequence wraps mod 2^32).
+    Both versions share the first 18 bytes; a version-2 row's sequence
+    is ``sequences[i]`` (wrapped mod 2^32), zero when ``sequences`` is
+    omitted.  The padding is the digest's view of a header, so
+    :func:`pack_blocks` copies the leading bytes to the wire and digests
+    the rows as they are, and the verifier's framing row is a one-row
+    build (:func:`_framing_row`).
     """
-    n, k = block.num_blocks, block.block_size
-    header = _header_struct(version)
-    size = frame_size(n, k, checksum=checksum, version=version)
-    view = memoryview(buffer)
-    if offset + size > len(view):
-        raise WireError(
-            f"buffer too small: need {offset + size} bytes, have {len(view)}"
+    heads = np.zeros((m, _HEADER_PAD), dtype=np.uint8)
+    packed = _HEADER.pack(MAGIC, version, flags, segment_id, n, k)
+    heads[:, : _HEADER.size] = np.frombuffer(packed, dtype=np.uint8)
+    if sequences is not None:
+        sequences = np.asarray(sequences, dtype=np.uint64) & np.uint64(0xFFFFFFFF)
+        heads[:, _SEQ_OFFSET : _SEQ_OFFSET + 4] = (
+            sequences.astype(">u4").view(np.uint8).reshape(m, 4)
         )
-    flags = (FLAG_CHECKSUM if checksum else 0) | _worker_flag_bits(
-        version, worker_id
-    )
-    if version == VERSION:
-        header.pack_into(view, offset, MAGIC, version, flags, block.segment_id, n, k)
-    else:
-        header.pack_into(
-            view,
-            offset,
-            MAGIC,
-            version,
-            flags,
-            block.segment_id,
-            n,
-            k,
-            sequence & 0xFFFFFFFF,
-        )
-    body_end = offset + header.size + n + k
-    view[offset + header.size : offset + header.size + n] = block.coefficients
-    view[offset + header.size + n : body_end] = block.payload
-    if checksum:
-        if version == VERSION:
-            crc = zlib.crc32(view[offset:body_end]) & 0xFFFFFFFF
-            _CRC.pack_into(view, body_end, crc)
-        else:
-            digest = digest64(
-                bytes(view[offset : offset + header.size]),
-                block.coefficients,
-                block.payload,
-            )
-            _DIGEST.pack_into(view, body_end, digest)
-    _wire_counter("wire_frames_packed").inc()
-    _wire_counter("wire_bytes_packed").inc(size)
-    return size
+    return heads
+
+
+@functools.lru_cache(maxsize=64)
+def _framing_row(version: int, flags: int, n: int, k: int) -> np.ndarray:
+    """The header bytes the verifier expects of one geometry (read-only)."""
+    row = _header_rows(1, version, flags, 0, n, k)[0, : _HEADER.size]
+    row.flags.writeable = False
+    return row
 
 
 def pack_blocks(
@@ -430,16 +401,17 @@ def pack_blocks(
 ) -> memoryview:
     """Serialize a whole batch into one contiguous buffer; return its view.
 
-    All headers, coefficient rows and payload rows are written with three
-    strided numpy assignments into the (optionally caller-preallocated)
-    buffer.  Version-1 integrity is one CRC32 C call per frame;
-    version-2 computes every frame's :func:`digest64` in one vectorized
-    pass over the batch's own rows, stamps sequence numbers, and carries
-    the optional ``worker_id`` stamp in every frame's flags.  When
-    ``out`` is omitted a fresh ``bytearray`` of exactly
-    :func:`stream_size` bytes is allocated; pass a reusable buffer (and
-    an ``offset``) to pack several batches into one buffer without
-    reallocating.
+    The one frame writer: :func:`encode_frame` and :func:`encode_stream`
+    are forms of it.  All headers, coefficient rows and payload rows are
+    written with three strided numpy assignments into the (optionally
+    caller-preallocated) buffer.  Version-1 integrity is one CRC32 C
+    call per frame; version-2 computes every frame's digest in one
+    vectorized pass over the header rows and the batch's own rows,
+    stamps sequence numbers, and carries the optional ``worker_id``
+    stamp in every frame's flags.  When ``out`` is omitted a fresh
+    ``bytearray`` of exactly :func:`stream_size` bytes is allocated;
+    pass a reusable buffer (and an ``offset``) to pack several batches
+    into one buffer without reallocating.
 
     The serving round packs each granted segment's emission with one
     call: ``slots[i]`` is the frame index, counted from ``offset``, that
@@ -452,12 +424,11 @@ def pack_blocks(
     Returns:
         The view of the frames written: ``stream_size`` bytes from
         ``offset``, or up to the last slot's frame when ``slots`` is
-        given.  The version-1 bytes are identical to concatenating
-        ``encode_frame(block)`` over ``batch.rows()``.
+        given.
     """
     m = len(batch)
     n, k = batch.num_blocks, batch.block_size
-    header = _header_struct(version)
+    header_size = _header_struct(version).size
     size_one = frame_size(n, k, checksum=checksum, version=version)
     rows = slice(0, m) if slots is None else np.asarray(slots, dtype=np.intp)
     count = m if slots is None or not m else int(rows.max()) + 1
@@ -478,36 +449,29 @@ def pack_blocks(
     flags = (FLAG_CHECKSUM if checksum else 0) | _worker_flag_bits(
         version, worker_id
     )
-    # Headers are built as their own zero-padded rows: the digest reads
-    # them (and the batch's rows) as they are, never the frame columns.
-    heads = np.zeros((m, _HEADER2_PAD), dtype=np.uint8)
-    if version == VERSION:
-        packed = header.pack(MAGIC, version, flags, batch.segment_id, n, k)
-    else:
-        packed = header.pack(MAGIC, version, flags, batch.segment_id, n, k, 0)
-    heads[:, : header.size] = np.frombuffer(packed, dtype=np.uint8)
-    if version == VERSION2:
-        if sequences is None:
-            sequences = np.uint64(first_sequence) + np.arange(m, dtype=np.uint64)
-        sequences = np.asarray(sequences, dtype=np.uint64) & np.uint64(0xFFFFFFFF)
-        heads[:, _SEQ_OFFSET : _SEQ_OFFSET + 4] = (
-            sequences.astype(">u4").view(np.uint8).reshape(m, 4)
-        )
-    frames[rows, : header.size] = heads[:, : header.size]
-    frames[rows, header.size : header.size + n] = batch.coefficients
-    body = header.size + n + k
-    frames[rows, header.size + n : body] = batch.payloads
+    if version == VERSION2 and sequences is None:
+        sequences = np.uint64(first_sequence) + np.arange(m, dtype=np.uint64)
+    heads = _header_rows(
+        m,
+        version,
+        flags,
+        batch.segment_id,
+        n,
+        k,
+        sequences if version == VERSION2 else None,
+    )
+    frames[rows, :header_size] = heads[:, :header_size]
+    frames[rows, header_size : header_size + n] = batch.coefficients
+    body = header_size + n + k
+    frames[rows, header_size + n : body] = batch.payloads
     if checksum:
-        targets = range(m) if slots is None else rows.tolist()
         if version == VERSION:
-            for row in targets:
+            for row in range(m) if slots is None else rows.tolist():
                 crc = zlib.crc32(frames[row, :body]) & 0xFFFFFFFF
                 _CRC.pack_into(region, row * size_one + body, crc)
         else:
             digests = _digest64_rows(heads, batch.coefficients, batch.payloads)
-            frames[rows, body : body + 8] = (
-                digests.astype(">u8").view(np.uint8).reshape(m, 8)
-            )
+            frames[rows, body:] = digests.astype(">u8").view(np.uint8).reshape(m, 8)
     _wire_counter("wire_frames_packed").inc(m)
     _wire_counter("wire_bytes_packed").inc(m * size_one)
     return region
@@ -541,6 +505,42 @@ def _parse_header(view: memoryview, offset: int):
     return version, flags, segment_id, n, k, sequence, header.size
 
 
+def _verify(
+    frames: np.ndarray, version: int, n: int, k: int, checksum: bool, segment_ids
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one verifier: ``(framed, intact, ours)`` masks over a frame matrix.
+
+    ``frames`` is ``(m, frame_size)``.  A *framed* row carries the
+    magic, version, checksum flag, n and k of the framing row the
+    header builder makes for this geometry; an *intact* row is framed
+    and its trailer (if any) verifies; an *ours* row carries
+    ``segment_ids`` (one id, or one per row).  The worker stamp and
+    sequence are left to the trailer, which covers them.
+    """
+    header_size = _header_struct(version).size
+    expected = _framing_row(version, FLAG_CHECKSUM if checksum else 0, n, k)
+    mismatch = (frames[:, : _HEADER.size] ^ expected) & _FRAMING_MASK
+    framed = ~mismatch.any(axis=1)
+    ids = np.asarray(segment_ids, dtype=">u4").reshape(-1, 1).view(np.uint8)
+    ours = np.all(frames[:, _SEGMENT_OFFSET : _SEGMENT_OFFSET + 4] == ids, axis=1)
+    if not checksum:
+        return framed, framed, ours
+    body = header_size + n + k
+    if version == VERSION:
+        stored = np.ascontiguousarray(frames[:, body:]).view(">u4").reshape(-1)
+        intact = framed.copy()
+        for row in np.flatnonzero(framed):
+            intact[row] = stored[row] == zlib.crc32(frames[row, :body])
+        return framed, intact, ours
+    digests = _digest64_rows(
+        frames[:, :header_size],
+        frames[:, header_size : header_size + n],
+        frames[:, header_size + n : body],
+    )
+    stored = np.ascontiguousarray(frames[:, body:]).view(">u8").reshape(-1)
+    return framed, framed & (stored == digests), ours
+
+
 def unpack_frame(data, offset: int = 0) -> tuple[CodedBlock, int, int | None]:
     """Parse one frame at ``offset``; return ``(block, size, sequence)``.
 
@@ -568,7 +568,9 @@ def unpack_frame(data, offset: int = 0) -> tuple[CodedBlock, int, int | None]:
         )
     _wire_counter("wire_bytes_unpacked").inc(size)
     frame = np.frombuffer(view, dtype=np.uint8, count=size, offset=offset)
-    _, intact = _verify_rows(frame.reshape(1, size), version, n, k, has_checksum)
+    _, intact, _ = _verify(
+        frame.reshape(1, size), version, n, k, has_checksum, segment_id
+    )
     if not intact[0]:
         raise IntegrityError(
             f"checksum mismatch in frame at offset {offset} "
@@ -600,56 +602,6 @@ def frame_rows(data, frame_bytes: int, stats: WireStats | None = None) -> np.nda
     return flat[: count * frame_bytes].reshape(count, frame_bytes)
 
 
-def _verify_rows(
-    frames: np.ndarray, version: int, n: int, k: int, checksum: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(framed, intact)`` masks over an (m, frame_size) frame matrix.
-
-    A *framed* row carries the given magic, version, checksum flag, n
-    and k; an *intact* row is framed and its trailer (if any) verifies.
-    The segment id, worker stamp and sequence are left to the trailer,
-    which covers them.
-    """
-    header_size = _header_struct(version).size
-    flag = FLAG_CHECKSUM if checksum else 0
-    expected = np.frombuffer(_HEADER.pack(MAGIC, version, flag, 0, n, k), np.uint8)
-    mismatch = (frames[:, : _HEADER.size] ^ expected) & _FRAMING_MASK
-    framed = ~mismatch.any(axis=1)
-    if not checksum:
-        return framed, framed
-    body = header_size + n + k
-    if version == VERSION:
-        stored = np.ascontiguousarray(frames[:, body:]).view(">u4").reshape(-1)
-        intact = framed.copy()
-        for row in np.flatnonzero(framed):
-            intact[row] = stored[row] == zlib.crc32(frames[row, :body])
-        return framed, intact
-    digests = _digest64_rows(
-        frames[:, :header_size],
-        frames[:, header_size : header_size + n],
-        frames[:, header_size + n : body],
-    )
-    stored = np.ascontiguousarray(frames[:, body:]).view(">u8").reshape(-1)
-    return framed, framed & (stored == digests)
-
-
-def _segment_rows(frames: np.ndarray, segment_ids) -> np.ndarray:
-    """Rows whose segment id is ``segment_ids`` (one id, or one per row)."""
-    expected = np.array(segment_ids, dtype=">u4").reshape(-1).view(np.uint8)
-    return np.all(frames[:, 6:10] == expected.reshape(-1, 4), axis=1)
-
-
-def _rows_batch(frames, keep, header_size, n, k, segment_id, copy=False):
-    """The kept rows' coefficient and payload columns as one batch."""
-    coefficients = frames[:, header_size : header_size + n]
-    payloads = frames[:, header_size + n : header_size + n + k]
-    if not keep.all():
-        coefficients, payloads = coefficients[keep], payloads[keep]
-    elif copy:
-        coefficients, payloads = coefficients.copy(), payloads.copy()
-    return BlockBatch(coefficients, payloads, segment_id)
-
-
 def unpack_cohort(
     frames: np.ndarray,
     counts: list[int],
@@ -670,7 +622,7 @@ def unpack_cohort(
     another frame, so any row (the first included) is dropped on its
     own: rows with the wrong magic, version, checksum flag, n or k
     count as malformed, rows whose trailer fails as checksum failures,
-    the rest as ``frames_ok``.
+    the rest as ``frames_ok``.  A single receiver is a cohort of one.
 
     Returns:
         ``(coefficients, payloads, bounds, foreign)``: every receiver's
@@ -682,12 +634,12 @@ def unpack_cohort(
     """
     n, k = num_blocks, block_size
     _wire_counter("wire_bytes_unpacked").inc(frames.size)
-    framed, intact = _verify_rows(frames, version, n, k, checksum)
     if len(set(segment_ids)) == 1:
         expected = segment_ids[0]
     else:
         expected = np.repeat(np.asarray(segment_ids, dtype=np.int64), counts)
-    ours = intact & _segment_rows(frames, expected)
+    framed, intact, ours = _verify(frames, version, n, k, checksum, expected)
+    ours &= intact
     bounds = []
     foreign = []
     start = kept = 0
@@ -718,45 +670,12 @@ def unpack_cohort(
     )
 
 
-def unpack_round(
-    frames: np.ndarray,
-    *,
-    segment_id: int,
-    num_blocks: int,
-    block_size: int,
-    checksum: bool = True,
-    version: int = VERSION,
-    stats: WireStats | None = None,
-) -> tuple[BlockBatch, int]:
-    """Verify one receiver's ``(m, frame_size)`` round: a cohort of one.
-
-    See :func:`unpack_cohort` for the checks and the accounting in
-    ``stats``.
-
-    Returns:
-        ``(batch, foreign)``: the intact rows of ``segment_id`` in order
-        (views into ``frames`` when no row is dropped), and the number
-        of intact rows of another segment.
-    """
-    coefficients, payloads, _, foreign = unpack_cohort(
-        frames,
-        [len(frames)],
-        [segment_id],
-        num_blocks=num_blocks,
-        block_size=block_size,
-        checksum=checksum,
-        version=version,
-        stats=[stats],
-    )
-    return BlockBatch(coefficients, payloads, segment_id), foreign[0]
-
-
 def unpack_blocks(data, *, copy: bool = False) -> BlockBatch:
     """Parse a homogeneous frame stream into one :class:`BlockBatch`.
 
     The strict, self-describing batch reader: frame 0's header supplies
     the geometry, and every row of the (m, frame_size) byte matrix is
-    verified by the same vectorized core as :func:`unpack_round`.  The
+    checked by the same verifier as :func:`unpack_cohort`.  The
     returned coefficient/payload matrices are zero-copy strided views
     into ``data`` (pass ``copy=True`` to detach them, e.g. when the
     receive buffer will be reused).  The matrices feed
@@ -782,15 +701,19 @@ def unpack_blocks(data, *, copy: bool = False) -> BlockBatch:
         )
     frames = frame_rows(view, size_one)
     _wire_counter("wire_bytes_unpacked").inc(frames.size)
-    framed, intact = _verify_rows(frames, version, n, k, checksum)
-    if not (framed & _segment_rows(frames, segment_id)).all():
+    framed, intact, ours = _verify(frames, version, n, k, checksum, segment_id)
+    if not (framed & ours).all():
         raise WireError(
             "heterogeneous stream: frame headers differ (use decode_stream)"
         )
     if not intact.all():
         row = int(np.flatnonzero(~intact)[0])
         raise IntegrityError(f"checksum mismatch in frame {row}")
-    return _rows_batch(frames, intact, header_size, n, k, segment_id, copy)
+    coefficients = frames[:, header_size : header_size + n]
+    payloads = frames[:, header_size + n : header_size + n + k]
+    if copy:
+        coefficients, payloads = coefficients.copy(), payloads.copy()
+    return BlockBatch(coefficients, payloads, segment_id)
 
 
 def encode_frame(
@@ -800,16 +723,17 @@ def encode_frame(
     version: int = VERSION,
     sequence: int = 0,
 ) -> bytes:
-    """Serialize one coded block to its wire frame."""
-    buffer = bytearray(
-        frame_size(
-            block.num_blocks, block.block_size, checksum=checksum, version=version
+    """Serialize one coded block to its wire frame (a one-row batch)."""
+    batch = BlockBatch(
+        block.coefficients.reshape(1, -1),
+        block.payload.reshape(1, -1),
+        block.segment_id,
+    )
+    return bytes(
+        pack_blocks(
+            batch, checksum=checksum, version=version, first_sequence=sequence
         )
     )
-    pack_frame_into(
-        block, buffer, checksum=checksum, version=version, sequence=sequence
-    )
-    return bytes(buffer)
 
 
 def decode_frame(frame: bytes) -> CodedBlock:
@@ -843,30 +767,37 @@ def encode_stream(
 ) -> bytes:
     """Concatenate frames for a block stream (one up-front allocation).
 
-    Sizes are computed first so the whole stream packs into a single
-    buffer via :func:`pack_frame_into` — no per-block ``bytes()``
-    intermediates.  Heterogeneous geometries are allowed.  Version-2
-    frames are stamped with consecutive sequence numbers.
+    Heterogeneous geometries and segments are allowed: each run of
+    consecutive blocks sharing a segment id and geometry is stacked and
+    written by one :func:`pack_blocks` call into the single buffer.
+    Version-2 frames are stamped with consecutive sequence numbers.
     """
-    blocks = list(blocks)
-    sizes = [
-        frame_size(
-            block.num_blocks, block.block_size, checksum=checksum, version=version
+    runs = [
+        list(run)
+        for _, run in itertools.groupby(
+            blocks, key=lambda b: (b.segment_id, b.num_blocks, b.block_size)
         )
-        for block in blocks
+    ]
+    sizes = [
+        len(run)
+        * frame_size(
+            run[0].num_blocks, run[0].block_size, checksum=checksum, version=version
+        )
+        for run in runs
     ]
     buffer = bytearray(sum(sizes))
-    offset = 0
-    for index, (block, size) in enumerate(zip(blocks, sizes)):
-        pack_frame_into(
-            block,
-            buffer,
-            offset,
+    offset = sequence = 0
+    for run, size in zip(runs, sizes):
+        pack_blocks(
+            BlockBatch.from_blocks(run),
             checksum=checksum,
+            out=buffer,
+            offset=offset,
             version=version,
-            sequence=first_sequence + index,
+            first_sequence=first_sequence + sequence,
         )
         offset += size
+        sequence += len(run)
     return bytes(buffer)
 
 

@@ -17,7 +17,6 @@ from repro.streaming.live import LiveJoinPoint, LiveWindow
 from repro.streaming.nic import DUAL_GIGABIT_ETHERNET, GIGABIT_ETHERNET, NicModel
 from repro.streaming.scheduler import (
     BlockRequest,
-    RoundPipeline,
     RoundPlan,
     ScheduledRequest,
     SegmentScheduler,
@@ -53,7 +52,6 @@ __all__ = [
     "PeerSession",
     "PlaybackReport",
     "REFERENCE_PROFILE",
-    "RoundPipeline",
     "RoundPlan",
     "ScheduledRequest",
     "SegmentScheduler",

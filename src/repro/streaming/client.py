@@ -411,6 +411,8 @@ class ClientSession:
         )
         self._wire_key = (params.num_blocks, params.block_size, checksum, wire_version)
         self._decoder: ProgressiveDecoder | None = None
+        # The finished segment's decoder, reset in place for the next.
+        self._spare: ProgressiveDecoder | None = None
         self._segment_id: int | None = None
         self._segment_rounds = 0
         self._segment_requests = 0
@@ -435,14 +437,21 @@ class ClientSession:
         return self._decoder is not None and self._decoder.is_complete
 
     def begin_segment(self, segment_id: int) -> None:
-        """Start fetching a segment: fresh decoder, fresh retry state."""
+        """Start fetching a segment: a reset decoder, fresh retry state.
+
+        The previous segment's decoder is cleared in place and reused,
+        so a session allocates its decoder arrays once.
+        """
         if self._decoder is not None and not self._decoder.is_complete:
             raise ConfigurationError(
                 f"segment {self._segment_id} fetch still in progress"
             )
-        self._decoder = ProgressiveDecoder(
-            self.server.profile.params, segment_id
-        )
+        decoder = self._decoder or self._spare
+        if decoder is None:
+            decoder = ProgressiveDecoder(self.server.profile.params, segment_id)
+        else:
+            decoder._restart(segment_id)
+        self._decoder = decoder
         self._segment_id = segment_id
         self._segment_rounds = 0
         self._segment_requests = 0
@@ -578,7 +587,7 @@ class ClientSession:
         segment = decoder.recover_segment(original_length)
         self.stats.segments_completed += 1
         self._m_segments.inc()
-        self._decoder = None
+        self._spare, self._decoder = decoder, None
         self._segment_id = None
         return segment
 

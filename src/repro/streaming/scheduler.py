@@ -22,11 +22,10 @@ never depends on how much *other* peers requested.
 
 from __future__ import annotations
 
-from collections import deque
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-from repro.errors import ConfigurationError, PipelineStallError
+from repro.errors import ConfigurationError
 from repro.streaming.session import MediaProfile
 
 
@@ -101,12 +100,7 @@ class ServeRoundScheduler:
             )
         self.per_peer_quota = per_peer_quota
 
-    def plan_round(
-        self,
-        requests: Iterable[BlockRequest],
-        *,
-        in_flight_grants: Mapping[int, int] | None = None,
-    ) -> RoundPlan:
+    def plan_round(self, requests: Iterable[BlockRequest]) -> RoundPlan:
         """Plan one round over the queued requests (FIFO, quota-bounded).
 
         Grants to the same (peer, segment) pair merge into one entry, so
@@ -119,23 +113,13 @@ class ServeRoundScheduler:
         the original queue order regardless of priority, so a
         deprioritized request never loses its queue position.
 
-        The quota accounting assumes the previous round has fully
-        drained: each call starts every peer at a fresh
-        ``per_peer_quota``.  A *pipelined* caller planning round ``r+1``
-        while round ``r`` is still in flight must say so via
-        ``in_flight_grants`` (``peer_id -> blocks granted but not yet
-        drained``); those blocks are charged against the peer's budget
-        so its total in-flight exposure stays bounded by one round's
-        quota regardless of pipeline depth.  :class:`RoundPipeline`
-        passes this automatically and raises
-        :class:`~repro.errors.PipelineStallError` when the pipeline
-        itself is over-full.
+        Each call starts every peer at a fresh ``per_peer_quota``: the
+        previous round has drained by then, because every endpoint
+        plans and serves a round in one step (``EagerRounds.begin_round``)
+        and a cluster worker refuses a second round in flight.
         """
         plan = RoundPlan()
         budgets: dict[int, int] = {}
-        if in_flight_grants and self.per_peer_quota is not None:
-            for peer_id, granted in in_flight_grants.items():
-                budgets[peer_id] = max(0, self.per_peer_quota - granted)
         merged: dict[tuple[int, int], int] = {}
         ordered = sorted(
             enumerate(requests), key=lambda item: -item[1].priority
@@ -172,86 +156,6 @@ class ServeRoundScheduler:
         for (segment_id, peer_id), count in merged.items():
             plan.grants.setdefault(segment_id, []).append((peer_id, count))
         return plan
-
-
-class RoundPipeline:
-    """A two-slot (double-buffered) round pipeline over one scheduler.
-
-    Tracks rounds that have been *planned* but not yet *drained* (their
-    grants encoded, transmitted and absorbed downstream).  Pipelined
-    serving — encode round ``r+1`` while round ``r`` is still on the
-    wire — is exactly ``depth=2``: one round in each stage.
-
-    The carryover invariant :meth:`ServeRoundScheduler.plan_round`
-    assumes is made explicit here:
-
-    * at most ``depth`` rounds may be in flight; :meth:`begin_round`
-      raises :class:`~repro.errors.PipelineStallError` on the round that
-      would overfill the pipeline — it would double-plan carryover that
-      is still moving;
-    * while rounds are in flight, their per-peer grants are charged
-      against the next round's quota budget (via ``in_flight_grants``),
-      so a peer's total undrained exposure never exceeds one round's
-      ``per_peer_quota`` no matter the pipeline depth.
-
-    Args:
-        scheduler: the quota/coalescing policy to plan rounds with.
-        depth: maximum planned-but-undrained rounds (2 = double
-            buffering, the classic encode/transmit overlap).
-    """
-
-    def __init__(
-        self, scheduler: ServeRoundScheduler, *, depth: int = 2
-    ) -> None:
-        if depth < 1:
-            raise ConfigurationError(f"pipeline depth must be >= 1, got {depth}")
-        self.scheduler = scheduler
-        self.depth = depth
-        self._in_flight: deque[RoundPlan] = deque()
-
-    @property
-    def in_flight(self) -> int:
-        """Rounds planned but not yet marked drained."""
-        return len(self._in_flight)
-
-    @property
-    def in_flight_grants(self) -> dict[int, int]:
-        """Per-peer blocks granted in undrained rounds."""
-        granted: dict[int, int] = {}
-        for plan in self._in_flight:
-            for allocations in plan.grants.values():
-                for peer_id, count in allocations:
-                    granted[peer_id] = granted.get(peer_id, 0) + count
-        return granted
-
-    def begin_round(self, requests: Iterable[BlockRequest]) -> RoundPlan:
-        """Plan the next pipelined round over ``requests``.
-
-        Raises:
-            PipelineStallError: the pipeline already holds ``depth``
-                undrained rounds — draining must catch up before more
-                carryover may be planned over.
-        """
-        if len(self._in_flight) >= self.depth:
-            raise PipelineStallError(
-                f"round pipeline is full ({self.depth} rounds in flight); "
-                "mark a round drained before planning over its carryover"
-            )
-        plan = self.scheduler.plan_round(
-            requests, in_flight_grants=self.in_flight_grants
-        )
-        self._in_flight.append(plan)
-        return plan
-
-    def mark_drained(self) -> RoundPlan:
-        """Retire the oldest in-flight round; returns its plan.
-
-        Raises:
-            ConfigurationError: no round is in flight.
-        """
-        if not self._in_flight:
-            raise ConfigurationError("no round in flight to drain")
-        return self._in_flight.popleft()
 
 
 @dataclass(frozen=True)

@@ -295,7 +295,6 @@ class TestRootReexports:
             "ClusterStats",
             "MulticastTree",
             "OverlapReport",
-            "PipelineStallError",
             "RelayNode",
             "ServerStats",
             "ServingCluster",

@@ -2,7 +2,7 @@
 
 ``ClientSession.intake`` and ``RelayUplink.intake`` verify a round as
 one ``(m, frame_size)`` byte matrix (``rlnc.wire.frame_rows`` ->
-``FaultPlan.apply_frames`` -> ``rlnc.wire.unpack_round``).  Before that,
+``FaultPlan.apply_frames`` -> ``rlnc.wire.unpack_cohort``).  Before that,
 each receiver cut the round into one ``bytes`` per frame, ran a list of
 frames through the fault plan and called ``unpack_frame`` once per frame.
 That path is pinned below, as ``rlnc/_reference.py`` pins the seed

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import repro.rlnc.decoder as decoder_module
 from repro.errors import DecodingError, FieldError
 from repro.gf256 import regionops
-from repro.gf256.engine import Gf256Engine
+from repro.gf256.engine import AbsorbTarget, Gf256Engine
 from repro.rlnc import (
     BlockBatch,
     CodedBlock,
@@ -270,59 +270,69 @@ class TestKernelAgainstOracles:
     not regionops.kernel_available(), reason="compiled kernel not loaded"
 )
 class TestAbsorbWrapperValidation:
-    """Bad layouts raise in the wrapper instead of reaching C."""
+    """Bad layouts raise in the engine's wrapper instead of reaching C.
+
+    :class:`AbsorbTarget` checks the work matrix and its pivots once, and
+    :meth:`Gf256Engine.absorb_many`, the one writer of kernel job rows,
+    checks every job against the batch.
+    """
 
     def arrays(self, n=4, m=3):
         work = np.zeros((n, 2 * n), dtype=np.uint8)
         incoming = np.arange(m * n, dtype=np.uint8).reshape(m, n)
         pivot_cols = np.zeros(n, dtype=np.int64)
-        accepted = np.zeros(m, dtype=np.int64)
-        return work, incoming, pivot_cols, accepted
+        return work, incoming, pivot_cols
 
     def test_valid_arrays_match_the_oracle(self):
-        work, incoming, pivot_cols, accepted = self.arrays()
-        expected_work, _, expected_pivots, _ = self.arrays()
+        work, incoming, pivot_cols = self.arrays()
+        expected_work, _, expected_pivots = self.arrays()
         expected = Gf256Engine("table").absorb(
             expected_work, 0, incoming, expected_pivots
         )
-        count = regionops.absorb(work, 0, incoming, pivot_cols, accepted)
-        assert np.array_equal(accepted[:count], expected)
+        accepted = Gf256Engine("wide").absorb(work, 0, incoming, pivot_cols)
+        assert np.array_equal(accepted, expected)
         assert np.array_equal(work, expected_work)
-        assert np.array_equal(pivot_cols[:count], expected_pivots[:count])
+        assert np.array_equal(pivot_cols, expected_pivots)
 
     def test_non_contiguous_work_raises(self):
-        work, incoming, pivot_cols, accepted = self.arrays()
+        work, _, pivot_cols = self.arrays()
         wide = np.zeros((4, 16), dtype=np.uint8)
-        with pytest.raises(ValueError):
-            regionops.absorb(wide[:, ::2], 0, incoming, pivot_cols, accepted)
-        with pytest.raises(ValueError):
-            regionops.absorb(
-                np.asfortranarray(work), 0, incoming, pivot_cols, accepted
-            )
+        with pytest.raises(FieldError):
+            AbsorbTarget(wide[:, ::2], pivot_cols)
+        with pytest.raises(FieldError):
+            AbsorbTarget(np.asfortranarray(work), pivot_cols)
 
-    def test_non_contiguous_incoming_raises(self):
-        work, incoming, pivot_cols, accepted = self.arrays()
-        wide = np.zeros((3, 8), dtype=np.uint8)
-        with pytest.raises(ValueError):
-            regionops.absorb(work, 0, wide[:, ::2], pivot_cols, accepted)
-        with pytest.raises(ValueError):
-            regionops.absorb(work, 0, incoming[::-1], pivot_cols, accepted)
+    def test_non_contiguous_incoming_is_copied(self):
+        """Column-strided and reversed rows reach C as contiguous copies."""
+        _, incoming, _ = self.arrays()
+        spread = np.zeros((3, 8), dtype=np.uint8)
+        spread[:, ::2] = incoming
+        for view in (spread[:, ::2], incoming[::-1]):
+            expected_work, _, expected_pivots = self.arrays()
+            expected = Gf256Engine("table").absorb(
+                expected_work, 0, np.ascontiguousarray(view), expected_pivots
+            )
+            work, _, pivot_cols = self.arrays()
+            accepted = Gf256Engine("wide").absorb(work, 0, view, pivot_cols)
+            assert np.array_equal(accepted, expected)
+            assert np.array_equal(work, expected_work)
+            assert np.array_equal(pivot_cols, expected_pivots)
 
     def test_pivot_cols_must_be_int64(self):
-        work, incoming, pivot_cols, accepted = self.arrays()
-        with pytest.raises(ValueError):
-            regionops.absorb(
-                work, 0, incoming, pivot_cols.astype(np.int32), accepted
-            )
-        with pytest.raises(ValueError):
-            regionops.absorb(work, 0, incoming, pivot_cols[:2], accepted)
-        with pytest.raises(ValueError):
-            regionops.absorb(work, 0, incoming, pivot_cols, accepted[:1])
+        work, incoming, pivot_cols = self.arrays()
+        with pytest.raises(FieldError):
+            AbsorbTarget(work, pivot_cols.astype(np.int32))
+        with pytest.raises(FieldError):
+            AbsorbTarget(work, pivot_cols[:2])
+        with pytest.raises(FieldError):
+            Gf256Engine("wide").absorb(work, 0, incoming, pivot_cols[::2])
 
     def test_held_out_of_range_raises(self):
-        work, incoming, pivot_cols, accepted = self.arrays()
-        with pytest.raises(ValueError):
-            regionops.absorb(work, 5, incoming, pivot_cols, accepted)
+        work, incoming, pivot_cols = self.arrays()
+        target = AbsorbTarget(work, pivot_cols)
+        for held in (-1, 5):
+            with pytest.raises(FieldError):
+                Gf256Engine("wide").absorb_many([(target, held, 0, 3)], incoming)
 
 
 class TestEngineAbsorbValidation:

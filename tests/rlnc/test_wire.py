@@ -294,14 +294,19 @@ class TestBatchedWire:
         with pytest.raises(DecodingError, match="checksum"):
             unpack_blocks(bytes(data))
 
-    def test_pack_frame_into_matches_encode_frame(self):
-        from repro.rlnc import pack_frame_into
+    def test_pack_blocks_at_offset_matches_encode_frame(self):
+        from repro.rlnc import BlockBatch, pack_blocks
 
         block = make_block(6, 12, seed=7)
         expected = encode_frame(block)
         buffer = bytearray(len(expected) + 8)
-        written = pack_frame_into(block, buffer, offset=8)
-        assert written == len(expected)
+        batch = BlockBatch(
+            block.coefficients.reshape(1, -1),
+            block.payload.reshape(1, -1),
+            block.segment_id,
+        )
+        written = pack_blocks(batch, out=buffer, offset=8)
+        assert len(written) == len(expected)
         assert bytes(buffer[8:]) == expected
 
 
@@ -326,14 +331,11 @@ class TestWireStatsAccumulation:
     @staticmethod
     def _intake(stream, stats):
         """One lenient receive of ``stream`` (make_block's geometry)."""
-        from repro.rlnc.wire import frame_rows, unpack_round
+        from repro.rlnc.wire import frame_rows, unpack_cohort
 
-        unpack_round(
-            frame_rows(stream, frame_size(8, 16)),
-            segment_id=3,
-            num_blocks=8,
-            block_size=16,
-            stats=stats,
+        frames = frame_rows(stream, frame_size(8, 16))
+        unpack_cohort(
+            frames, [len(frames)], [3], num_blocks=8, block_size=16, stats=[stats]
         )
 
     def test_counters_accumulate_across_reused_calls(self):
@@ -394,7 +396,7 @@ class TestWireStatsAccumulation:
             WireStats,
             frame_rows,
             pack_blocks,
-            unpack_round,
+            unpack_cohort,
         )
 
         batch = make_batch(6, 8, 16, seed=9)
@@ -403,12 +405,14 @@ class TestWireStatsAccumulation:
         stream[size + size // 2] ^= 0x55  # damage frame 1 of call one
         stats = WireStats()
         for _ in range(2):
-            unpack_round(
-                frame_rows(bytes(stream), size),
-                segment_id=batch.segment_id,
+            frames = frame_rows(bytes(stream), size)
+            unpack_cohort(
+                frames,
+                [len(frames)],
+                [batch.segment_id],
                 num_blocks=8,
                 block_size=16,
-                stats=stats,
+                stats=[stats],
             )
         assert stats.frames_ok == 10
         assert stats.checksum_failures == 2

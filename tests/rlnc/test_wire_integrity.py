@@ -2,7 +2,7 @@
 
 Covers the robustness contract: frames carry digests that detect every
 single-bit flip; the self-describing readers raise
-:class:`IntegrityError`; the lenient round intake (``unpack_round``)
+:class:`IntegrityError`; the lenient cohort intake (``unpack_cohort``)
 drops and counts damage in :class:`WireStats` without ever accepting a
 corrupt frame; malformed inputs (truncation, lying length
 fields) raise :class:`WireError` without over-reading; and both wire
@@ -22,7 +22,6 @@ from repro.rlnc import (
     WireStats,
     decode_frame,
     decode_stream,
-    digest64,
     encode_frame,
     frame_rows,
     frame_size,
@@ -30,8 +29,8 @@ from repro.rlnc import (
     stream_size,
     unpack_blocks,
     unpack_frame,
-    unpack_round,
 )
+from repro.rlnc.wire import unpack_cohort
 
 
 def make_block(n=8, k=16, seed=0, segment_id=3):
@@ -116,10 +115,9 @@ class TestVersion2RoundTrip:
 class TestDigest:
     def test_digest_is_deterministic(self):
         block = make_block()
-        header = b"\x00" * 22
-        first = digest64(header, block.coefficients, block.payload)
-        second = digest64(header, block.coefficients, block.payload)
-        assert first == second
+        first = encode_frame(block, version=VERSION2)
+        second = encode_frame(block, version=VERSION2)
+        assert first[-8:] == second[-8:]
 
     def test_every_single_bit_flip_is_detected(self):
         """Odd multiplier weights guarantee any one flipped bit changes
@@ -159,18 +157,19 @@ class TestDigest:
         size_one = frame_size(8, 16, version=VERSION2)
         data[2 * size_one + 30] ^= 0x40  # damage frame 2 only
         stats = WireStats()
-        recovered, _ = unpack_round(
+        _, payloads, _, _ = unpack_cohort(
             frame_rows(bytes(data), size_one),
-            segment_id=batch.segment_id,
+            [6],
+            [batch.segment_id],
             num_blocks=8,
             block_size=16,
             version=VERSION2,
-            stats=stats,
+            stats=[stats],
         )
-        assert len(recovered) == 5
+        assert len(payloads) == 5
         assert stats.checksum_failures == 1
         kept = [row for row in range(6) if row != 2]
-        assert np.array_equal(recovered.payloads, batch.payloads[kept])
+        assert np.array_equal(payloads, batch.payloads[kept])
 
     def test_lenient_batch_with_all_rows_damaged_is_empty(self):
         batch = make_batch(3, 4, 8)
@@ -179,15 +178,16 @@ class TestDigest:
         for row in range(3):
             data[row * size_one + 26] ^= 0x01
         stats = WireStats()
-        recovered, _ = unpack_round(
+        _, payloads, _, _ = unpack_cohort(
             frame_rows(bytes(data), size_one),
-            segment_id=batch.segment_id,
+            [3],
+            [batch.segment_id],
             num_blocks=4,
             block_size=8,
             version=VERSION2,
-            stats=stats,
+            stats=[stats],
         )
-        assert len(recovered) == 0
+        assert len(payloads) == 0
         assert stats.checksum_failures == 3
 
     def test_stats_merge(self):
@@ -287,17 +287,18 @@ class TestWireCompatibility:
         batch = make_batch(m, n, k, seed)
         data = bytes(pack_blocks(batch))  # default v1 output
         stats = WireStats()
-        recovered, foreign = unpack_round(
+        coefficients, payloads, _, foreign = unpack_cohort(
             frame_rows(data, frame_size(n, k)),
-            segment_id=batch.segment_id,
+            [m],
+            [batch.segment_id],
             num_blocks=n,
             block_size=k,
-            stats=stats,
+            stats=[stats],
         )
-        assert foreign == 0
+        assert foreign == [0]
         assert stats.frames_dropped == 0
-        assert np.array_equal(recovered.coefficients, batch.coefficients)
-        assert np.array_equal(recovered.payloads, batch.payloads)
+        assert np.array_equal(coefficients, batch.coefficients)
+        assert np.array_equal(payloads, batch.payloads)
 
     @given(
         st.integers(min_value=1, max_value=8),

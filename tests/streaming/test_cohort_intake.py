@@ -3,7 +3,7 @@
 ``receive_round`` verifies a whole cohort's round with one wire pass and
 absorbs every receiver's rows with one elimination call.  Before, each
 receiver ran ``ClientSession.intake`` on its own: one frame matrix, one
-fault plan, one ``unpack_round`` and one ``consume_batch``.  That loop
+fault plan, one wire verify and one ``consume_batch``.  That loop
 is pinned below, and the cohort step must leave every decoder, every
 ``SessionStats`` and ``WireStats``, every ``FaultPlan`` (log, counters
 and random stream) and every retry clock exactly as the loop does, and
@@ -41,10 +41,10 @@ UPSTREAM = "server"
 # -- the per-session loop, pinned -------------------------------------------
 
 
-def reference_unpack_round(frames, *, segment_id, checksum, version, stats):
-    """``unpack_round`` for one receiver, before the cohort pass."""
-    framed, intact = wire._verify_rows(frames, version, N, K, checksum)
-    ours = intact & wire._segment_rows(frames, segment_id)
+def reference_unpack(frames, *, segment_id, checksum, version, stats):
+    """One receiver's lenient unpack, before the cohort pass."""
+    framed, intact, ours = wire._verify(frames, version, N, K, checksum, segment_id)
+    ours &= intact
     m = len(frames)
     framed_count = int(np.count_nonzero(framed))
     intact_count = int(np.count_nonzero(intact))
@@ -55,7 +55,12 @@ def reference_unpack_round(frames, *, segment_id, checksum, version, stats):
     if intact_count:
         stats.record_ok(intact_count)
     header_size = wire._header_struct(version).size
-    batch = wire._rows_batch(frames, ours, header_size, N, K, segment_id)
+    kept = frames[ours]
+    batch = BlockBatch(
+        kept[:, header_size : header_size + N],
+        kept[:, header_size + N : header_size + N + K],
+        segment_id,
+    )
     return batch, intact_count - len(batch)
 
 
@@ -72,7 +77,7 @@ def reference_intake(session, wire_bytes):
     frames = frame_rows(wire_bytes, session._frame_bytes, session.stats.wire)
     if session.fault_plan is not None and len(frames):
         frames = session.fault_plan.apply_frames(frames)
-    batch, foreign = reference_unpack_round(
+    batch, foreign = reference_unpack(
         frames,
         segment_id=session._segment_id,
         checksum=session.checksum,

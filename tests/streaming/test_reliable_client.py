@@ -11,7 +11,7 @@ from repro.errors import (
 )
 from repro.faults import FaultPlan
 from repro.gpu import GTX280
-from repro.rlnc import CodingParams, Segment
+from repro.rlnc import BlockBatch, CodingParams, ProgressiveDecoder, Segment
 from repro.rlnc.wire import VERSION
 from repro.streaming import (
     ClientSession,
@@ -77,6 +77,86 @@ class TestCleanFetch:
         client.begin_segment(0)
         with pytest.raises(ConfigurationError, match="in progress"):
             client.begin_segment(0)
+
+
+class TestDecoderReuse:
+    """A session resets one decoder per segment instead of allocating."""
+
+    @staticmethod
+    def logged(decoder, log):
+        """Record every row and ledger call ``decoder`` gets, as copies."""
+        consume_batch, record_corrupt = decoder.consume_batch, decoder.record_corrupt
+
+        def consume(batch, *args, **kwargs):
+            log.append(
+                ("consume", batch.coefficients.copy(), batch.payloads.copy(), kwargs)
+            )
+            return consume_batch(batch, *args, **kwargs)
+
+        def corrupt(source=None, count=1):
+            log.append(("corrupt", source, count))
+            return record_corrupt(source, count)
+
+        decoder.consume_batch, decoder.record_corrupt = consume, corrupt
+
+    @staticmethod
+    def replay(log, decoder):
+        for entry in log:
+            if entry[0] == "consume":
+                decoder.consume_batch(BlockBatch(entry[1], entry[2]), **entry[3])
+            elif entry[0] == "corrupt":
+                decoder.record_corrupt(entry[1], entry[2])
+            else:
+                decoder.quarantine_rows(entry[1])
+
+    def test_each_segment_matches_a_fresh_decoder(self):
+        server = make_server()
+        segments = [make_segment(i, seed=10 + i) for i in range(4)]
+        for segment in segments:
+            server.publish_segment(segment)
+        plan = FaultPlan(seed=5, drop_rate=0.2, corrupt_rate=0.1)
+        client = ClientSession(server, peer_id=1, fault_plan=plan)
+        reused = None
+        for segment in segments:
+            client.begin_segment(segment.segment_id)
+            decoder = client.decoder
+            reused = reused or decoder
+            assert decoder is reused
+            log = []
+            self.logged(decoder, log)
+            rounds = 0
+            while not client.complete:
+                client.pre_round()
+                frames = server.serve_round(version=client.wire_version)
+                client.intake(frames.get(client.peer_id))
+                rounds += 1
+                if segment.segment_id == 1 and rounds == 2 and decoder.rank > 1:
+                    # Quarantine once, so the next segment must clear
+                    # the regression and quarantine counters.  The
+                    # rebuild's own ledger call replays with it.
+                    mark = len(log)
+                    decoder.quarantine_rows([0])
+                    log[mark:] = [("quarantine", [0])]
+            del decoder.consume_batch, decoder.record_corrupt
+            fresh = ProgressiveDecoder(PROFILE.params, segment.segment_id)
+            self.replay(log, fresh)
+            rows, pivots = decoder.dense_state()
+            fresh_rows, fresh_pivots = fresh.dense_state()
+            assert np.array_equal(rows, fresh_rows)
+            assert pivots == fresh_pivots
+            for name in (
+                "received",
+                "discarded",
+                "quarantined",
+                "rank_regressions",
+                "corruption_counts",
+            ):
+                assert getattr(decoder, name) == getattr(fresh, name), name
+            recovered = client.finish_segment()
+            assert client.decoder is None
+            assert recovered.segment_id == segment.segment_id
+            assert np.array_equal(recovered.blocks, segment.blocks)
+        assert reused.quarantined == 0
 
 
 class TestNackRetransmission:

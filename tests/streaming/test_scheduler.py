@@ -281,81 +281,3 @@ class TestRequestPriority:
             ]
         )
         assert dict(plan.grants[0]) == {1: 4, 2: 4}
-
-
-class TestRoundPipeline:
-    """The carryover invariant, made explicit and regression-pinned.
-
-    ``plan_round`` starts every peer at a fresh quota, which silently
-    assumed the previous round had drained; a pipelined caller planning
-    round r+1 over undrained carryover used to double-grant.  The
-    pipeline charges in-flight grants and stalls rather than over-plan.
-    """
-
-    def test_full_pipeline_raises_pipeline_stall(self):
-        from repro.errors import PipelineStallError
-        from repro.streaming import RoundPipeline
-
-        pipeline = RoundPipeline(
-            ServeRoundScheduler(per_peer_quota=2), depth=2
-        )
-        queue = [BlockRequest(1, 0, 8)]
-        queue = pipeline.begin_round(queue).carryover
-        queue = pipeline.begin_round(queue).carryover
-        with pytest.raises(PipelineStallError, match="in flight"):
-            pipeline.begin_round(queue)
-        pipeline.mark_drained()
-        pipeline.begin_round(queue)  # drained slot frees the plan
-
-    def test_in_flight_grants_charge_the_next_rounds_quota(self):
-        from repro.streaming import RoundPipeline
-
-        pipeline = RoundPipeline(
-            ServeRoundScheduler(per_peer_quota=4), depth=2
-        )
-        first = pipeline.begin_round([BlockRequest(1, 0, 3)])
-        assert dict(first.grants[0]) == {1: 3}
-        # 3 of the 4-block quota are still in flight: only 1 more may be
-        # planned for this peer until the first round drains.
-        second = pipeline.begin_round(
-            first.carryover + [BlockRequest(1, 0, 5)]
-        )
-        assert dict(second.grants[0]) == {1: 1}
-        assert pipeline.in_flight_grants == {1: 4}
-
-    def test_drained_rounds_release_their_charge(self):
-        from repro.streaming import RoundPipeline
-
-        pipeline = RoundPipeline(
-            ServeRoundScheduler(per_peer_quota=2), depth=2
-        )
-        pipeline.begin_round([BlockRequest(1, 0, 2)])
-        assert pipeline.in_flight == 1
-        pipeline.mark_drained()
-        assert pipeline.in_flight == 0
-        plan = pipeline.begin_round([BlockRequest(1, 0, 2)])
-        assert dict(plan.grants[0]) == {1: 2}
-
-    def test_mark_drained_without_rounds_rejected(self):
-        from repro.streaming import RoundPipeline
-
-        pipeline = RoundPipeline(ServeRoundScheduler())
-        with pytest.raises(ConfigurationError):
-            pipeline.mark_drained()
-
-    def test_depth_validated(self):
-        from repro.streaming import RoundPipeline
-
-        with pytest.raises(ConfigurationError):
-            RoundPipeline(ServeRoundScheduler(), depth=0)
-
-    def test_lockstep_depth_one_matches_plain_planning(self):
-        from repro.streaming import RoundPipeline
-
-        scheduler = ServeRoundScheduler(per_peer_quota=2)
-        pipeline = RoundPipeline(scheduler, depth=1)
-        queue = [BlockRequest(1, 0, 5), BlockRequest(2, 0, 1)]
-        plain = scheduler.plan_round(list(queue))
-        piped = pipeline.begin_round(list(queue))
-        assert plain.grants == piped.grants
-        assert plain.carryover == piped.carryover
