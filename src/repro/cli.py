@@ -542,13 +542,16 @@ def _cmd_multicast(args: argparse.Namespace) -> int:
     return 0 if exact and report.payload_ok else 1
 
 
-def _record_serve_session(args: argparse.Namespace) -> None:
+def _record_serve_session(args: argparse.Namespace):
     """Drive a small traced serve session covering every pipeline stage.
 
     One server, ``--peers`` NACK-capable client sessions, ``--segments``
     segments fetched to completion through coalesced serving rounds,
     plus one relay hop (recode + two-stage decode) so the recode stage
     shows up in the breakdown exactly as in the paper's Table 2.
+
+    Returns:
+        ``(server, sessions)``, whose stats are the session's ledgers.
     """
     from repro.gpu.spec import GTX280
     from repro.obs import tracing
@@ -589,6 +592,7 @@ def _record_serve_session(args: argparse.Namespace) -> None:
         downstream = TwoStageDecoder(params, segment_id=last, slack=8)
         downstream.add_batch(mixed)
         downstream.decode()
+    return server, sessions
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
@@ -600,7 +604,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         render_metrics_summary,
         render_prometheus,
         round_breakdown,
-        save_snapshot,
         snapshot_document,
     )
 
@@ -612,27 +615,23 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         if args.peers < 1 or args.segments < 1:
             print("error: need at least 1 peer and 1 segment", file=sys.stderr)
             return 2
-        _record_serve_session(args)
-        metrics, records = None, None
-        document = snapshot_document()
+        server, sessions = _record_serve_session(args)
+        # The registry holds only the series no stats object owns; the
+        # serving counters come from the server's and sessions' ledgers.
+        document = snapshot_document(
+            server.stats_snapshot(),
+            *(session.stats.series("client") for session in sessions),
+        )
+        metrics, records = document["metrics"], None
         title = "per-round breakdown (recorded serve session)"
 
     if args.output is not None:
-        if document is not None:
-            save_snapshot(args.output)
-        else:
-            with open(args.output, "w") as handle:
-                json.dump(
-                    {
-                        "metrics": metrics,
-                        "spans": json.loads(
-                            open(args.snapshot).read()
-                        ).get("spans", []),
-                    },
-                    handle,
-                    indent=2,
-                    sort_keys=True,
-                )
+        saved = document or {
+            "metrics": metrics,
+            "spans": json.loads(open(args.snapshot).read()).get("spans", []),
+        }
+        with open(args.output, "w") as handle:
+            json.dump(saved, handle, indent=2, sort_keys=True)
         print(f"snapshot saved to {args.output}", file=sys.stderr)
 
     if args.output_format == "json":

@@ -89,7 +89,7 @@ from repro.errors import (
 from repro.faults import ChaosPlan
 from repro.gpu.spec import DeviceSpec
 from repro.kernels.cost_model import EncodeScheme
-from repro.obs.registry import get_registry, merge_snapshots
+from repro.obs.registry import merge_snapshots
 from repro.obs.stats import CumulativeStats
 from repro.rlnc.block import Segment
 from repro.rlnc.wire import MAX_WORKER_ID, VERSION
@@ -292,18 +292,6 @@ class ServingCluster:
         self._peers: dict[int, ClusterPeerView] = {}
         self._disconnected: set[int] = set()
         self.stats = ClusterStats()
-        registry = get_registry()
-        self._m_rounds = registry.counter("cluster_rounds_served")
-        self._m_blocks = registry.counter("cluster_blocks_served")
-        self._m_retry = registry.counter("cluster_retry_later")
-        self._m_rebalanced = registry.counter("cluster_segments_rebalanced")
-        self._m_killed = registry.counter("cluster_workers_killed")
-        self._m_added = registry.counter("cluster_workers_added")
-        self._m_removed = registry.counter("cluster_workers_removed")
-        self._m_withdrawn = registry.counter("cluster_segments_withdrawn")
-        self._m_live = registry.gauge("cluster_live_workers")
-        self._m_placed = registry.gauge("cluster_segments_placed")
-        self._m_live.set(num_workers)
         self.supervisor: WorkerSupervisor | None = (
             WorkerSupervisor(self, supervision)
             if supervision is not None
@@ -432,7 +420,6 @@ class ServingCluster:
                 raise
         self._origin[segment.segment_id] = segment
         self.stats.segments_published += 1
-        self._m_placed.set(self._router.advertised_segments)
 
     def publish_segment(self, segment: Segment) -> None:
         """Alias for :meth:`publish` (single-server spelling)."""
@@ -520,7 +507,6 @@ class ServingCluster:
         limit = self._max_cluster_pending_blocks
         if limit is not None and self.pending_blocks + num_blocks > limit:
             self.stats.retry_later_responses += 1
-            self._m_retry.inc()
             overflow = self.pending_blocks + num_blocks - limit
             return RetryLater(retry_after_rounds=max(1, -(-overflow // limit)))
         worker_id = self._router.worker_for(segment_id)
@@ -537,14 +523,12 @@ class ServingCluster:
             return self._stale_route_response()
         if isinstance(response, RetryLater):
             self.stats.retry_later_responses += 1
-            self._m_retry.inc()
         return response
 
     def _stale_route_response(self) -> RetryLater:
         """The answer for an ask routed to a down-but-placed worker."""
         self.supervisor.note_stale_route()
         self.stats.retry_later_responses += 1
-        self._m_retry.inc()
         return RetryLater(retry_after_rounds=1)
 
     def serve_round(
@@ -706,8 +690,6 @@ class ServingCluster:
             self.stats.blocks_served += blocks
             self.stats.gpu_parallel_seconds += parallel
             self.stats.gpu_serial_seconds += serial
-            self._m_rounds.inc()
-            self._m_blocks.inc(blocks)
             if supervisor is not None and (failed or ticket.down):
                 supervisor.note_degraded_round()
         return {
@@ -757,12 +739,13 @@ class ServingCluster:
         re-keyed with a ``worker="N"`` label — in parallel mode the
         snapshot dict crosses the process boundary as a control
         message, which is exactly the pickle-then-merge round trip the
-        obs suite property-tests.  :func:`repro.obs.merge_snapshots`
-        folds them with the cluster's own counters (rounds, blocks,
-        rebalances, admission rejections) and gauges (live workers,
-        placed segments, modelled timelines); parallel clusters add
-        their control-plane byte counters so dashboards can watch the
-        control/data split stay lopsided.
+        obs suite property-tests, so both substrates export one ledger
+        the same way.  :func:`repro.obs.merge_snapshots` folds them
+        with every :class:`ClusterStats` field as a ``cluster_*``
+        counter and the live-state gauges (live workers, pending
+        blocks, placed segments, the parallel flag); parallel clusters
+        add their control-plane byte counters so dashboards can watch
+        the control/data split stay lopsided.
         """
         per_worker = []
         for wid in self.live_workers:
@@ -776,33 +759,13 @@ class ServingCluster:
                 if self.supervisor is None:
                     raise
                 self.supervisor.note_failure(wid, exc, phase="snapshot")
-        stats = self.stats
-        own = {
-            "counters": {
-                "cluster_blocks_served": float(stats.blocks_served),
-                "cluster_retry_later": float(stats.retry_later_responses),
-                "cluster_rounds_served": float(stats.rounds_served),
-                "cluster_segments_published": float(stats.segments_published),
-                "cluster_segments_rebalanced": float(
-                    stats.segments_rebalanced
-                ),
-                "cluster_segments_withdrawn": float(stats.segments_withdrawn),
-                "cluster_workers_killed": float(stats.workers_killed),
-                "cluster_workers_added": float(stats.workers_added),
-                "cluster_workers_removed": float(stats.workers_removed),
-            },
-            "gauges": {
-                "cluster_gpu_parallel_seconds": stats.gpu_parallel_seconds,
-                "cluster_gpu_serial_seconds": stats.gpu_serial_seconds,
-                "cluster_live_workers": float(self.num_workers),
-                "cluster_pending_blocks": float(self.pending_blocks),
-                "cluster_segments_placed": float(
-                    self._router.advertised_segments
-                ),
-            },
-            "histograms": {},
-        }
-        own["gauges"]["cluster_parallel"] = float(self.parallel)
+        own = self.stats.series("cluster")
+        own["gauges"].update(
+            cluster_live_workers=float(self.num_workers),
+            cluster_parallel=float(self.parallel),
+            cluster_pending_blocks=float(self.pending_blocks),
+            cluster_segments_placed=float(self._router.advertised_segments),
+        )
         if self.parallel:
             sent = received = 0
             for worker in self._workers.values():
@@ -907,9 +870,6 @@ class ServingCluster:
                 self._workers[old_owner].evict_segment(segment_id)
         self.stats.workers_added += 1
         self.stats.segments_rebalanced += len(moved)
-        self._m_added.inc()
-        self._m_rebalanced.inc(len(moved))
-        self._m_live.set(self.num_workers)
         return moved
 
     def remove_worker(self, worker_id: int) -> dict[int, int]:
@@ -1000,13 +960,9 @@ class ServingCluster:
             view._detach(worker_id)
         if removal == "removed":
             self.stats.workers_removed += 1
-            self._m_removed.inc()
         else:
             self.stats.workers_killed += 1
-            self._m_killed.inc()
         self.stats.segments_rebalanced += len(moved)
-        self._m_rebalanced.inc(len(moved))
-        self._m_live.set(self.num_workers)
 
     # -- internal ----------------------------------------------------------
 
@@ -1022,8 +978,6 @@ class ServingCluster:
         self._router.withdraw(segment_id)
         self._origin.pop(segment_id, None)
         self.stats.segments_withdrawn += 1
-        self._m_withdrawn.inc()
-        self._m_placed.set(self._router.advertised_segments)
 
 
 class _RoundTicket:

@@ -213,16 +213,8 @@ class WorkerSupervisor:
         self._states: dict[int, _WorkerState] = {
             worker_id: _WorkerState() for worker_id in cluster.live_workers
         }
-        registry = get_registry()
-        self._m_failures = registry.counter("supervisor_failures_detected")
-        self._m_timeouts = registry.counter("supervisor_timeouts")
-        self._m_restarts = registry.counter("supervisor_restarts")
-        self._m_recoveries = registry.counter("supervisor_recoveries")
-        self._m_breaker = registry.counter("supervisor_breaker_trips")
-        self._m_degraded = registry.counter("supervisor_degraded_rounds")
-        self._m_stale = registry.counter("supervisor_stale_ring_retries")
-        self._m_down = registry.gauge("supervisor_workers_down")
-        self._m_detect = registry.histogram("supervisor_detection_seconds")
+        # A distribution no stats field owns (the ledger keeps the sum).
+        self._m_detect = get_registry().histogram("supervisor_detection_seconds")
         for worker_id in cluster.live_workers:
             self._arm(cluster._workers[worker_id])
 
@@ -361,13 +353,10 @@ class WorkerSupervisor:
             self.stats.crashes_detected += 1
         elif kind == "hang":
             self.stats.hangs_detected += 1
-            self._m_timeouts.inc()
         else:
             self.stats.slow_evictions += 1
-            self._m_timeouts.inc()
         self.stats.failures_detected += 1
         self.stats.detection_seconds_total += detection
-        self._m_failures.inc()
         self._m_detect.observe(detection)
         proc.kill()
         # Drop the dead worker's session mirrors from every peer view:
@@ -384,7 +373,6 @@ class WorkerSupervisor:
             state.restart_at = now + self.config.backoff_for(
                 state.restarts_used
             )
-            self._m_down.set(len(self.down_workers))
 
     # -- recovery ----------------------------------------------------------
 
@@ -401,7 +389,6 @@ class WorkerSupervisor:
         state = self._states[worker_id]
         state.restarts_used += 1
         self.stats.restarts += 1
-        self._m_restarts.inc()
         fresh = None
         try:
             fresh = cluster._spawn_worker(worker_id)
@@ -432,8 +419,6 @@ class WorkerSupervisor:
         self.stats.recovery_rounds_total += (
             cluster.stats.rounds_served - state.down_at_round
         )
-        self._m_recoveries.inc()
-        self._m_down.set(len(self.down_workers))
         return True
 
     def _trip_breaker(self, worker_id: int) -> None:
@@ -446,9 +431,7 @@ class WorkerSupervisor:
         state = self._states[worker_id]
         state.evicted = True
         self.stats.breaker_trips += 1
-        self._m_breaker.inc()
         self.cluster._evict_worker(worker_id)
-        self._m_down.set(len(self.down_workers))
 
     # -- bookkeeping hooks (called by the cluster) -------------------------
 
@@ -462,53 +445,30 @@ class WorkerSupervisor:
         """
         self._states[worker_id] = _WorkerState()
         self._arm(proc)
-        self._m_down.set(len(self.down_workers))
 
     def forget(self, worker_id: int) -> None:
         """Stop supervising a worker the caller evicted deliberately."""
         state = self._states.get(worker_id)
         if state is not None:
             state.evicted = True
-            self._m_down.set(len(self.down_workers))
 
     def note_degraded_round(self) -> None:
         """A serve round completed without one or more ring workers."""
         self.stats.degraded_rounds += 1
-        self._m_degraded.inc()
 
     def note_stale_route(self) -> None:
         """A request routed to a down-but-still-advertised worker."""
         self.stats.stale_ring_retries += 1
-        self._m_stale.inc()
 
     def snapshot_series(self) -> dict[str, dict[str, float]]:
-        """Supervision series for the cluster's ``stats_snapshot``."""
+        """Supervision series for the cluster's ``stats_snapshot``: every
+        :class:`SupervisorStats` field as a ``supervisor_*`` counter, the
+        two means and the down-worker count as gauges."""
         stats = self.stats
-        return {
-            "counters": {
-                "supervisor_breaker_trips": float(stats.breaker_trips),
-                "supervisor_crashes_detected": float(stats.crashes_detected),
-                "supervisor_degraded_rounds": float(stats.degraded_rounds),
-                "supervisor_failures_detected": float(
-                    stats.failures_detected
-                ),
-                "supervisor_hangs_detected": float(stats.hangs_detected),
-                "supervisor_recoveries": float(stats.recoveries),
-                "supervisor_republished_segments": float(
-                    stats.republished_segments
-                ),
-                "supervisor_restarts": float(stats.restarts),
-                "supervisor_slow_evictions": float(stats.slow_evictions),
-                "supervisor_stale_ring_retries": float(
-                    stats.stale_ring_retries
-                ),
-            },
-            "gauges": {
-                "supervisor_detection_seconds_avg": (
-                    stats.detection_seconds_avg
-                ),
-                "supervisor_recovery_rounds_avg": stats.recovery_rounds_avg,
-                "supervisor_workers_down": float(len(self.down_workers)),
-            },
-            "histograms": {},
-        }
+        series = stats.series("supervisor")
+        series["gauges"].update(
+            supervisor_detection_seconds_avg=stats.detection_seconds_avg,
+            supervisor_recovery_rounds_avg=stats.recovery_rounds_avg,
+            supervisor_workers_down=float(len(self.down_workers)),
+        )
+        return series

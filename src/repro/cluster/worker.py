@@ -325,8 +325,6 @@ class _WorkerRuntime:
             return out
         if tag == "snapshot":
             return server.stats_snapshot()
-        if tag == "stats":
-            return server.stats.as_dict()
         if tag == "ping":
             # The liveness probe: proof the event loop is draining the
             # pipe, plus enough state for the supervisor to cross-check.
@@ -675,10 +673,6 @@ class WorkerProcess:
 
     def stats_snapshot(self) -> dict:
         return self.call("snapshot")
-
-    def server_stats(self) -> dict:
-        """The worker server's cumulative ``ServerStats`` as a dict."""
-        return self.call("stats")
 
     # -- async round dispatch ----------------------------------------------
 

@@ -78,16 +78,6 @@ class FaultCounters:
     def total(self) -> int:
         return self.dropped + self.corrupted + self.duplicated + self.delayed
 
-    def publish(self) -> None:
-        """Report the running totals as gauges (safe to re-publish)."""
-        from repro.obs.registry import get_registry
-
-        registry = get_registry()
-        registry.gauge("faults_dropped").set(self.dropped)
-        registry.gauge("faults_corrupted").set(self.corrupted)
-        registry.gauge("faults_duplicated").set(self.duplicated)
-        registry.gauge("faults_delayed").set(self.delayed)
-
 
 class FaultPlan:
     """A seeded, replayable schedule of transport faults.

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import CapacityError, RetryLater
-from repro.obs.registry import get_registry
 from repro.obs.stats import CumulativeStats
 from repro.rlnc.block import BlockBatch, Segment
 from repro.rlnc.recoder import Recoder
@@ -98,11 +97,6 @@ class RelayNode(EagerRounds):
         self._rng = rng if rng is not None else np.random.default_rng()
         self._recoders: dict[int, Recoder] = {}
         self.stats = RelayStats()
-        registry = get_registry()
-        self._m_ingested = registry.counter("relay_blocks_ingested")
-        self._m_recoded = registry.counter("relay_blocks_recoded")
-        self._m_rounds = registry.counter("relay_rounds_served")
-        self._m_bytes = registry.counter("relay_bytes_served")
 
     # -- upstream side ------------------------------------------------------
 
@@ -138,7 +132,7 @@ class RelayNode(EagerRounds):
     def _keep(self, segment_id: int, coefficients, payloads=None) -> int:
         """Offer rows to the segment's recoder; count and return the kept."""
         kept = self._recoder(segment_id).add_batch(coefficients, payloads)
-        self._count_ingested(kept)
+        self.stats.blocks_ingested += kept
         return kept
 
     def _recoder(self, segment_id: int) -> Recoder:
@@ -158,11 +152,7 @@ class RelayNode(EagerRounds):
 
     def _ingested(self, segment_id: int, kept: int) -> None:
         self._recoders[segment_id]._kept(kept)
-        self._count_ingested(kept)
-
-    def _count_ingested(self, kept: int) -> None:
         self.stats.blocks_ingested += kept
-        self._m_ingested.inc(kept)
 
     def held(self, segment_id: int) -> int:
         """Rank held for a segment: its independent rows (0 when unknown)."""
@@ -186,7 +176,6 @@ class RelayNode(EagerRounds):
         self.stats.recode_calls += 1
         self.stats.blocks_recoded += total
         self.stats.blocks_served += total
-        self._m_recoded.inc(total)
         return batch
 
     def _forget(self, segment_id: int) -> None:
@@ -226,29 +215,16 @@ class RelayNode(EagerRounds):
         ``stats.bytes_served`` counts the round's wire bytes.
         """
         frames = self._serve_frames(format, checksum, version)
-        served = sum(len(view) for view in frames.values())
-        self.stats.bytes_served += served
-        self._m_bytes.inc(served)
+        self.stats.bytes_served += sum(len(view) for view in frames.values())
         return frames
 
     def stats_snapshot(self) -> dict:
-        """A registry-shaped counters/gauges/histograms snapshot."""
-        stats = self.stats
-        return {
-            "counters": {
-                "relay_blocks_ingested": float(stats.blocks_ingested),
-                "relay_blocks_recoded": float(stats.blocks_recoded),
-                "relay_blocks_served": float(stats.blocks_served),
-                "relay_bytes_served": float(stats.bytes_served),
-                "relay_recode_calls": float(stats.recode_calls),
-                "relay_rounds_served": float(stats.rounds_served),
-                "relay_segments_published": float(stats.segments_published),
-                "relay_sessions_evicted": float(stats.sessions_evicted),
-            },
-            "gauges": {
-                "relay_queue_blocks": float(self.pending_blocks),
-                "relay_queue_depth": float(len(self._queue)),
-                "relay_segments_buffered": float(len(self._recoders)),
-            },
-            "histograms": {},
-        }
+        """A registry-shaped snapshot: every :class:`RelayStats` field as
+        a ``relay_*`` counter, plus the queue and buffer gauges."""
+        snapshot = self.stats.series("relay")
+        snapshot["gauges"].update(
+            relay_queue_blocks=float(self.pending_blocks),
+            relay_queue_depth=float(len(self._queue)),
+            relay_segments_buffered=float(len(self._recoders)),
+        )
+        return snapshot

@@ -3,9 +3,10 @@
 Three ways out of the observability layer:
 
 * :func:`save_snapshot` / :func:`load_snapshot` — one JSON document
-  holding the registry snapshot plus the retained span records; the
-  soak workflow attaches it as a CI artifact and ``repro stats`` renders
-  it back.
+  holding the registry snapshot, folded with any components'
+  ``stats_snapshot()`` or ``stats.series()`` exports, plus the retained
+  span records; the soak workflow attaches it as a CI artifact and
+  ``repro stats`` renders it back.
 * :func:`render_prometheus` — the registry snapshot in Prometheus
   exposition format (counters/gauges as-is, histograms as ``_count`` /
   ``_sum`` plus cumulative ``_bucket{le=...}`` series over the
@@ -28,6 +29,7 @@ from repro.obs.registry import (
     MetricsRegistry,
     bucket_bounds,
     get_registry,
+    merge_snapshots,
 )
 from repro.obs.trace import SpanRecord, Tracer, get_tracer
 
@@ -250,15 +252,22 @@ def render_prometheus(snapshot: dict | None = None) -> str:
 
 
 def snapshot_document(
-    *,
+    *series: dict,
     registry: MetricsRegistry | None = None,
     tracer: Tracer | None = None,
 ) -> dict:
-    """The combined metrics+spans snapshot as one JSON-able dict."""
+    """The combined metrics+spans snapshot as one JSON-able dict.
+
+    ``series`` are registry-shaped component exports (a server's
+    ``stats_snapshot()``, a session's ``stats.series("client")``)
+    merged into the registry's snapshot, since the registry holds only
+    the series no stats object owns.
+    """
     registry = registry if registry is not None else get_registry()
     tracer = tracer if tracer is not None else get_tracer()
+    metrics = registry.snapshot()
     return {
-        "metrics": registry.snapshot(),
+        "metrics": merge_snapshots(metrics, *series) if series else metrics,
         "spans": [
             {
                 "name": record.name,
@@ -277,12 +286,13 @@ def snapshot_document(
 
 def save_snapshot(
     path: str | pathlib.Path,
-    *,
+    *series: dict,
     registry: MetricsRegistry | None = None,
     tracer: Tracer | None = None,
 ) -> dict:
-    """Write the combined metrics+spans snapshot JSON; returns the dict."""
-    document = snapshot_document(registry=registry, tracer=tracer)
+    """Write the combined metrics+spans snapshot JSON (``series`` as in
+    :func:`snapshot_document`); returns the dict."""
+    document = snapshot_document(*series, registry=registry, tracer=tracer)
     pathlib.Path(path).write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
     return document
 

@@ -1,15 +1,22 @@
-"""The metrics registry: one source of truth for runtime counters.
+"""The metrics registry: the series no stats object owns.
 
-The reproduction's measurements used to live in per-layer dataclasses
-(``ServerStats``, ``SessionStats``, ``WireStats``, ``FaultCounters``,
-``KernelStats``) with no common way to ask "what did this process do".
-:class:`MetricsRegistry` is the shared substrate those layers now publish
-into: a named, labeled set of
+A component's stats object is its ledger: ``ServerStats``,
+``RelayStats``, ``SessionStats`` (with its nested ``WireStats``),
+``ClusterStats``, ``SupervisorStats`` and ``AutoscalerStats`` are the
+only place their counters live, and an endpoint's ``stats_snapshot()``
+(built from :meth:`~repro.obs.stats.CumulativeStats.series`) is their
+export — it crosses processes, since a cluster worker ships its
+server's snapshot over the pipe.  Nothing mirrors those fields here.
+:class:`MetricsRegistry` holds the series that no object owns (span
+durations, wire frames and bytes packed and unpacked, the decoder and
+recoder counters, the kernels' encode counters, the coalesce batch-size
+and failure-detection histograms, the load harness's control inputs):
+a named, labeled set of
 
-* **counters** — monotonically increasing totals (blocks served, NACKs,
-  integrity failures);
-* **gauges** — last-observed values (queue depth, occupancy efficiency,
-  decoder rank);
+* **counters** — monotonically increasing totals (frames packed,
+  innovative blocks, kernel encode calls);
+* **gauges** — last-observed values (occupancy efficiency, load-test
+  utilization);
 * **histograms** — distributions over fixed log-scale (power-of-two)
   buckets (span durations, coalesce batch sizes), stored sparsely so an
   unused histogram costs nothing.

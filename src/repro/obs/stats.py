@@ -4,7 +4,11 @@ Counters only grow as work happens; nothing resets them behind the
 caller's back.  A caller wanting per-call or per-phase figures takes a
 :meth:`~CumulativeStats.snapshot` before and diffs with
 :meth:`~CumulativeStats.delta`, or calls :meth:`~CumulativeStats.reset`
-between phases.  ``tests/test_stats_contract.py`` audits every subclass.
+between phases.  A component's stats object is its one ledger:
+:meth:`~CumulativeStats.series` exports it in the registry's snapshot
+shape, and an endpoint's ``stats_snapshot()`` is built from that export
+(nothing mirrors the fields into the process registry).
+``tests/test_stats_contract.py`` audits every subclass.
 """
 
 from __future__ import annotations
@@ -13,7 +17,8 @@ from dataclasses import fields
 
 
 class CumulativeStats:
-    """``snapshot``/``delta``/``reset``/``as_dict`` over dataclass fields.
+    """``snapshot``/``delta``/``reset``/``as_dict``/``series`` over
+    dataclass fields.
 
     Mix into a ``@dataclass`` of counters.  A field that is itself a
     :class:`CumulativeStats` (e.g. a session's nested wire stats) is
@@ -57,6 +62,25 @@ class CumulativeStats:
             f.name: _nested_or(getattr(self, f.name), "as_dict")
             for f in fields(self)
         }
+
+    def series(self, prefix: str) -> dict:
+        """The counters as a registry-shaped snapshot.
+
+        Field ``F`` exports as the counter ``{prefix}_F``, and a nested
+        stats field ``G`` exports its own fields under ``{prefix}_G``
+        (a session's ``wire.malformed`` is ``client_wire_malformed``).
+        The gauges and histograms sections are empty, for the owner's
+        live-state gauges; the dict folds into other snapshots with
+        :func:`repro.obs.merge_snapshots`.
+        """
+        counters: dict[str, float] = {}
+        for f in fields(self):
+            value, name = getattr(self, f.name), f"{prefix}_{f.name}"
+            if isinstance(value, CumulativeStats):
+                counters.update(value.series(name)["counters"])
+            else:
+                counters[name] = float(value)
+        return {"counters": counters, "gauges": {}, "histograms": {}}
 
 
 def _nested_or(value, method: str):

@@ -70,8 +70,9 @@ three masks over an ``(m, frame_size)`` byte matrix: *framed* (magic,
 version, checksum flag, n and k as expected), *intact* (framed, and
 the trailer verifies) and *ours* (the expected segment id).  The
 self-describing readers (:func:`unpack_frame`, :func:`unpack_blocks`,
-and :func:`decode_frame` / :func:`decode_stream` over
-:func:`unpack_frame`) are strict: they raise
+:func:`decode_frame` over :func:`unpack_frame`, and
+:func:`decode_stream`, one pass per run of frames of one geometry) are
+strict: they raise
 :class:`~repro.errors.IntegrityError` on a checksum mismatch and
 :class:`~repro.errors.WireError` on structural damage (bad
 magic/version, torn frames, length fields that disagree with the buffer
@@ -250,22 +251,17 @@ class WireStats(CumulativeStats):
         self.checksum_failures += other.checksum_failures
         self.malformed += other.malformed
 
-    # -- registry write-through (one source of truth) ----------------------
-
     def record_ok(self, count: int = 1) -> None:
-        """Count verified frames here *and* in the metrics registry."""
+        """Count verified frames."""
         self.frames_ok += count
-        _wire_counter("wire_frames_ok").inc(count)
 
     def record_checksum_failure(self, count: int = 1) -> None:
-        """Count integrity-trailer mismatches (field + registry)."""
+        """Count integrity-trailer mismatches."""
         self.checksum_failures += count
-        _wire_counter("wire_checksum_failures").inc(count)
 
     def record_malformed(self, count: int = 1) -> None:
-        """Count structurally damaged frames (field + registry)."""
+        """Count structurally damaged frames."""
         self.malformed += count
-        _wire_counter("wire_malformed_frames").inc(count)
 
 
 def _header_struct(version: int) -> struct.Struct:
@@ -505,6 +501,15 @@ def _parse_header(view: memoryview, offset: int):
     return version, flags, segment_id, n, k, sequence, header.size
 
 
+def _framed(
+    frames: np.ndarray, version: int, n: int, k: int, checksum: bool
+) -> np.ndarray:
+    """Rows whose magic, version, checksum flag, n and k are as expected."""
+    expected = _framing_row(version, FLAG_CHECKSUM if checksum else 0, n, k)
+    mismatch = (frames[:, : _HEADER.size] ^ expected) & _FRAMING_MASK
+    return ~mismatch.any(axis=1)
+
+
 def _verify(
     frames: np.ndarray, version: int, n: int, k: int, checksum: bool, segment_ids
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -518,9 +523,7 @@ def _verify(
     sequence are left to the trailer, which covers them.
     """
     header_size = _header_struct(version).size
-    expected = _framing_row(version, FLAG_CHECKSUM if checksum else 0, n, k)
-    mismatch = (frames[:, : _HEADER.size] ^ expected) & _FRAMING_MASK
-    framed = ~mismatch.any(axis=1)
+    framed = _framed(frames, version, n, k, checksum)
     ids = np.asarray(segment_ids, dtype=">u4").reshape(-1, 1).view(np.uint8)
     ours = np.all(frames[:, _SEGMENT_OFFSET : _SEGMENT_OFFSET + 4] == ids, axis=1)
     if not checksum:
@@ -805,8 +808,12 @@ def decode_stream(data: bytes) -> list[CodedBlock]:
     """Split a concatenated frame stream back into blocks.
 
     Frames are self-describing, so heterogeneous geometries and mixed
-    versions are allowed; a torn final frame or any integrity failure
-    raises (see :func:`unpack_frame`).  For homogeneous streams,
+    versions are allowed.  Each run of consecutive frames sharing a
+    header geometry (version, checksum flag, n and k) is verified by one
+    ``_verify`` pass, and the first damaged frame raises as
+    :func:`unpack_frame` does on it: a bad header or a torn final frame
+    with :class:`~repro.errors.WireError`, a trailer mismatch with
+    :class:`~repro.errors.IntegrityError`.  For homogeneous streams,
     :func:`unpack_blocks` returns the same records as one zero-copy
     batch instead.
     """
@@ -814,7 +821,35 @@ def decode_stream(data: bytes) -> list[CodedBlock]:
     blocks: list[CodedBlock] = []
     offset = 0
     while offset < len(view):
-        block, size, _ = unpack_frame(view, offset)
-        blocks.append(block)
-        offset += size
+        version, flags, _, n, k, _, header_size = _parse_header(view, offset)
+        checksum = bool(flags & FLAG_CHECKSUM)
+        size = frame_size(n, k, checksum=checksum, version=version)
+        count = (len(view) - offset) // size
+        if not count:
+            unpack_frame(view, offset)  # raises: the last frame is torn
+        frames = np.frombuffer(
+            view, dtype=np.uint8, count=count * size, offset=offset
+        ).reshape(count, size)
+        # The run ends at the first frame of another geometry (or a
+        # damaged header); the next iteration parses it on its own.
+        framed = _framed(frames, version, n, k, checksum)
+        frames = frames[: count if framed.all() else int(np.argmin(framed))]
+        _, intact, _ = _verify(frames, version, n, k, checksum, 0)
+        # Bytes count up to and including the first damaged frame.
+        damaged = np.flatnonzero(~intact)
+        checked = int(damaged[0]) + 1 if len(damaged) else len(frames)
+        _wire_counter("wire_bytes_unpacked").inc(checked * size)
+        if len(damaged):
+            raise IntegrityError(
+                f"checksum mismatch in frame at offset "
+                f"{offset + (checked - 1) * size} (version {version}, n={n}, k={k})"
+            )
+        ids = frames[:, _SEGMENT_OFFSET : _SEGMENT_OFFSET + 4].copy().view(">u4")
+        coefficients = frames[:, header_size : header_size + n].copy()
+        payloads = frames[:, header_size + n : header_size + n + k].copy()
+        blocks.extend(
+            CodedBlock(coefficients=c, payload=p, segment_id=segment_id)
+            for c, p, segment_id in zip(coefficients, payloads, ids[:, 0].tolist())
+        )
+        offset += len(frames) * size
     return blocks

@@ -37,7 +37,6 @@ from repro.errors import (
     RetryLater,
 )
 from repro.faults import FaultPlan
-from repro.obs.registry import get_registry
 from repro.obs.stats import CumulativeStats
 from repro.obs.trace import trace
 from repro.rlnc.block import BlockBatch, Segment
@@ -300,7 +299,8 @@ class SessionStats(CumulativeStats):
     malformed frames dropped by the lenient unpack); the remaining
     counters describe the retry state machine — how many NACKs were
     sent, how many no-progress rounds triggered backoff, and how long
-    the session spent waiting it out.
+    the session spent waiting it out.  ``stats.series("client")`` is the
+    session's export (``client_nacks``, ``client_wire_frames_ok``, ...).
     """
 
     rounds: int = 0
@@ -391,16 +391,6 @@ class ClientSession:
         self.checksum = checksum
         self.upstream = upstream
         self.stats = SessionStats()
-        # Registry write-through handles (cached; see StreamingServer).
-        registry = get_registry()
-        self._m_nacks = registry.counter("client_nacks")
-        self._m_retries = registry.counter("client_retries")
-        self._m_backoff = registry.counter("client_backoff_rounds")
-        self._m_retry_later = registry.counter("client_retry_later")
-        self._m_frames = registry.counter("client_frames_received")
-        self._m_innovative = registry.counter("client_blocks_innovative")
-        self._m_discarded = registry.counter("client_blocks_discarded")
-        self._m_segments = registry.counter("client_segments_completed")
         self._session = server.connect(peer_id)
         params = server.profile.params
         self._frame_bytes = frame_size(
@@ -479,7 +469,6 @@ class ClientSession:
         if self._cooldown > 0:
             self._cooldown -= 1
             self.stats.backoff_rounds_waited += 1
-            self._m_backoff.inc()
             self._idle_round = True
             return None
         missing = decoder.params.num_blocks - decoder.rank
@@ -491,7 +480,6 @@ class ClientSession:
         )
         if isinstance(response, RetryLater):
             self.stats.retry_later_responses += 1
-            self._m_retry_later.inc()
             self._register_miss(min_cooldown=response.retry_after_rounds)
             self._idle_round = True
             return response
@@ -499,7 +487,6 @@ class ClientSession:
         self._segment_requests += 1
         if self._segment_requests > 1:
             self.stats.nacks += 1
-            self._m_nacks.inc()
         return None
 
     def intake(self, wire_bytes) -> int:
@@ -549,7 +536,6 @@ class ClientSession:
         absorb ``rows`` intact rows into, or ``None``."""
         decoder = self._decoder
         self.stats.frames_received += received
-        self._m_frames.inc(received)
         if foreign:
             # An intact frame of another segment is damage on this wire.
             self.stats.wire.record_malformed(foreign)
@@ -558,7 +544,6 @@ class ClientSession:
             return None
         if decoder.is_complete:
             self.stats.blocks_discarded += rows
-            self._m_discarded.inc(rows)
             return None
         return decoder, self.upstream
 
@@ -570,8 +555,6 @@ class ClientSession:
         else:
             self.stats.blocks_innovative += innovative
             self.stats.blocks_discarded += rows - innovative
-            self._m_innovative.inc(innovative)
-            self._m_discarded.inc(rows - innovative)
         if self._idle_round:
             self._idle_round = False
         elif innovative > 0 or self._decoder.is_complete:
@@ -586,7 +569,6 @@ class ClientSession:
         decoder = self._require_segment()
         segment = decoder.recover_segment(original_length)
         self.stats.segments_completed += 1
-        self._m_segments.inc()
         self._spare, self._decoder = decoder, None
         self._segment_id = None
         return segment
@@ -628,7 +610,6 @@ class ClientSession:
     def _register_miss(self, *, min_cooldown: int = 0) -> None:
         self._retries += 1
         self.stats.retries += 1
-        self._m_retries.inc()
         if self._retries > self.max_retries:
             raise RetryExhaustedError(
                 f"segment {self._segment_id} made no progress after "

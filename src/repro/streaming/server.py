@@ -66,7 +66,6 @@ class ServerStats(CumulativeStats):
     :meth:`reset` between phases.
     """
 
-    segments_stored: int = 0
     blocks_served: int = 0
     bytes_served: int = 0
     gpu_seconds: float = 0.0
@@ -117,9 +116,9 @@ class EagerRounds:
       rows it holds;
     * ``_forget(segment_id)`` drops what it keeps of the segment;
 
-    and ``profile``, ``worker_id`` (the v2 frame stamp), ``stats`` and
-    the registry counter ``_m_rounds`` (``_m_shed`` and ``_m_retry``
-    too, and the matching ``stats`` fields, if it sets
+    and ``profile``, ``worker_id`` (the v2 frame stamp) and ``stats``
+    (with ``rounds_served`` and ``sessions_evicted``, and
+    ``requests_shed`` and ``retry_later_responses`` if it sets
     ``max_pending_blocks``).
 
     A round runs inside ``begin_round`` and the ticket parks the result.
@@ -241,10 +240,8 @@ class EagerRounds:
                 self._queue.remove(victim)
                 self._refund(victim)
                 self.stats.requests_shed += 1
-                self._m_shed.inc()
             else:
                 self.stats.retry_later_responses += 1
-                self._m_retry.inc()
                 return RetryLater(retry_after_rounds=max(1, -(-overflow // limit)))
         priority = max(0, self.profile.params.num_blocks - num_blocks)
         self._queue.append(
@@ -335,7 +332,6 @@ class EagerRounds:
         for peer_id in served:
             self._sessions[peer_id].rounds_served += 1
         self.stats.rounds_served += 1
-        self._m_rounds.inc()
         return emissions
 
     def serve_round_into(
@@ -586,16 +582,9 @@ class StreamingServer(EagerRounds):
         self._segments: dict[int, Segment] = {}
         self._capacity = segments_in_device_memory(spec, profile)
         self.stats = ServerStats()
-        # Registry write-through handles, cached once per server so the
-        # serve paths pay a plain method call, not a label resolution.
-        registry = get_registry()
-        self._m_blocks = registry.counter("server_blocks_served")
-        self._m_bytes = registry.counter("server_bytes_served")
-        self._m_encodes = registry.counter("server_encode_calls")
-        self._m_rounds = registry.counter("server_rounds_served")
-        self._m_shed = registry.counter("server_requests_shed")
-        self._m_retry = registry.counter("server_retry_later")
-        self._m_coalesce = registry.histogram("server_coalesce_batch_size")
+        # The one series no stats field owns: a distribution, cached
+        # once per server so the encode path pays a plain method call.
+        self._m_coalesce = get_registry().histogram("server_coalesce_batch_size")
 
     @property
     def stored_segments(self) -> int:
@@ -608,32 +597,20 @@ class StreamingServer(EagerRounds):
     def stats_snapshot(self) -> dict:
         """A JSON-able snapshot of this server's serving counters.
 
-        Shaped like a :meth:`repro.obs.MetricsRegistry.snapshot`
-        (``counters``/``gauges``/``histograms`` sections), so per-worker
-        snapshots fold into a cluster rollup with
-        :func:`repro.obs.merge_snapshots`.  Cumulative fields land under
-        ``counters``; point-in-time occupancy under ``gauges``.
+        Shaped like a :meth:`repro.obs.MetricsRegistry.snapshot`, so
+        per-worker snapshots fold into a cluster rollup with
+        :func:`repro.obs.merge_snapshots` (a worker process ships this
+        dict over its pipe).  Every :class:`ServerStats` field is a
+        ``server_*`` counter (:meth:`~repro.obs.stats.CumulativeStats.series`);
+        point-in-time occupancy lands under ``gauges``.
         """
-        stats = self.stats
-        return {
-            "counters": {
-                "server_blocks_served": float(stats.blocks_served),
-                "server_bytes_served": float(stats.bytes_served),
-                "server_encode_calls": float(stats.encode_calls),
-                "server_gpu_seconds": stats.gpu_seconds,
-                "server_requests_shed": float(stats.requests_shed),
-                "server_retry_later": float(stats.retry_later_responses),
-                "server_rounds_served": float(stats.rounds_served),
-                "server_sessions_evicted": float(stats.sessions_evicted),
-                "server_upload_seconds": stats.upload_seconds,
-            },
-            "gauges": {
-                "server_queue_blocks": float(self.pending_blocks),
-                "server_queue_depth": float(len(self._queue)),
-                "server_segments_stored": float(len(self._segments)),
-            },
-            "histograms": {},
-        }
+        snapshot = self.stats.series("server")
+        snapshot["gauges"].update(
+            server_queue_blocks=float(self.pending_blocks),
+            server_queue_depth=float(len(self._queue)),
+            server_segments_stored=float(len(self._segments)),
+        )
+        return snapshot
 
     def publish_segment(self, segment: Segment) -> None:
         """Upload one media segment to the device-resident store.
@@ -654,7 +631,6 @@ class StreamingServer(EagerRounds):
             )
         self._segments[segment.segment_id] = segment
         self.stats.upload_seconds += self._encoder.upload_segment(segment)
-        self.stats.segments_stored = len(self._segments)
 
     def publish(self, segment: Segment) -> None:
         """Upload a segment (the :class:`~repro.serving.ServingEndpoint`
@@ -691,9 +667,6 @@ class StreamingServer(EagerRounds):
         self.stats.blocks_served += total
         self.stats.bytes_served += result.coded_bytes
         self.stats.gpu_seconds += result.time_seconds
-        self._m_encodes.inc()
-        self._m_blocks.inc(total)
-        self._m_bytes.inc(result.coded_bytes)
         self._m_coalesce.observe(total)
         return BlockBatch(
             coefficients=result.coefficients,
@@ -707,7 +680,6 @@ class StreamingServer(EagerRounds):
         cluster router learns to withdraw it from its placement ring."""
         evicted = self._segments.pop(segment_id, None)
         self._encoder.drop_segment(segment_id)
-        self.stats.segments_stored = len(self._segments)
         if evicted is not None:
             for listener in self._eviction_listeners:
                 listener(segment_id)

@@ -38,6 +38,7 @@ from repro.obs.registry import (
     get_registry,
     quantile_from_buckets,
 )
+from repro.obs.stats import CumulativeStats
 
 #: Gauge the load harness publishes and the autoscaler reads.
 UTILIZATION_GAUGE = "loadtest_utilization"
@@ -116,7 +117,7 @@ class ScaleEvent:
 
 
 @dataclass
-class AutoscalerStats:
+class AutoscalerStats(CumulativeStats):
     """Cumulative scaling accounting (same contract as ClusterStats)."""
 
     decisions: int = 0
@@ -162,10 +163,6 @@ class Autoscaler:
         self._down_streak = 0
         self._cooldown_until = -1
         self._window_buckets: dict[int, int] = self._h_delay.buckets()
-        self._m_ups = registry.counter("autoscaler_scale_ups")
-        self._m_downs = registry.counter("autoscaler_scale_downs")
-        self._m_workers = registry.gauge("autoscaler_workers")
-        self._m_workers.set(cluster.num_workers)
 
     # -- metric windows ----------------------------------------------------
 
@@ -234,7 +231,6 @@ class Autoscaler:
         worker_id = self.cluster.next_worker_id()
         moved = self.cluster.add_worker(worker_id)
         self.stats.scale_ups += 1
-        self._m_ups.inc()
         return self._acted(
             round_index, "up", worker_id, len(moved), utilization, delay_p99
         )
@@ -248,7 +244,6 @@ class Autoscaler:
         worker_id = max(self.cluster.live_workers)
         moved = self.cluster.remove_worker(worker_id)
         self.stats.scale_downs += 1
-        self._m_downs.inc()
         return self._acted(
             round_index, "down", worker_id, len(moved), utilization, delay_p99
         )
@@ -265,7 +260,6 @@ class Autoscaler:
         self._up_streak = 0
         self._down_streak = 0
         self._cooldown_until = round_index + 1 + self.config.cooldown_rounds
-        self._m_workers.set(self.cluster.num_workers)
         event = ScaleEvent(
             round_index=round_index,
             action=action,

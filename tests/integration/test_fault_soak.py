@@ -38,24 +38,37 @@ LOSS_RATE = 0.20
 CORRUPT_RATE = 0.01
 REORDER_WINDOW = 3
 
+@pytest.fixture(scope="module")
+def ledgers():
+    """``(prefix, stats)`` of every soak server and session.
 
-@pytest.fixture(scope="module", autouse=True)
-def _obs_snapshot():
-    """When ``REPRO_OBS_SNAPSHOT`` names a path, dump the observability
-    registry after the soak so the nightly workflow can archive the
-    cumulative wire/client/decoder counters as an artifact."""
-    yield
+    When ``REPRO_OBS_SNAPSHOT`` names a path, the observability
+    registry is dumped after the soak, folded with each of these
+    ledgers' series (the server, client and wire counters), so the soak
+    workflows can archive the cumulative server/client/wire/decoder
+    counters as an artifact.
+    """
+    kept: list = []
+    yield kept
     path = os.environ.get("REPRO_OBS_SNAPSHOT")
     if path:
         from repro.obs import save_snapshot
 
-        save_snapshot(path)
+        save_snapshot(path, *(stats.series(prefix) for prefix, stats in kept))
 
 
-def published_server(payloads, seed=0):
+def soak_session(ledgers, server, peer_id, **kwargs):
+    """A :class:`ClientSession` whose counters the snapshot archives."""
+    session = ClientSession(server, peer_id, **kwargs)
+    ledgers.append(("client", session.stats))
+    return session
+
+
+def published_server(ledgers, payloads, seed=0):
     server = StreamingServer(
         GTX280, PROFILE, rng=np.random.default_rng(seed)
     )
+    ledgers.append(("server", server.stats))
     for segment_id, payload in payloads.items():
         server.publish_segment(
             Segment.from_bytes(payload, PROFILE.params, segment_id=segment_id)
@@ -75,11 +88,11 @@ def make_payloads(count, seed=99):
 
 @pytest.mark.timeout(240)
 class TestFaultSoak:
-    def test_seeded_soak_is_byte_exact_with_full_accounting(self):
+    def test_seeded_soak_is_byte_exact_with_full_accounting(self, ledgers):
         """200 independent seeded fetches under 20% loss + 1% corruption
         + bounded reordering: all byte-exact, all damage counted."""
         payloads = make_payloads(1)
-        server = published_server(payloads)
+        server = published_server(ledgers, payloads)
         total_injected_corrupt = 0
         total_detected = 0
         total_dropped = 0
@@ -91,7 +104,8 @@ class TestFaultSoak:
                 corrupt_rate=CORRUPT_RATE,
                 reorder_window=REORDER_WINDOW,
             )
-            client = ClientSession(
+            client = soak_session(
+                ledgers,
                 server,
                 peer_id=iteration,
                 fault_plan=plan,
@@ -121,19 +135,19 @@ class TestFaultSoak:
         assert total_detected == total_injected_corrupt
         assert total_nacks >= SOAK_ITERATIONS  # loss forces retransmission
 
-    def test_soak_is_reproducible(self):
+    def test_soak_is_reproducible(self, ledgers):
         """The same seeds give the same rounds, NACKs and wire stats."""
         payloads = make_payloads(1)
 
         def run(seed):
-            server = published_server(payloads)
+            server = published_server(ledgers, payloads)
             plan = FaultPlan(
                 seed=seed,
                 drop_rate=LOSS_RATE,
                 corrupt_rate=CORRUPT_RATE,
                 reorder_window=REORDER_WINDOW,
             )
-            client = ClientSession(server, peer_id=1, fault_plan=plan)
+            client = soak_session(ledgers, server, peer_id=1, fault_plan=plan)
             client.fetch_segment(0)
             stats = client.stats
             return (
@@ -151,21 +165,21 @@ class TestFaultSoak:
 
 @pytest.mark.timeout(120)
 class TestEndToEndAcceptance:
-    def test_multi_segment_stream_survives_hostile_wire(self):
+    def test_multi_segment_stream_survives_hostile_wire(self, ledgers):
         """The ISSUE acceptance scenario: a client streams several
         segments through 20% loss, 1% corruption and reordering; every
         segment arrives byte-exact purely through NACK retransmission,
         and the fault ledger balances exactly."""
         payloads = make_payloads(3)
-        server = published_server(payloads)
+        server = published_server(ledgers, payloads)
         plan = FaultPlan(
             seed=1234,
             drop_rate=LOSS_RATE,
             corrupt_rate=CORRUPT_RATE,
             reorder_window=REORDER_WINDOW,
         )
-        client = ClientSession(
-            server, peer_id=5, fault_plan=plan, max_retries=32
+        client = soak_session(
+            ledgers, server, peer_id=5, fault_plan=plan, max_retries=32
         )
         for segment_id, payload in payloads.items():
             recovered = client.fetch_segment(
@@ -189,12 +203,12 @@ class TestEndToEndAcceptance:
         )
         assert stats.wire.frames_ok == stats.frames_received - detected
 
-    def test_zero_fault_control_run(self):
+    def test_zero_fault_control_run(self, ledgers):
         """Control: with no fault plan the same pipeline reports zero
         damage — the accounting has no false positives."""
         payloads = make_payloads(1)
-        server = published_server(payloads)
-        client = ClientSession(server, peer_id=1)
+        server = published_server(ledgers, payloads)
+        client = soak_session(ledgers, server, peer_id=1)
         recovered = client.fetch_segment(0, original_length=len(payloads[0]))
         assert recovered.to_bytes() == payloads[0]
         assert client.stats.wire.frames_dropped == 0

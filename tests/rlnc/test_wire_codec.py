@@ -492,3 +492,51 @@ class TestStrictReaders:
                         assert as_key(result) == as_key(expected), (
                             current.__name__, version, checksum, bit,
                         )
+
+
+class TestDecodeStreamRuns:
+    """``decode_stream`` verifies each run of one geometry in one pass."""
+
+    RUNS = [  # (version, checksum, n, k, segment_id, frames)
+        (wire.VERSION2, True, 4, 8, 1, 3),
+        (wire.VERSION2, True, 4, 8, 2, 2),  # same geometry, next segment
+        (wire.VERSION, True, 4, 8, 2, 2),
+        (wire.VERSION2, True, 3, 5, 7, 1),
+        (wire.VERSION, True, 6, 2, 0, 2),
+        (wire.VERSION2, True, 4, 8, 1, 2),
+    ]
+
+    def frames(self, checksums=None):
+        rng = np.random.default_rng(3)
+        frames = []
+        for index, (version, checksum, n, k, segment_id, count) in enumerate(
+            self.RUNS
+        ):
+            if checksums is not None:
+                checksum = checksums[index]
+            for block in make_batch(rng, count, n, k, segment_id).rows():
+                frames.append(
+                    wire.encode_frame(
+                        block, checksum=checksum, version=version,
+                        sequence=len(frames),
+                    )
+                )
+        return frames
+
+    @pytest.mark.parametrize(
+        "checksums",
+        [None, [False] * 6, [True, False, True, False, False, True]],
+        ids=["checksummed", "bare", "mixed"],
+    )
+    def test_mixed_stream_matches_per_frame_decode(self, checksums):
+        frames = self.frames(checksums)
+        blocks = wire.decode_stream(b"".join(frames))
+        assert as_key(blocks) == as_key([wire.decode_frame(f) for f in frames])
+
+    def test_every_bit_flip_raises(self):
+        stream = b"".join(self.frames())
+        for bit in range(8 * len(stream)):
+            damaged_stream = bytearray(stream)
+            damaged_stream[bit // 8] ^= 1 << (bit % 8)
+            with pytest.raises((WireError, IntegrityError)):
+                wire.decode_stream(bytes(damaged_stream))

@@ -35,7 +35,7 @@ class TestSegmentStore:
         server.publish_segment(make_segment(0))
         server.publish_segment(make_segment(1, seed=2))
         assert server.stored_segments == 2
-        assert server.stats.segments_stored == 2
+        assert server.stats_snapshot()["gauges"]["server_segments_stored"] == 2
 
     def test_geometry_mismatch_rejected(self):
         server = make_server()
