@@ -59,7 +59,6 @@ from repro.errors import (
     WorkerCrashError,
     WorkerTimeoutError,
 )
-from repro.obs.registry import get_registry
 from repro.obs.stats import CumulativeStats
 
 
@@ -213,8 +212,6 @@ class WorkerSupervisor:
         self._states: dict[int, _WorkerState] = {
             worker_id: _WorkerState() for worker_id in cluster.live_workers
         }
-        # A distribution no stats field owns (the ledger keeps the sum).
-        self._m_detect = get_registry().histogram("supervisor_detection_seconds")
         for worker_id in cluster.live_workers:
             self._arm(cluster._workers[worker_id])
 
@@ -357,7 +354,6 @@ class WorkerSupervisor:
             self.stats.slow_evictions += 1
         self.stats.failures_detected += 1
         self.stats.detection_seconds_total += detection
-        self._m_detect.observe(detection)
         proc.kill()
         # Drop the dead worker's session mirrors from every peer view:
         # its pending counts vanish, which is exactly the signal that

@@ -98,26 +98,6 @@ class KernelStats:
         """Fraction of the device's peak issue rate sustained."""
         return self.achieved_gips(spec) / spec.peak_gips
 
-    def publish(self, spec: DeviceSpec, **labels: object) -> None:
-        """Write this execution's summary into the metrics registry.
-
-        Gauges, not counters: a stats object may be published any number
-        of times (e.g. re-reported per sweep point) without inflating
-        totals — last write wins.
-        """
-        from repro.obs.registry import get_registry
-
-        registry = get_registry()
-        registry.gauge("kernel_alu_cycles", **labels).set(self.alu_cycles)
-        registry.gauge("kernel_gmem_bytes", **labels).set(self.gmem_bytes)
-        registry.gauge("kernel_efficiency", **labels).set(self.efficiency)
-        registry.gauge("kernel_time_seconds", **labels).set(
-            self.time_seconds(spec)
-        )
-        registry.gauge("kernel_utilization", **labels).set(
-            self.utilization(spec)
-        )
-
     def merge(self, other: "KernelStats") -> "KernelStats":
         """Combine stats of two kernels run back to back."""
         return KernelStats(

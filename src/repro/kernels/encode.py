@@ -34,7 +34,6 @@ from repro.gf256 import (
 from repro.gf256.matrix import random_matrix
 from repro.gpu.spec import DeviceSpec
 from repro.gpu.timing import KernelStats, TransferStats
-from repro.obs.registry import get_registry
 from repro.obs.trace import trace
 from repro.kernels.base import EncodeResult
 from repro.kernels.cost_model import EncodeScheme, encode_stats
@@ -57,23 +56,6 @@ class GpuEncoder:
         self._uploaded: set[int] = set()
         #: Host -> device transfer accounting for uploaded segments.
         self.transfers = TransferStats()
-        # Per-scheme registry series, resolved once per encoder.
-        registry = get_registry()
-        scheme_label = scheme.name.lower()
-        self._m_calls = registry.counter(
-            "kernel_encode_calls", scheme=scheme_label
-        )
-        self._m_blocks = registry.counter(
-            "kernel_coded_blocks", scheme=scheme_label
-        )
-        self._m_seconds = registry.counter(
-            "kernel_model_seconds", scheme=scheme_label
-        )
-        self._m_efficiency = registry.gauge(
-            "kernel_occupancy_efficiency", scheme=scheme_label
-        )
-        self._m_uploads = registry.counter("kernel_segment_uploads")
-        self._m_upload_bytes = registry.counter("kernel_upload_bytes")
 
     def upload_segment(self, segment: Segment) -> float:
         """Move a segment into simulated device memory (Sec. 5.1.2).
@@ -92,8 +74,6 @@ class GpuEncoder:
         before = self.transfers.time_seconds(self.spec)
         self.transfers.bytes_to_device += segment.blocks.size
         self.transfers.transfers += 1
-        self._m_uploads.inc()
-        self._m_upload_bytes.inc(segment.blocks.size)
         return self.transfers.time_seconds(self.spec) - before
 
     def drop_segment(self, segment_id: int) -> None:
@@ -121,23 +101,18 @@ class GpuEncoder:
             An :class:`EncodeResult` with payloads and modelled stats.
         """
         n, k = segment.blocks.shape
-        if coefficients is None:
-            coefficients = random_matrix(coded_rows, n, rng)
         with trace("gpu_encode", scheme=self.scheme.name.lower()):
+            if coefficients is None:
+                coefficients = random_matrix(coded_rows, n, rng)
             payloads = self._run_functional(segment, coefficients)
-        already_uploaded = segment.segment_id in self._uploaded
-        stats = encode_stats(
-            self.spec,
-            self.scheme,
-            num_blocks=n,
-            block_size=k,
-            coded_rows=coefficients.shape[0],
-            include_preprocessing=not already_uploaded,
-        )
-        self._m_calls.inc()
-        self._m_blocks.inc(coefficients.shape[0])
-        self._m_seconds.inc(stats.time_seconds(self.spec))
-        self._m_efficiency.set(stats.efficiency)
+            stats = encode_stats(
+                self.spec,
+                self.scheme,
+                num_blocks=n,
+                block_size=k,
+                coded_rows=coefficients.shape[0],
+                include_preprocessing=segment.segment_id not in self._uploaded,
+            )
         return EncodeResult(
             coefficients=coefficients,
             payloads=payloads,

@@ -151,7 +151,6 @@ class RelayNode(EagerRounds):
         return self._recoder(segment_id)._offer(rows)
 
     def _ingested(self, segment_id: int, kept: int) -> None:
-        self._recoders[segment_id]._kept(kept)
         self.stats.blocks_ingested += kept
 
     def held(self, segment_id: int) -> int:

@@ -166,6 +166,8 @@ class TreeReport:
         min_cut_bound: the topology's coding-achievable multicast rate.
         blocks_recoded: total fresh combinations emitted by relays.
         relay_stats: per-relay cumulative counters, by relay name.
+        uplink_wire: each relay uplink's cumulative wire damage
+            (checksum failures, malformed frames), by relay name.
     """
 
     rounds: int
@@ -176,6 +178,7 @@ class TreeReport:
     min_cut_bound: int
     blocks_recoded: int
     relay_stats: dict[str, RelayStats] = field(default_factory=dict)
+    uplink_wire: dict[str, WireStats] = field(default_factory=dict)
 
 
 class MulticastTree:
@@ -344,4 +347,5 @@ class MulticastTree:
             min_cut_bound=self.min_cut_bound,
             blocks_recoded=sum(r.stats.blocks_recoded for r in self.relays),
             relay_stats={r.name: r.stats.snapshot() for r in self.relays},
+            uplink_wire={u.relay.name: u.wire.snapshot() for u in self.uplinks},
         )

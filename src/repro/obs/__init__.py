@@ -4,10 +4,11 @@ The paper's results are *measurements* — per-kernel throughput, TB-0..5
 variant breakdowns, segment-pipeline timing — so the reproduction keeps
 first-class instrumentation next to the code it measures:
 
-* :class:`MetricsRegistry` (``repro.obs.registry``) — labeled counters,
-  gauges and log-scale-bucket histograms; every layer (kernels, codec,
-  wire, serving pipeline, transport) publishes into one process-wide
-  default registry.
+* :class:`MetricsRegistry` (``repro.obs.registry``) — labeled gauges
+  and log-scale-bucket histograms: the process-wide span timings and
+  the autoscaler's control inputs.  Every counter lives in its
+  component's stats object (``repro.obs.stats``) and is exported by
+  that object's ``series()``.
 * :func:`trace` (``repro.obs.trace``) — nestable, thread-safe span
   timing on ``perf_counter_ns``; disabled by default so hot paths pay a
   branch, enabled with :func:`enable_tracing` / ``with tracing():``.
@@ -25,15 +26,11 @@ from repro.obs.export import (
     snapshot_document,
 )
 from repro.obs.registry import (
-    Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
     get_registry,
     merge_snapshots,
-    obs_counter,
-    obs_gauge,
-    obs_histogram,
     quantile_from_buckets,
     set_registry,
 )
@@ -49,7 +46,6 @@ from repro.obs.trace import (
 )
 
 __all__ = [
-    "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
@@ -61,9 +57,6 @@ __all__ = [
     "get_tracer",
     "load_snapshot",
     "merge_snapshots",
-    "obs_counter",
-    "obs_gauge",
-    "obs_histogram",
     "quantile_from_buckets",
     "render_breakdown_table",
     "render_metrics_summary",

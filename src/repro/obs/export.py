@@ -48,14 +48,9 @@ __all__ = [
 
 #: Span-name -> pipeline-stage mapping for the Table-2-style breakdown.
 DEFAULT_CATEGORIES: dict[str, tuple[str, ...]] = {
-    "encode": ("gpu_encode", "encode_coalesced", "encode_batch"),
+    "encode": ("gpu_encode",),
     "recode": ("recode_intake", "recode_emit"),
-    "decode": (
-        "decode_intake",
-        "decode_eliminate",
-        "two_stage_decode",
-        "quarantine_rebuild",
-    ),
+    "decode": ("decode_intake", "two_stage_decode", "quarantine_rebuild"),
     "wire": ("wire_pack", "wire_unpack"),
     "scheduler": ("scheduler_plan",),
 }
@@ -260,8 +255,8 @@ def snapshot_document(
 
     ``series`` are registry-shaped component exports (a server's
     ``stats_snapshot()``, a session's ``stats.series("client")``)
-    merged into the registry's snapshot, since the registry holds only
-    the series no stats object owns.
+    merged into the registry's snapshot, since the registry keeps no
+    counters: only span timings and the autoscaler's inputs.
     """
     registry = registry if registry is not None else get_registry()
     tracer = tracer if tracer is not None else get_tracer()

@@ -1,4 +1,4 @@
-"""The metrics registry: the series no stats object owns.
+"""The metrics registry: span timings and the autoscaler's inputs.
 
 A component's stats object is its ledger: ``ServerStats``,
 ``RelayStats``, ``SessionStats`` (with its nested ``WireStats``),
@@ -7,35 +7,36 @@ only place their counters live, and an endpoint's ``stats_snapshot()``
 (built from :meth:`~repro.obs.stats.CumulativeStats.series`) is their
 export — it crosses processes, since a cluster worker ships its
 server's snapshot over the pipe.  Nothing mirrors those fields here.
-:class:`MetricsRegistry` holds the series that no object owns (span
-durations, wire frames and bytes packed and unpacked, the decoder and
-recoder counters, the kernels' encode counters, the coalesce batch-size
-and failure-detection histograms, the load harness's control inputs):
-a named, labeled set of
+:class:`MetricsRegistry` holds only what nothing else keeps and
+something reads back:
 
-* **counters** — monotonically increasing totals (frames packed,
-  innovative blocks, kernel encode calls);
-* **gauges** — last-observed values (occupancy efficiency, load-test
-  utilization);
-* **histograms** — distributions over fixed log-scale (power-of-two)
-  buckets (span durations, coalesce batch sizes), stored sparsely so an
-  unused histogram costs nothing.
+* the ``span_ns{span=...}`` histograms, one per span name, which
+  :mod:`repro.obs.trace` fills while tracing is enabled;
+* the gauge ``loadtest_utilization`` and
+* the histogram ``loadtest_admission_delay_rounds`` — the load
+  harness writes both each round and the autoscaler reads them as its
+  control inputs.
 
-Labels are plain keyword arguments (``registry.counter("blocks_served",
-component="server", scheme="table_5")``); each distinct label set is its
-own time series, exactly as in Prometheus.  Metric handles are memoized,
-so call sites may either cache the handle (hot paths) or re-resolve by
-name every time (cold paths) — both hit the same object.
+Histograms are distributions over fixed log-scale (power-of-two)
+buckets, stored sparsely so an unused histogram costs nothing; gauges
+are last-observed values.  Labels are plain keyword arguments
+(``registry.histogram("span_ns", span="wire_pack")``); each distinct
+label set is its own series, exactly as in Prometheus.  Handles are
+memoized, so a call site may cache one or re-resolve it by name — both
+hit the same object.
 
-Snapshots (:meth:`MetricsRegistry.snapshot`) are plain JSON-able dicts.
-:func:`merge_snapshots` folds snapshots together **associatively**:
-counters and histogram buckets add, gauges take the right-hand value
-(right-biased union).  Associativity is what makes per-thread or
-per-process registries composable in any grouping order — a property the
-test suite checks with Hypothesis.
+Snapshots (:meth:`MetricsRegistry.snapshot`) are plain JSON-able dicts
+with ``counters``, ``gauges`` and ``histograms`` sections; the registry
+leaves ``counters`` empty, and the stats objects' ``series()`` exports
+fill it when :func:`merge_snapshots` folds them in.  The merge is
+**associative**: counters and histogram buckets add, gauges take the
+right-hand value (right-biased union).  Associativity is what makes
+per-thread or per-process snapshots composable in any grouping order —
+a property the test suite checks with Hypothesis.
 
-Thread safety: metric creation takes the registry lock; each metric
-mutates under its own lock, so concurrent increments never lose updates.
+Thread safety: series creation takes the registry lock; each series
+mutates under its own lock, so concurrent observations never lose
+updates.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ import math
 import threading
 
 __all__ = [
-    "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
@@ -52,9 +52,6 @@ __all__ = [
     "bucket_bounds",
     "get_registry",
     "merge_snapshots",
-    "obs_counter",
-    "obs_gauge",
-    "obs_histogram",
     "quantile_from_buckets",
     "set_registry",
 ]
@@ -98,28 +95,6 @@ def bucket_bounds(index: int) -> tuple[float, float]:
     return (2.0**index, 2.0 ** (index + 1))
 
 
-class Counter:
-    """A monotonically increasing total."""
-
-    __slots__ = ("name", "labels", "_lock", "_value")
-
-    def __init__(self, name: str, labels: LabelItems) -> None:
-        self.name = name
-        self.labels = labels
-        self._lock = threading.Lock()
-        self._value = 0.0
-
-    @property
-    def value(self) -> float:
-        return self._value
-
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError(f"counter {self.name} cannot decrease ({amount})")
-        with self._lock:
-            self._value += amount
-
-
 class Gauge:
     """A last-observed value (may go up or down)."""
 
@@ -138,13 +113,6 @@ class Gauge:
     def set(self, value: float) -> None:
         with self._lock:
             self._value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.inc(-amount)
 
 
 class Histogram:
@@ -260,11 +228,10 @@ def quantile_from_buckets(
 
 
 class MetricsRegistry:
-    """A named, labeled collection of counters, gauges and histograms."""
+    """A named, labeled collection of gauges and histograms."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._counters: dict[tuple[str, LabelItems], Counter] = {}
         self._gauges: dict[tuple[str, LabelItems], Gauge] = {}
         self._histograms: dict[tuple[str, LabelItems], Histogram] = {}
 
@@ -279,9 +246,6 @@ class MetricsRegistry:
                     table[key] = metric
         return metric
 
-    def counter(self, name: str, **labels: object) -> Counter:
-        return self._resolve(self._counters, Counter, name, labels)
-
     def gauge(self, name: str, **labels: object) -> Gauge:
         return self._resolve(self._gauges, Gauge, name, labels)
 
@@ -292,10 +256,6 @@ class MetricsRegistry:
 
     def snapshot(self) -> dict:
         """A JSON-able view of every series (see :func:`merge_snapshots`)."""
-        counters = {
-            _series_key(name, labels): metric.value
-            for (name, labels), metric in sorted(self._counters.items())
-        }
         gauges = {
             _series_key(name, labels): metric.value
             for (name, labels), metric in sorted(self._gauges.items())
@@ -314,7 +274,7 @@ class MetricsRegistry:
                     },
                 }
         return {
-            "counters": counters,
+            "counters": {},
             "gauges": gauges,
             "histograms": histograms,
         }
@@ -322,9 +282,6 @@ class MetricsRegistry:
     def reset(self) -> None:
         """Zero every series without invalidating cached handles."""
         with self._lock:
-            for counter in self._counters.values():
-                with counter._lock:
-                    counter._value = 0.0
             for gauge in self._gauges.values():
                 with gauge._lock:
                     gauge._value = 0.0
@@ -339,7 +296,6 @@ class MetricsRegistry:
     def clear(self) -> None:
         """Drop every series (cached handles become orphans)."""
         with self._lock:
-            self._counters.clear()
             self._gauges.clear()
             self._histograms.clear()
 
@@ -386,40 +342,9 @@ def merge_snapshots(*snapshots: dict) -> dict:
     }
 
 
-#: The process-wide default registry every instrumented layer writes to.
+#: The process-wide default registry the tracer and load harness write to.
 _default_registry = MetricsRegistry()
 _registry_lock = threading.Lock()
-
-#: (registry id, metric name) -> handle, for the module-level helpers
-#: below.  Caching by name only keeps the hot-path lookup to one dict
-#: probe; call sites that need labels resolve through the registry
-#: directly instead.  ``registry.reset()`` keeps cached handles live.
-_handle_cache: dict[tuple[int, str, str], object] = {}
-
-
-def _cached_handle(kind: str, name: str):
-    registry = _default_registry
-    key = (id(registry), kind, name)
-    handle = _handle_cache.get(key)
-    if handle is None:
-        handle = getattr(registry, kind)(name)
-        _handle_cache[key] = handle
-    return handle
-
-
-def obs_counter(name: str) -> Counter:
-    """The default registry's unlabeled counter ``name`` (handle cached)."""
-    return _cached_handle("counter", name)
-
-
-def obs_gauge(name: str) -> Gauge:
-    """The default registry's unlabeled gauge ``name`` (handle cached)."""
-    return _cached_handle("gauge", name)
-
-
-def obs_histogram(name: str) -> Histogram:
-    """The default registry's unlabeled histogram ``name`` (handle cached)."""
-    return _cached_handle("histogram", name)
 
 
 def get_registry() -> MetricsRegistry:

@@ -1,6 +1,6 @@
 """Low-overhead span tracing for the hot paths.
 
-``with trace("encode_coalesced", segment=3):`` times a region with
+``with trace("gpu_encode", scheme="table_5"):`` times a region with
 ``time.perf_counter_ns`` and records a :class:`SpanRecord` — name,
 labels, start, duration, nesting depth and which *root* span (e.g. one
 ``serve_round``) it belongs to.  Spans nest arbitrarily and each thread
@@ -15,8 +15,8 @@ benchmark pins both costs).  Enable with :func:`enable_tracing`, or
 scoped with ``with tracing():``.
 
 Every finished span is also observed into the default metrics registry
-(histogram ``span_ns{span=...}``), so span timing shows up in the same
-snapshot as the counters — one source of truth.
+(histogram ``span_ns{span=...}``), so a registry snapshot carries the
+span timings beside whatever component exports it is merged with.
 """
 
 from __future__ import annotations
@@ -75,10 +75,10 @@ class Tracer:
         self._state = _ThreadState()
         self._root_lock = threading.Lock()
         self._root_seq = 0
-        self._mirror_to_registry = True
-        # (registry id, span name) -> histogram handle; registry.reset()
-        # keeps handles live, so the cache only turns over on swap/clear.
-        self._histogram_cache: dict[tuple[int, str], object] = {}
+        # (registry, span name -> histogram handle), rebuilt when the
+        # default registry is swapped.  Keyed by the registry itself, not
+        # its id: a new registry may reuse a collected one's id.
+        self._span_histograms: tuple[object, dict[str, object]] = (None, {})
 
     def records(self) -> list[SpanRecord]:
         """The retained spans, oldest first (a copy)."""
@@ -104,14 +104,17 @@ class Tracer:
             thread_id=threading.get_ident(),
         )
         self._records.append(record)
-        if self._mirror_to_registry:
-            registry = get_registry()
-            key = (id(registry), span.name)
-            histogram = self._histogram_cache.get(key)
-            if histogram is None:
-                histogram = registry.histogram("span_ns", span=span.name)
-                self._histogram_cache[key] = histogram
-            histogram.observe(duration_ns)
+        registry = get_registry()
+        owner, handles = self._span_histograms
+        if owner is not registry:
+            handles = {}
+            self._span_histograms = (registry, handles)
+        histogram = handles.get(span.name)
+        if histogram is None:
+            histogram = handles[span.name] = registry.histogram(
+                "span_ns", span=span.name
+            )
+        histogram.observe(duration_ns)
 
 
 class _NullSpan:

@@ -77,25 +77,6 @@ class ExperimentSummary:
     def completion_rate(self) -> float:
         return self.completed_runs / self.runs if self.runs else 0.0
 
-    def publish(self) -> None:
-        """Report this summary as gauges (idempotent; last write wins)."""
-        from repro.obs.registry import get_registry
-
-        registry = get_registry()
-        label = self.strategy.name.lower()
-        registry.gauge("p2p_completion_rate", strategy=label).set(
-            self.completion_rate
-        )
-        registry.gauge("p2p_mean_completion_round", strategy=label).set(
-            self.mean_completion_round
-        )
-        registry.gauge("p2p_mean_innovative_ratio", strategy=label).set(
-            self.mean_innovative_ratio
-        )
-        registry.gauge("p2p_mean_blocks_sent", strategy=label).set(
-            self.mean_blocks_sent
-        )
-
 
 def run_experiment(
     graph_builder,

@@ -42,7 +42,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import DecodingError
-from repro.obs import obs_counter
 from repro.obs.trace import trace
 from repro.gf256 import matmul, select_and_invert
 from repro.gf256.engine import ENGINE, AbsorbTarget
@@ -330,13 +329,11 @@ class ProgressiveDecoder:
         payloads = self._raw_payloads[keep]
         sources = [self._sources[row] for row in keep]
         self._quarantined += len(doomed)
-        obs_counter("decoder_quarantined_rows").inc(len(doomed))
         with trace("quarantine_rebuild", segment=self._segment_id):
             self._reset_elimination()
             self._absorb(coefficients, payloads, sources, count_discards=False)
         if self.rank < held:
             self._rank_regressions += 1
-            obs_counter("decoder_rank_regressions").inc()
         return self.rank
 
     def quarantine_source(self, source: object) -> int:
@@ -509,7 +506,6 @@ def consume_cohort(
             rows for a decoder that is already complete.
     """
     live = []
-    offered = 0
     for index, (decoder, (start, stop)) in enumerate(zip(decoders, bounds)):
         n, k = decoder._params.num_blocks, decoder._params.block_size
         if coefficients.shape[1] != n or payloads.shape[1] != k:
@@ -521,7 +517,6 @@ def consume_cohort(
             if decoder.is_complete:
                 raise DecodingError("decoder already holds a full-rank system")
             live.append(index)
-            offered += stop - start
     if len({id(decoders[index]) for index in live}) != len(live):
         raise DecodingError("a cohort lists one decoder twice")
     counts = [0] * len(decoders)
@@ -543,9 +538,6 @@ def consume_cohort(
         )
     for index, count in zip(live, taken):
         counts[index] = count
-    innovative = sum(taken)
-    obs_counter("decoder_blocks_innovative").inc(innovative)
-    obs_counter("decoder_blocks_discarded").inc(offered - innovative)
     return counts
 
 

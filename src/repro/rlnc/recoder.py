@@ -24,7 +24,6 @@ import numpy as np
 
 from repro.errors import DecodingError
 from repro.gf256.engine import ENGINE
-from repro.obs import obs_counter
 from repro.obs.trace import trace
 from repro.rlnc.block import BlockBatch, CodedBlock, CodingParams
 from repro.rlnc.decoder import ProgressiveDecoder
@@ -84,25 +83,19 @@ class Recoder:
         if decoder is None:
             return 0
         with trace("recode_intake", segment=self._segment_id):
-            accepted = decoder.consume_batch(coefficients, payloads)
-        self._kept(accepted)
-        return accepted
+            return decoder.consume_batch(coefficients, payloads)
 
     def _offer(self, rows: int) -> ProgressiveDecoder | None:
         """The decoder that takes ``rows`` offered rows, or ``None``.
 
         At full rank the rows are counted in :attr:`discarded` instead.
         A receiving cohort absorbs into the returned decoder with every
-        other receiver's (:func:`~repro.rlnc.decoder.consume_cohort`),
-        then reports the kept count to :meth:`_kept`.
+        other receiver's (:func:`~repro.rlnc.decoder.consume_cohort`).
         """
         if self._decoder.is_complete:
             self._offered_at_full_rank += rows
             return None
         return self._decoder
-
-    def _kept(self, accepted: int) -> None:
-        obs_counter("recoder_blocks_buffered").inc(accepted)
 
     def recode(self, rng: np.random.Generator) -> CodedBlock:
         """Emit one recoded block combining everything held.
@@ -135,13 +128,11 @@ class Recoder:
             payloads = np.empty((count, held_payloads.shape[1]), np.uint8)
             ENGINE.matmul(mix, held_coefficients, out=coefficients)
             ENGINE.matmul(mix, held_payloads, out=payloads)
-            batch = BlockBatch(
+            return BlockBatch(
                 coefficients=coefficients,
                 payloads=payloads,
                 segment_id=self._segment_id,
             )
-        obs_counter("recoder_blocks_emitted").inc(count)
-        return batch
 
     def recode_batch(self, count: int, rng: np.random.Generator) -> list[CodedBlock]:
         """Emit ``count`` independently-mixed recoded blocks.

@@ -99,7 +99,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import IntegrityError, WireError
-from repro.obs.registry import Counter, get_registry
 from repro.obs.stats import CumulativeStats
 from repro.rlnc.block import BlockBatch, CodedBlock
 
@@ -130,21 +129,6 @@ _FRAMING_MASK = np.frombuffer(
 #: part of the wire format, never change it.
 _WEIGHT_SEED = 0x524C4E43
 _weight_cache = np.empty(0, dtype=np.uint64)
-
-#: (registry id, metric name) -> counter handle.  The pack/unpack
-#: functions are module-level, so handles are cached here instead of on
-#: an instance; ``registry.reset()`` keeps cached handles live.
-_metric_cache: dict[tuple[int, str], Counter] = {}
-
-
-def _wire_counter(name: str) -> Counter:
-    registry = get_registry()
-    key = (id(registry), name)
-    counter = _metric_cache.get(key)
-    if counter is None:
-        counter = registry.counter(name, component="wire")
-        _metric_cache[key] = counter
-    return counter
 
 
 def _weights(count: int) -> np.ndarray:
@@ -468,8 +452,6 @@ def pack_blocks(
         else:
             digests = _digest64_rows(heads, batch.coefficients, batch.payloads)
             frames[rows, body:] = digests.astype(">u8").view(np.uint8).reshape(m, 8)
-    _wire_counter("wire_frames_packed").inc(m)
-    _wire_counter("wire_bytes_packed").inc(m * size_one)
     return region
 
 
@@ -569,7 +551,6 @@ def unpack_frame(data, offset: int = 0) -> tuple[CodedBlock, int, int | None]:
             f"header length fields (n={n}, k={k}) exceed the buffer: frame "
             f"needs {size} bytes, {len(view) - offset} remain"
         )
-    _wire_counter("wire_bytes_unpacked").inc(size)
     frame = np.frombuffer(view, dtype=np.uint8, count=size, offset=offset)
     _, intact, _ = _verify(
         frame.reshape(1, size), version, n, k, has_checksum, segment_id
@@ -636,7 +617,6 @@ def unpack_cohort(
         intact rows of another segment, which its policy accounts for.
     """
     n, k = num_blocks, block_size
-    _wire_counter("wire_bytes_unpacked").inc(frames.size)
     if len(set(segment_ids)) == 1:
         expected = segment_ids[0]
     else:
@@ -703,7 +683,6 @@ def unpack_blocks(data, *, copy: bool = False) -> BlockBatch:
             f"size {size_one} (torn frame or mixed geometry)"
         )
     frames = frame_rows(view, size_one)
-    _wire_counter("wire_bytes_unpacked").inc(frames.size)
     framed, intact, ours = _verify(frames, version, n, k, checksum, segment_id)
     if not (framed & ours).all():
         raise WireError(
@@ -835,14 +814,11 @@ def decode_stream(data: bytes) -> list[CodedBlock]:
         framed = _framed(frames, version, n, k, checksum)
         frames = frames[: count if framed.all() else int(np.argmin(framed))]
         _, intact, _ = _verify(frames, version, n, k, checksum, 0)
-        # Bytes count up to and including the first damaged frame.
         damaged = np.flatnonzero(~intact)
-        checked = int(damaged[0]) + 1 if len(damaged) else len(frames)
-        _wire_counter("wire_bytes_unpacked").inc(checked * size)
         if len(damaged):
             raise IntegrityError(
                 f"checksum mismatch in frame at offset "
-                f"{offset + (checked - 1) * size} (version {version}, n={n}, k={k})"
+                f"{offset + int(damaged[0]) * size} (version {version}, n={n}, k={k})"
             )
         ids = frames[:, _SEGMENT_OFFSET : _SEGMENT_OFFSET + 4].copy().view(">u4")
         coefficients = frames[:, header_size : header_size + n].copy()

@@ -45,7 +45,6 @@ from repro.errors import CapacityError, ConfigurationError, RetryLater
 from repro.gpu.spec import DeviceSpec
 from repro.kernels.cost_model import EncodeScheme
 from repro.kernels.encode import GpuEncoder
-from repro.obs.registry import get_registry
 from repro.obs.stats import CumulativeStats
 from repro.obs.trace import trace
 from repro.rlnc.block import BlockBatch, CodedBlock, Segment
@@ -582,9 +581,6 @@ class StreamingServer(EagerRounds):
         self._segments: dict[int, Segment] = {}
         self._capacity = segments_in_device_memory(spec, profile)
         self.stats = ServerStats()
-        # The one series no stats field owns: a distribution, cached
-        # once per server so the encode path pays a plain method call.
-        self._m_coalesce = get_registry().histogram("server_coalesce_batch_size")
 
     @property
     def stored_segments(self) -> int:
@@ -661,13 +657,11 @@ class StreamingServer(EagerRounds):
     def _emit(self, segment_id: int, total: int) -> BlockBatch:
         """``total`` fresh encodes of a segment: one coefficient draw,
         one bulk multiply, one cost-model charge."""
-        with trace("encode_coalesced", segment=segment_id):
-            result = self._encoder.encode(self._segments[segment_id], total, self._rng)
+        result = self._encoder.encode(self._segments[segment_id], total, self._rng)
         self.stats.encode_calls += 1
         self.stats.blocks_served += total
         self.stats.bytes_served += result.coded_bytes
         self.stats.gpu_seconds += result.time_seconds
-        self._m_coalesce.observe(total)
         return BlockBatch(
             coefficients=result.coefficients,
             payloads=result.payloads,

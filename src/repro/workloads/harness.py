@@ -275,8 +275,6 @@ def run_loadtest(
     registry = get_registry()
     g_util = registry.gauge(UTILIZATION_GAUGE)
     h_delay = registry.histogram(ADMISSION_DELAY_HISTOGRAM)
-    g_active = registry.gauge("loadtest_active_sessions")
-    g_waiting = registry.gauge("loadtest_waiting_sessions")
 
     stats = LoadStats()
     admission = AdmissionController()
@@ -394,8 +392,6 @@ def run_loadtest(
             peak_active = max(peak_active, active)
             stats.rounds += 1
             g_util.set(utilization)
-            g_active.set(active)
-            g_waiting.set(admission.waiting)
 
             event = scaler.step(round_index)
             if event is not None:

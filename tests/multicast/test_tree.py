@@ -121,6 +121,33 @@ class TestDistribution:
         # Loss means retransmissions: the lossy cohorts recoded extra.
         assert report.blocks_recoded > PARAMS.num_blocks * 2
 
+    def test_report_exports_each_uplinks_wire_damage(self):
+        # Only relay1's uplink corrupts frames: the report names its
+        # checksum failures under relay1 and a clean ledger for relay0.
+        segment = make_segment()
+        plan = FaultPlan(seed=4, corrupt_rate=0.3)
+        tree = MulticastTree(
+            make_root(segment),
+            PROFILE,
+            relays=2,
+            leaves_per_relay=2,
+            seed=1,
+            uplink_fault_plans={1: plan},
+        )
+        report = tree.distribute(segment)
+        assert report.payload_ok
+        assert set(report.uplink_wire) == {"relay0", "relay1"}
+        damaged = report.uplink_wire["relay1"]
+        assert damaged.checksum_failures > 0
+        assert damaged.checksum_failures + damaged.malformed == (
+            plan.counters.corrupted
+        )
+        clean = report.uplink_wire["relay0"]
+        assert clean.checksum_failures == clean.malformed == 0
+        assert clean.frames_ok > 0
+        # The report holds snapshots, not the live ledgers.
+        assert damaged is not tree.uplinks[1].wire
+
     def test_same_seed_trees_are_deterministic(self):
         segment = make_segment()
         reports = [

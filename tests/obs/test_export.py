@@ -12,7 +12,7 @@ from repro.obs.export import (
     self_times,
     snapshot_document,
 )
-from repro.obs.registry import MetricsRegistry, set_registry
+from repro.obs.registry import MetricsRegistry, merge_snapshots, set_registry
 from repro.obs.trace import SpanRecord, Tracer, get_tracer, trace, tracing
 
 
@@ -60,7 +60,7 @@ class TestRoundBreakdown:
     def make_round(self, root):
         return [
             span("wire_pack", 100, depth=1, root=root, root_name="serve_round"),
-            span("encode_coalesced", 600, depth=1, root=root, root_name="serve_round"),
+            span("gpu_encode", 600, depth=1, root=root, root_name="serve_round"),
             span("serve_round", 1000, root=root),
         ]
 
@@ -94,10 +94,10 @@ class TestRoundBreakdown:
 class TestPrometheus:
     def test_counters_gauges_histograms_render(self):
         registry = MetricsRegistry()
-        registry.counter("frames", peer=1).inc(3)
         registry.gauge("depth").set(2)
         registry.histogram("lat").observe(3.0)
-        text = render_prometheus(registry.snapshot())
+        export = {"counters": {'frames{peer="1"}': 3}}
+        text = render_prometheus(merge_snapshots(export, registry.snapshot()))
         assert "# TYPE frames counter" in text
         assert 'frames{peer="1"} 3' in text
         assert "# TYPE depth gauge" in text
@@ -126,13 +126,14 @@ class TestPrometheus:
 class TestSnapshotFiles:
     def test_save_load_round_trip(self, tmp_path):
         registry = MetricsRegistry()
-        registry.counter("c").inc(5)
         tracer = Tracer()
         tracer.enabled = True
         previous = set_registry(registry)
         try:
             path = tmp_path / "snap.json"
-            document = save_snapshot(path, registry=registry, tracer=tracer)
+            document = save_snapshot(
+                path, {"counters": {"c": 5}}, registry=registry, tracer=tracer
+            )
             assert json.loads(path.read_text()) == document
             metrics, records = load_snapshot(path)
             assert metrics["counters"]["c"] == 5
@@ -175,10 +176,10 @@ class TestSnapshotFiles:
 
     def test_metrics_summary_mentions_every_kind(self):
         registry = MetricsRegistry()
-        registry.counter("c").inc(1)
         registry.gauge("g").set(2)
         registry.histogram("h").observe(4.0)
-        text = render_metrics_summary(registry.snapshot())
+        export = {"counters": {"c": 1}}
+        text = render_metrics_summary(merge_snapshots(export, registry.snapshot()))
         assert "counters:" in text
         assert "gauges:" in text
         assert "histograms:" in text

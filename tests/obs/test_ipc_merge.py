@@ -5,9 +5,10 @@ a command pipe and folds the lot with :func:`merge_snapshots`.  These
 tests pin the contract that makes that sound:
 
 * partitioning a stream of metric operations across per-process
-  registries, shipping each snapshot through a *real*
+  shards (a stats object for the counters, a registry for gauges and
+  histograms), shipping each shard's snapshot through a *real*
   ``multiprocessing.Pipe`` (an actual pickle round trip), and merging
-  must equal applying every operation to one registry;
+  must equal applying every operation to one shard;
 * a snapshot built in a genuine child process merges identically.
 
 Gauges are last-write-wins under merge, so cross-process gauges must be
@@ -16,14 +17,34 @@ that with a per-shard label.
 """
 
 import multiprocessing as mp
+from dataclasses import dataclass, field
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs import MetricsRegistry, merge_snapshots
+from repro.obs.stats import CumulativeStats
 
 COUNTERS = ("blocks_served", "bytes_served", "rounds_served")
 SHARDS = 4
+
+
+@dataclass
+class ShardStats(CumulativeStats):
+    blocks_served: int = 0
+    bytes_served: int = 0
+    rounds_served: int = 0
+
+
+@dataclass
+class Shard:
+    """One process's metrics: its stats ledger and its registry."""
+
+    stats: ShardStats = field(default_factory=ShardStats)
+    registry: MetricsRegistry = field(default_factory=MetricsRegistry)
+
+    def snapshot(self):
+        return merge_snapshots(self.stats.series("shard"), self.registry.snapshot())
 
 operations = st.lists(
     st.tuples(
@@ -47,21 +68,22 @@ def pipe_round_trip(obj):
         receiver.close()
 
 
-def apply(registry, shard, kind, name_index, amount):
+def apply(target, shard, kind, name_index, amount):
     if kind == "counter":
-        registry.counter(COUNTERS[name_index]).inc(amount)
+        name = COUNTERS[name_index]
+        setattr(target.stats, name, getattr(target.stats, name) + amount)
     elif kind == "histogram":
-        registry.histogram("batch_bytes").observe(float(amount))
+        target.registry.histogram("batch_bytes").observe(float(amount))
     else:
         # disjoint per-shard labels, like the cluster's worker="N"
-        registry.gauge("queue_depth", shard=str(shard)).set(float(amount))
+        target.registry.gauge("queue_depth", shard=str(shard)).set(float(amount))
 
 
 @settings(deadline=None, max_examples=50)
 @given(operations)
 def test_piped_shard_snapshots_merge_to_in_process_accumulation(ops):
-    shards = [MetricsRegistry() for _ in range(SHARDS)]
-    whole = MetricsRegistry()
+    shards = [Shard() for _ in range(SHARDS)]
+    whole = Shard()
     for shard, kind, name_index, amount in ops:
         apply(shards[shard], shard, kind, name_index, amount)
         apply(whole, shard, kind, name_index, amount)
@@ -72,10 +94,10 @@ def test_piped_shard_snapshots_merge_to_in_process_accumulation(ops):
 
 
 def _child_main(conn, ops):
-    registry = MetricsRegistry()
+    target = Shard()
     for shard, kind, name_index, amount in ops:
-        apply(registry, shard, kind, name_index, amount)
-    conn.send(registry.snapshot())
+        apply(target, shard, kind, name_index, amount)
+    conn.send(target.snapshot())
     conn.close()
 
 
@@ -98,11 +120,12 @@ def test_child_process_snapshot_merges_with_the_parents():
         receiver.close()
     assert process.exitcode == 0
 
-    local = MetricsRegistry()
-    local.counter(COUNTERS[0]).inc(5)
-    local.gauge("queue_depth", shard="0").set(2.0)
+    local = Shard()
+    apply(local, 0, "counter", 0, 5)
+    apply(local, 0, "gauge", 0, 2)
     merged = merge_snapshots(local.snapshot(), remote)
-    assert merged["counters"][COUNTERS[0]] == 12.0
-    assert merged["counters"][COUNTERS[1]] == 100.0
+    assert merged["counters"]["shard_blocks_served"] == 12.0
+    assert merged["counters"]["shard_bytes_served"] == 100.0
+    assert merged["counters"]["shard_rounds_served"] == 0.0
     assert merged["gauges"]['queue_depth{shard="0"}'] == 2.0
     assert merged["gauges"]['queue_depth{shard="1"}'] == 9.0

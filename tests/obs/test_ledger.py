@@ -1,9 +1,10 @@
 """One counter ledger: each component counts in its stats object only.
 
-A serving run leaves the process registry free of every component's
-counters, on every substrate: a component's ``stats_snapshot()`` (or
-``stats.series()``) is its export, and the registry holds only the
-series no stats object owns.  Because a worker process ships its
+A serving run leaves the process registry with no counter and no gauge,
+on every substrate: a component's ``stats_snapshot()`` (or
+``stats.series()``) is its export, and the registry keeps only span
+timings (none here: tracing is off) and the load harness's control
+inputs (no load test runs here).  Because a worker process ships its
 server's snapshot over the pipe, a serial and a parallel cluster given
 the same seeded work export the same counters.
 """
@@ -25,7 +26,6 @@ pytestmark = pytest.mark.timeout(120)
 PROFILE = MediaProfile(params=CodingParams(8, 64))
 SEGMENTS = 2
 PEERS = 4
-COMPONENTS = ("server_", "relay_", "cluster_", "supervisor_", "client_")
 
 
 @pytest.fixture
@@ -62,15 +62,6 @@ def fetch_all(endpoint):
         for session in sessions:
             session.finish_segment()
     return sessions
-
-
-def component_series(snapshot):
-    return sorted(
-        key
-        for section in ("counters", "gauges")
-        for key in snapshot[section]
-        if key.startswith(COMPONENTS)
-    )
 
 
 def server_run():
@@ -120,7 +111,12 @@ class TestRegistryHoldsNoComponentCounters:
     @pytest.mark.parametrize("run", list(RUNS), ids=list(RUNS))
     def test_serving_run_leaves_no_component_series(self, registry, run):
         snapshot, sessions = RUNS[run]()
-        assert component_series(registry.snapshot()) == []
+        left = registry.snapshot()
+        assert left["counters"] == {}
+        assert left["gauges"] == {}
+        assert [
+            key for key in left["histograms"] if not key.startswith("span_ns{")
+        ] == []
         # The ledgers did count: the export is where the counters are.
         assert any(value > 0 for value in snapshot["counters"].values())
         client = sessions[0].stats.series("client")["counters"]

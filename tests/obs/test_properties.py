@@ -5,14 +5,15 @@ Three laws, checked with Hypothesis:
 * **transparency** — the serving pipeline produces byte-identical coded
   blocks with tracing enabled and disabled (instrumentation observes,
   never participates);
-* **round-trippability** — registry snapshots survive JSON
-  encode/decode unchanged;
+* **round-trippability** — registry snapshots, with a stats object's
+  ``series()`` export folded in, survive JSON encode/decode unchanged;
 * **associativity** — merging per-thread snapshots gives the same total
   in any grouping order, so sharded registries compose.
 """
 
 import json
 import threading
+from dataclasses import dataclass
 
 import numpy as np
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro.gpu import GTX280
 from repro.obs.registry import MetricsRegistry, merge_snapshots
+from repro.obs.stats import CumulativeStats
 from repro.obs.trace import get_tracer, tracing
 from repro.rlnc import CodingParams, Segment
 from repro.streaming import MediaProfile, StreamingServer
@@ -86,15 +88,25 @@ histogram_events = st.lists(
 )
 
 
+@dataclass
+class Tally(CumulativeStats):
+    """A stats object whose ``series()`` export fills the counters."""
+
+    a: int = 0
+    b: int = 0
+    c: int = 0
+
+
 def build_snapshot(counters, gauges, observations):
-    registry = MetricsRegistry()
+    tally = Tally()
     for name, amount in counters:
-        registry.counter(name).inc(amount)
+        setattr(tally, name, getattr(tally, name) + amount)
+    registry = MetricsRegistry()
     for name, value in gauges:
         registry.gauge(name).set(value)
     for value in observations:
         registry.histogram("hist").observe(value)
-    return registry.snapshot()
+    return merge_snapshots(tally.series("tally"), registry.snapshot())
 
 
 class TestSnapshotProperties:
@@ -129,9 +141,9 @@ class TestSnapshotProperties:
         threads = []
 
         def worker(registry, amounts):
-            counter = registry.counter("hits")
+            histogram = registry.histogram("hits")
             for amount in amounts:
-                counter.inc(amount)
+                histogram.observe(float(amount))
 
         for registry, amounts in zip(registries, per_thread):
             thread = threading.Thread(target=worker, args=(registry, amounts))
@@ -141,5 +153,6 @@ class TestSnapshotProperties:
             thread.join()
         snapshots = [registry.snapshot() for registry in registries]
         merged = merge_snapshots(*snapshots)
-        expected = sum(sum(amounts) for amounts in per_thread)
-        assert merged.get("counters", {}).get("hits", 0) == expected
+        hits = merged["histograms"].get("hits", {})
+        assert hits.get("count", 0) == sum(len(amounts) for amounts in per_thread)
+        assert hits.get("sum", 0) == sum(sum(amounts) for amounts in per_thread)

@@ -12,9 +12,6 @@ from repro.obs.registry import (
     bucket_index,
     get_registry,
     merge_snapshots,
-    obs_counter,
-    obs_gauge,
-    obs_histogram,
     quantile_from_buckets,
     set_registry,
 )
@@ -46,22 +43,13 @@ class TestBuckets:
 
 
 class TestMetrics:
-    def test_counter_accumulates_and_rejects_decrease(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("frames")
-        counter.inc()
-        counter.inc(4)
-        assert counter.value == 5
-        with pytest.raises(ValueError):
-            counter.inc(-1)
-
-    def test_gauge_set_inc_dec(self):
+    def test_gauge_keeps_the_last_set_value(self):
         registry = MetricsRegistry()
         gauge = registry.gauge("depth")
+        assert gauge.value == 0
         gauge.set(10)
-        gauge.inc(5)
-        gauge.dec(3)
-        assert gauge.value == 12
+        gauge.set(3)
+        assert gauge.value == 3
 
     def test_histogram_tracks_count_sum_min_max(self):
         registry = MetricsRegistry()
@@ -75,39 +63,42 @@ class TestMetrics:
 
     def test_handles_are_memoized(self):
         registry = MetricsRegistry()
-        assert registry.counter("x") is registry.counter("x")
-        assert registry.counter("x", a=1) is registry.counter("x", a=1)
-        assert registry.counter("x", a=1) is not registry.counter("x", a=2)
-        assert registry.counter("x", a=1, b=2) is registry.counter("x", b=2, a=1)
+        assert registry.gauge("x") is registry.gauge("x")
+        assert registry.histogram("x", a=1) is registry.histogram("x", a=1)
+        assert registry.histogram("x", a=1) is not registry.histogram("x", a=2)
+        assert registry.gauge("x", a=1, b=2) is registry.gauge("x", b=2, a=1)
 
     def test_labels_make_distinct_series(self):
         registry = MetricsRegistry()
-        registry.counter("served", scheme="table_5").inc(3)
-        registry.counter("served", scheme="loop").inc(4)
+        registry.gauge("served", scheme="table_5").set(3)
+        registry.gauge("served", scheme="loop").set(4)
+        registry.histogram("span_ns", span="wire_pack").observe(2.0)
         snapshot = registry.snapshot()
-        assert snapshot["counters"]['served{scheme="loop"}'] == 4
-        assert snapshot["counters"]['served{scheme="table_5"}'] == 3
+        assert snapshot["gauges"]['served{scheme="loop"}'] == 4
+        assert snapshot["gauges"]['served{scheme="table_5"}'] == 3
+        assert snapshot["histograms"]['span_ns{span="wire_pack"}']["count"] == 1
+        assert snapshot["counters"] == {}
 
 
 class TestRegistryLifecycle:
     def test_reset_zeroes_but_keeps_handles_live(self):
         registry = MetricsRegistry()
-        counter = registry.counter("c")
+        gauge = registry.gauge("g")
         histogram = registry.histogram("h")
-        counter.inc(7)
+        gauge.set(7)
         histogram.observe(2.0)
         registry.reset()
-        assert counter.value == 0
+        assert gauge.value == 0
         assert histogram.count == 0
-        counter.inc()
-        assert registry.snapshot()["counters"]["c"] == 1
+        histogram.observe(4.0)
+        assert registry.snapshot()["histograms"]["h"]["count"] == 1
 
     def test_clear_orphans_handles(self):
         registry = MetricsRegistry()
-        counter = registry.counter("c")
+        histogram = registry.histogram("h")
         registry.clear()
-        counter.inc()
-        assert registry.snapshot()["counters"] == {}
+        histogram.observe(1.0)
+        assert registry.snapshot()["histograms"] == {}
 
     def test_set_registry_swaps_default(self):
         fresh = MetricsRegistry()
@@ -118,36 +109,23 @@ class TestRegistryLifecycle:
             set_registry(previous)
         assert get_registry() is previous
 
-    def test_module_helpers_resolve_on_current_default(self):
-        fresh = MetricsRegistry()
-        previous = set_registry(fresh)
-        try:
-            obs_counter("helper_series").inc(2)
-            obs_gauge("helper_gauge").set(5)
-            obs_histogram("helper_hist").observe(1.0)
-            snapshot = fresh.snapshot()
-            assert snapshot["counters"]["helper_series"] == 2
-            assert snapshot["gauges"]["helper_gauge"] == 5
-            assert snapshot["histograms"]["helper_hist"]["count"] == 1
-            assert obs_counter("helper_series") is obs_counter("helper_series")
-        finally:
-            set_registry(previous)
-
 
 class TestSnapshotsAndMerge:
     def make(self, *increments):
-        registry = MetricsRegistry()
+        """A component export's counters section, as ``series()`` builds."""
+        counters = {}
         for name, amount in increments:
-            registry.counter(name).inc(amount)
-        return registry.snapshot()
+            counters[name] = counters.get(name, 0) + amount
+        return {"counters": counters, "gauges": {}, "histograms": {}}
 
     def test_snapshot_is_json_round_trippable(self):
         registry = MetricsRegistry()
-        registry.counter("c", peer=3).inc(2)
         registry.gauge("g").set(1.5)
         registry.histogram("h").observe(9.0)
         snapshot = registry.snapshot()
         assert json.loads(json.dumps(snapshot)) == snapshot
+        merged = merge_snapshots(self.make(('c{peer="3"}', 2)), snapshot)
+        assert json.loads(json.dumps(merged)) == merged
 
     def test_merge_adds_counters_and_histograms(self):
         left = self.make(("a", 1), ("b", 2))
@@ -179,18 +157,20 @@ class TestSnapshotsAndMerge:
 
     def test_concurrent_increments_never_lose_updates(self):
         registry = MetricsRegistry()
-        counter = registry.counter("hits")
+        histogram = registry.histogram("hits")
 
         def worker():
             for _ in range(1000):
-                counter.inc()
+                histogram.observe(1.0)
 
         threads = [threading.Thread(target=worker) for _ in range(8)]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join()
-        assert counter.value == 8000
+        assert histogram.count == 8000
+        assert histogram.sum == 8000.0
+        assert histogram.buckets() == {0: 8000}
 
 
 class TestQuantileFromBuckets:

@@ -1,5 +1,6 @@
 """Unit tests for the span tracer."""
 
+import gc
 import threading
 
 import pytest
@@ -139,6 +140,23 @@ class TestRegistryMirror:
             assert payload["sum"] > 0
         finally:
             set_registry(previous)
+
+    def test_each_swapped_in_registry_gets_its_spans(self):
+        # A collected registry's id is soon reused by a new one; the
+        # new registry must still receive the spans traced under it.
+        for _ in range(30):
+            fresh = MetricsRegistry()
+            previous = set_registry(fresh)
+            try:
+                with tracing():
+                    with trace("swapped"):
+                        pass
+            finally:
+                set_registry(previous)
+            histograms = fresh.snapshot()["histograms"]
+            assert histograms['span_ns{span="swapped"}']["count"] == 1
+            del fresh
+            gc.collect()
 
 
 class TestCapacity:

@@ -7,13 +7,11 @@ strict readers verified one frame matrix with a framing check plus a
 separate segment filter.  Every writer must stay byte-identical to it
 (v1 and v2, checksum on and off, worker stamps, sequences wrapping at
 2^32, ``offset`` and ``slots``), every strict reader must raise the same
-exception type on torn, foreign and single-bit-flipped input, and the
-wire registry counters must move by the same amounts.
+exception type on torn, foreign and single-bit-flipped input.
 """
 
 import struct
 import zlib
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -21,15 +19,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import IntegrityError, WireError
-from repro.obs.registry import get_registry
 from repro.rlnc import BlockBatch, CodedBlock
 from repro.rlnc import wire
 
-COUNTERS = ("wire_frames_packed", "wire_bytes_packed", "wire_bytes_unpacked")
-
-
 class legacy:
-    """The pinned reference codec; ``counts`` mirrors the wire counters."""
+    """The pinned reference codec."""
 
     MAGIC = b"RLNC"
     HEADER = struct.Struct(">4sBBIII")
@@ -39,7 +33,6 @@ class legacy:
     FRAMING_MASK = np.frombuffer(
         HEADER.pack(b"\xff" * 4, 0xFF, 1, 0, 0xFFFFFFFF, 0xFFFFFFFF), np.uint8
     )
-    counts: Counter = Counter()
 
     @staticmethod
     def weights(count):
@@ -116,8 +109,6 @@ class legacy:
                     block.payload.reshape(1, -1),
                 )
                 cls.DIGEST.pack_into(view, body_end, int(digest[0]))
-        cls.counts["wire_frames_packed"] += 1
-        cls.counts["wire_bytes_packed"] += size
         return size
 
     @classmethod
@@ -199,7 +190,6 @@ class legacy:
         size = cls.frame_size(n, k, checksum, version)
         if offset + size > len(view):
             raise WireError("length fields exceed the buffer")
-        cls.counts["wire_bytes_unpacked"] += size
         frame = np.frombuffer(view, dtype=np.uint8, count=size, offset=offset)
         _, intact = cls.verify_rows(frame.reshape(1, size), version, n, k, checksum)
         if not intact[0]:
@@ -220,7 +210,6 @@ class legacy:
         if len(view) % size_one:
             raise WireError("torn stream")
         frames = np.frombuffer(view, dtype=np.uint8).reshape(-1, size_one)
-        cls.counts["wire_bytes_unpacked"] += frames.size
         framed, intact = cls.verify_rows(frames, version, n, k, checksum)
         ours = np.all(
             frames[:, 6:10] == np.array([segment_id], ">u4").view(np.uint8), axis=1
@@ -254,30 +243,19 @@ class legacy:
         return blocks
 
 
-def wire_counts():
-    registry = get_registry()
-    return Counter(
-        {name: registry.counter(name, component="wire").value for name in COUNTERS}
-    )
-
-
 def run_both(current, reference, *args, **kwargs):
-    """Call both; return ``(outcome, reference outcome)`` plus counter moves.
+    """Call both; return ``(outcome, reference outcome)``.
 
     An outcome is the return value or the raised exception's type.
     """
-    before = wire_counts()
     try:
         result = current(*args, **kwargs)
     except (WireError, IntegrityError) as error:
         result = type(error)
-    moved = wire_counts() - before
-    legacy.counts = Counter()
     try:
         expected = reference(*args, **kwargs)
     except (WireError, IntegrityError) as error:
         expected = type(error)
-    assert moved == +legacy.counts
     return result, expected
 
 
@@ -381,7 +359,6 @@ class TestWriters:
         out = bytearray(b"\xa5" * ((offset + count) * size_one))
         expected = bytearray(out)
         kwargs = dict(checksum=checksum, version=version, worker_id=worker_id)
-        before = wire_counts()
         if slotted:
             region = wire.pack_blocks(
                 batch, out=out, offset=offset * size_one, slots=slots,
@@ -392,8 +369,6 @@ class TestWriters:
                 batch, out=out, offset=offset * size_one, first_sequence=first,
                 **kwargs,
             )
-        moved = wire_counts() - before
-        legacy.counts = Counter()
         for row, block in enumerate(batch.rows()):
             slot = row if slots is None else int(slots[row])
             sequence = first + row if seqs is None else int(seqs[row])
@@ -401,7 +376,6 @@ class TestWriters:
                 block, expected, (offset + slot) * size_one, sequence=sequence,
                 **kwargs,
             )
-        assert moved == +legacy.counts
         assert out == expected
         last = 0 if not m else (int(slots.max()) + 1 if slotted else m)
         assert len(region) == last * size_one
