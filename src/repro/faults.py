@@ -21,13 +21,18 @@ Two adapters plug the same plan into both transport layers:
   :class:`~repro.rlnc.block.CodedBlock` streams, composing with the
   stochastic channels in :class:`~repro.rlnc.channel.ChannelPipeline`.
 
-Determinism contract: per-item decisions consume a fixed number of
-random draws per arrival index, so a given seed produces the same
-drop/corrupt/duplicate/delay schedule regardless of how the stream is
-split into ``apply`` calls (the plan keeps a monotonic arrival counter
-across calls; :meth:`FaultPlan.reset` restarts it).  Reordering jitter
-is drawn per delivered batch, so it depends additionally on batch
-boundaries — the one documented exception.
+Determinism contract: the plan reads one random stream, and each
+arrival index owns the same stretch of it however the items are split
+into ``apply`` calls: four uniforms (drop, corrupt, duplicate, delay),
+then that item's magnitude draws (corrupt offset, delay, flip bit) when
+a fault needs them.  So a given seed produces the same
+drop/corrupt/duplicate/delay schedule for any batching (the plan keeps
+a monotonic arrival counter across calls; :meth:`FaultPlan.reset`
+restarts it).  A call draws its uniforms in one batch and replays the
+stream only around the rows that need a magnitude (see
+:meth:`FaultPlan._schedule_batch`).  Reordering jitter is drawn per
+delivered batch, after every per-item draw of the call, so it depends
+additionally on batch boundaries — the one documented exception.
 """
 
 from __future__ import annotations
@@ -163,75 +168,115 @@ class FaultPlan:
 
     # -- schedule core -----------------------------------------------------
 
-    def _decide(self, length: int) -> tuple[bool, int | None, bool, int]:
-        """Fault decisions for the next arrival index.
+    def _schedule_batch(
+        self, m: int, length: Callable[[int], int]
+    ) -> tuple[list[int], dict[int, tuple[int, int]]]:
+        """Fault decisions and delivery order for the next ``m`` arrivals.
 
-        Consumes a fixed four draws per index (plus magnitude draws only
-        when a fault fires), so the schedule is independent of how the
-        stream is batched.  Returns ``(drop, corrupt_at, duplicate,
-        delay_by)`` where ``corrupt_at`` is a byte offset or ``None``.
+        The stream is the one a per-item draw would consume: for each
+        arrival index, four uniforms (drop, corrupt, duplicate, delay),
+        then its magnitude draws (the corrupt offset, bounded by
+        ``length(position)``, the delay, and the flip bit if the item
+        survives); after the last item, one reorder-jitter draw per
+        delivered copy.  The uniforms come from one ``random(4 * m)``
+        call.  Most rows need no magnitude; at the first that does, the
+        generator goes back to the state saved before that call, the
+        rows up to it are redrawn, its magnitudes are drawn, and the
+        rest of the call is drawn again in one batch.  The state is
+        saved whole, not rewound with ``advance``: that would drop the
+        buffered 32-bit half that ``integers`` reads.
+
+        Returns ``(order, flips)``: the positions delivered, duplicates
+        repeated, in delivery order; and each corrupted survivor's
+        position mapped to its ``(offset, bit)``.
         """
-        index = self._next_index
-        self._next_index += 1
-        draws = self._rng.random(4)
-        gated = self.predicate is None or bool(self.predicate(index))
-        drop = index in self.drop_indices or (
-            gated and draws[0] < self.drop_rate
-        )
-        corrupt_at: int | None = None
-        if index in self.corrupt_indices or (
-            gated and draws[1] < self.corrupt_rate
-        ):
-            corrupt_at = int(self._rng.integers(max(1, length)))
-        duplicate = gated and draws[2] < self.duplicate_rate
-        delay_by = 0
-        if gated and draws[3] < self.delay_rate:
-            delay_by = int(self._rng.integers(1, self.max_delay + 1))
-        if drop:
-            self.log.append(FaultEvent(index, "drop"))
-            self.counters.dropped += 1
-            return True, None, False, 0
-        if corrupt_at is not None:
-            self.log.append(FaultEvent(index, "corrupt", corrupt_at))
-            self.counters.corrupted += 1
-        if duplicate:
-            self.log.append(FaultEvent(index, "duplicate"))
-            self.counters.duplicated += 1
-        if delay_by:
-            self.log.append(FaultEvent(index, "delay", delay_by))
-            self.counters.delayed += 1
-        return False, corrupt_at, duplicate, delay_by
-
-    def _schedule(self, items: Sequence, length, corrupt) -> list:
-        """Apply per-item faults then delivery-order faults to a batch.
-
-        ``length(item)`` bounds the corrupted byte offset;
-        ``corrupt(item, offset, bit)`` returns the damaged item.
-        """
-        keyed: list[tuple[float, int, object]] = []
-        for position, item in enumerate(items):
-            drop, corrupt_at, duplicate, delay_by = self._decide(length(item))
-            if drop:
-                continue
-            if corrupt_at is not None:
-                item = corrupt(item, corrupt_at, self._flip_bit())
-            key = float(position + delay_by)
-            if delay_by:
-                key += 0.5  # land *after* the item it was delayed past
-            keyed.append((key, len(keyed), item))
-            if duplicate:
-                keyed.append((key, len(keyed), item))
-        if self.reorder_window and len(keyed) > 1:
-            jitter = self._rng.uniform(0, self.reorder_window + 1, len(keyed))
-            keyed = [
-                (key + jitter[i], order, item)
-                for i, (key, order, item) in enumerate(keyed)
-            ]
-        keyed.sort(key=lambda entry: (entry[0], entry[1]))
-        return [item for _, _, item in keyed]
-
-    def _flip_bit(self) -> int:
-        return 1 << int(self._rng.integers(8))
+        base = self._next_index
+        self._next_index = end = base + m
+        rng = self._rng
+        drop_rate, corrupt_rate = self.drop_rate, self.corrupt_rate
+        duplicate_rate, delay_rate = self.duplicate_rate, self.delay_rate
+        gates = None
+        if self.predicate is not None:
+            gates = [bool(self.predicate(i)) for i in range(base, end)]
+        forced_drop = {i - base for i in self.drop_indices if base <= i < end}
+        forced_corrupt = {i - base for i in self.corrupt_indices if base <= i < end}
+        may_draw = bool(forced_corrupt) or corrupt_rate > 0 or delay_rate > 0
+        dropped: set[int] = set()
+        duplicated: list[int] = []
+        delays: dict[int, int] = {}
+        flips: dict[int, tuple[int, int]] = {}
+        start = 0
+        while start < m:
+            # Only a magnitude row with rows after it rewinds the stream.
+            saved = rng.bit_generator.state if may_draw and start + 1 < m else None
+            draws = rng.random(4 * (m - start)).tolist()
+            # The rows some draw or forced index may fault; a gated-off
+            # row among them decides nothing below.
+            rows = {
+                start + j // 4
+                for j in range(0, len(draws), 4)
+                if draws[j] < drop_rate
+                or draws[j + 1] < corrupt_rate
+                or draws[j + 2] < duplicate_rate
+                or draws[j + 3] < delay_rate
+            }
+            rows.update(row for row in forced_drop | forced_corrupt if row >= start)
+            for row in sorted(rows):
+                j = 4 * (row - start)
+                gated = gates is None or gates[row]
+                drop = row in forced_drop or (gated and draws[j] < drop_rate)
+                corrupt = row in forced_corrupt or (
+                    gated and draws[j + 1] < corrupt_rate
+                )
+                duplicate = gated and draws[j + 2] < duplicate_rate
+                delay = gated and draws[j + 3] < delay_rate
+                magnitude = corrupt or delay
+                if magnitude and row + 1 < m:
+                    # The rows past this one were drawn too early.
+                    rng.bit_generator.state = saved
+                    rng.random(4 * (row + 1 - start))
+                if corrupt:
+                    offset = int(rng.integers(max(1, length(row))))
+                if delay:
+                    delay_by = int(rng.integers(1, self.max_delay + 1))
+                index = base + row
+                if drop:
+                    self.log.append(FaultEvent(index, "drop"))
+                    self.counters.dropped += 1
+                    dropped.add(row)
+                else:
+                    if corrupt:
+                        flips[row] = (offset, 1 << int(rng.integers(8)))
+                        self.log.append(FaultEvent(index, "corrupt", offset))
+                        self.counters.corrupted += 1
+                    if duplicate:
+                        self.log.append(FaultEvent(index, "duplicate"))
+                        self.counters.duplicated += 1
+                        duplicated.append(row)
+                    if delay:
+                        self.log.append(FaultEvent(index, "delay", delay_by))
+                        self.counters.delayed += 1
+                        delays[row] = delay_by
+                if magnitude:
+                    start = row + 1
+                    break
+            else:
+                start = m
+        order = [row for row in range(m) if row not in dropped]
+        if duplicated:
+            order = sorted(order + duplicated)
+        jitter = self.reorder_window and len(order) > 1
+        if delays or jitter:
+            # A delayed item lands *after* the item it was delayed past;
+            # the stable sort keeps arrival order among equal keys.
+            keys = np.array(
+                [row + delays[row] + 0.5 if row in delays else row for row in order],
+                dtype=np.float64,
+            )
+            if jitter:
+                keys += rng.uniform(0, self.reorder_window + 1, len(order))
+            order = [order[i] for i in np.argsort(keys, kind="stable").tolist()]
+        return order, flips
 
     # -- adapters ----------------------------------------------------------
 
@@ -249,16 +294,13 @@ class FaultPlan:
         :attr:`counters`.
         """
         m, size = frames.shape
-        # Rows are scheduled by index; a corrupted row becomes an
-        # (index, offset, bit) flip, applied to the delivered copy.
-        delivered = self._schedule(
-            range(m), lambda _: size, lambda row, at, bit: (row, at % size, bit)
-        )
-        rows = [item if type(item) is int else item[0] for item in delivered]
-        out = frames.take(rows, axis=0)
-        for position, item in enumerate(delivered):
-            if type(item) is tuple:
-                out[position, item[1]] ^= item[2]
+        order, flips = self._schedule_batch(m, lambda _: size)
+        out = frames.take(order, axis=0)
+        if flips:
+            for position, row in enumerate(order):
+                if row in flips:
+                    offset, bit = flips[row]
+                    out[position, offset] ^= bit
         return out
 
     def apply_blocks(self, blocks: Iterable[CodedBlock]) -> list[CodedBlock]:
@@ -268,25 +310,25 @@ class FaultPlan:
         vector or payload (position drawn over the concatenation, like
         :class:`~repro.rlnc.channel.CorruptingChannel`).
         """
-
-        def corrupt(block: CodedBlock, offset: int, bit: int) -> CodedBlock:
+        items = list(blocks)
+        order, flips = self._schedule_batch(
+            len(items), lambda row: items[row].num_blocks + items[row].block_size
+        )
+        for row, (offset, bit) in flips.items():
+            block = items[row]
             coefficients = block.coefficients.copy()
             payload = block.payload.copy()
             n = block.num_blocks
-            position = offset % (n + block.block_size)
-            if position < n:
-                coefficients[position] ^= np.uint8(bit)
+            if offset < n:
+                coefficients[offset] ^= np.uint8(bit)
             else:
-                payload[position - n] ^= np.uint8(bit)
-            return CodedBlock(
+                payload[offset - n] ^= np.uint8(bit)
+            items[row] = CodedBlock(
                 coefficients=coefficients,
                 payload=payload,
                 segment_id=block.segment_id,
             )
-
-        return self._schedule(
-            list(blocks), lambda block: block.num_blocks + block.block_size, corrupt
-        )
+        return [items[row] for row in order]
 
 
 @dataclass

@@ -151,10 +151,6 @@ class Histogram:
     def sum(self) -> float:
         return self._sum
 
-    @property
-    def mean(self) -> float:
-        return self._sum / self._count if self._count else 0.0
-
     def observe(self, value: float) -> None:
         index = bucket_index(value)
         with self._lock:
@@ -292,12 +288,6 @@ class MetricsRegistry:
                     histogram._sum = 0.0
                     histogram._min = math.inf
                     histogram._max = -math.inf
-
-    def clear(self) -> None:
-        """Drop every series (cached handles become orphans)."""
-        with self._lock:
-            self._gauges.clear()
-            self._histograms.clear()
 
 
 def _merge_histogram(left: dict, right: dict) -> dict:

@@ -432,11 +432,11 @@ class ProgressiveDecoder:
                 f"cannot recover segment at rank {self.rank} < "
                 f"{self._params.num_blocks}"
             )
-        n, k = self._params.num_blocks, self._params.block_size
+        n = self._params.num_blocks
         self._materialize()
-        blocks = np.empty((n, k), dtype=np.uint8)
-        for pivot_col, row_index in self._pivot_to_row.items():
-            blocks[pivot_col] = self._rows[row_index][n:]
+        # Source block j is the payload side of the row pivoting on column j.
+        rows = [self._pivot_to_row[col] for col in range(n)]
+        blocks = self._rows[rows, n:]
         return Segment(
             blocks=blocks,
             segment_id=self._segment_id,

@@ -4,10 +4,11 @@
 one ``(m, frame_size)`` byte matrix (``rlnc.wire.frame_rows`` ->
 ``FaultPlan.apply_frames`` -> ``rlnc.wire.unpack_cohort``).  Before that,
 each receiver cut the round into one ``bytes`` per frame, ran a list of
-frames through the fault plan and called ``unpack_frame`` once per frame.
-That path is pinned below, as ``rlnc/_reference.py`` pins the seed
-decoder, and the matrix path must match it row for row and count for
-count.  The one intended difference: a frame whose only damage is a
+frames through the fault plan's per-item schedule (pinned in
+``tests/test_fault_schedule.py``) and called ``unpack_frame`` once per
+frame.  That path is pinned below, as ``rlnc/_reference.py`` pins the
+seed decoder, and the matrix path must match it row for row and count
+for count.  The one intended difference: a frame whose only damage is a
 cleared checksum flag used to parse as an unprotected frame and be
 accepted; the matrix path checks the flag against the receiver's
 geometry and rejects it.
@@ -32,6 +33,7 @@ from repro.rlnc.wire import (
     unpack_frame,
 )
 from repro.streaming import ClientSession, MediaProfile, StreamingServer
+from tests.test_fault_schedule import PinnedFaultPlan
 
 PARAMS = CodingParams(8, 24)
 PROFILE = MediaProfile(params=PARAMS)
@@ -55,14 +57,14 @@ def reference_split(wire_bytes, size, stats):
 
 
 def reference_apply_frames(plan, frames):
-    """``FaultPlan.apply_frames`` over a list of ``bytes`` frames."""
+    """The per-item fault schedule over a list of ``bytes`` frames."""
 
     def corrupt(frame, offset, bit):
         mangled = bytearray(frame)
         mangled[offset % len(mangled)] ^= bit
         return bytes(mangled)
 
-    return plan._schedule([bytes(frame) for frame in frames], len, corrupt)
+    return plan.schedule([bytes(frame) for frame in frames], len, corrupt)
 
 
 def lenient_unpack_frame(frame, stats):
@@ -370,7 +372,8 @@ def test_receivers_match_the_per_frame_path(case):
         return None if plan_args is None else FaultPlan(**plan_args)
 
     # The oracle: the per-frame path, fed the same fault schedule.
-    oracle_plan, mirror_plan = plan(), plan()
+    oracle_plan = None if plan_args is None else PinnedFaultPlan(**plan_args)
+    mirror_plan = plan()
     oracle_stats = WireStats()
     oracle_decoder = ProgressiveDecoder(PARAMS, SEGMENT)
     relay_stats = WireStats()

@@ -15,6 +15,7 @@ from repro.obs.registry import (
     quantile_from_buckets,
     set_registry,
 )
+from repro.obs.trace import get_tracer, trace, tracing
 
 
 class TestBuckets:
@@ -58,7 +59,6 @@ class TestMetrics:
             histogram.observe(value)
         assert histogram.count == 3
         assert histogram.sum == 12.0
-        assert histogram.mean == 4.0
         assert histogram.buckets() == {0: 1, 1: 1, 3: 1}
 
     def test_handles_are_memoized(self):
@@ -93,12 +93,26 @@ class TestRegistryLifecycle:
         histogram.observe(4.0)
         assert registry.snapshot()["histograms"]["h"]["count"] == 1
 
-    def test_clear_orphans_handles(self):
+    def test_spans_traced_after_reset_reach_the_snapshot(self):
+        """The tracer caches its ``span_ns`` handles; ``reset`` keeps them
+        registered, so the next traced span still lands in the snapshot."""
         registry = MetricsRegistry()
-        histogram = registry.histogram("h")
-        registry.clear()
-        histogram.observe(1.0)
-        assert registry.snapshot()["histograms"] == {}
+        previous = set_registry(registry)
+        try:
+            with tracing():
+                with trace("before_reset"):
+                    pass
+                registry.reset()
+                with trace("before_reset"):
+                    pass
+                with trace("after_reset"):
+                    pass
+        finally:
+            set_registry(previous)
+            get_tracer().clear()
+        histograms = registry.snapshot()["histograms"]
+        assert histograms['span_ns{span="before_reset"}']["count"] == 1
+        assert histograms['span_ns{span="after_reset"}']["count"] == 1
 
     def test_set_registry_swaps_default(self):
         fresh = MetricsRegistry()

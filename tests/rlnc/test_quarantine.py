@@ -221,3 +221,49 @@ class TestQuarantineRollback:
         assert np.array_equal(decoder._raw_payloads, fresh._raw_payloads)
         assert decoder._sources == fresh._sources
         assert decoder.discarded == 1  # the rebuild counts none
+
+
+def loop_recover(decoder):
+    """``recover_segment``'s blocks as the per-pivot copy loop built them."""
+    n = PARAMS.num_blocks
+    rows, pivots = decoder.dense_state()
+    blocks = np.empty((n, PARAMS.block_size), dtype=np.uint8)
+    for pivot_col, row_index in pivots.items():
+        blocks[pivot_col] = rows[row_index][n:]
+    return blocks
+
+
+def fill(decoder, encoder, *, source=None):
+    while not decoder.is_complete:
+        decoder.consume(encoder.encode_block(), source=source)
+
+
+class TestRecoverSegment:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_one_index_copy_matches_the_pivot_loop(self, seed):
+        segment, encoder, decoder = make_decoder(seed)
+        fill(decoder, encoder)
+        recovered = decoder.recover_segment().blocks
+        assert np.array_equal(recovered, loop_recover(decoder))
+        assert np.array_equal(recovered, segment.blocks)
+
+    def test_matches_after_a_quarantine(self):
+        segment, encoder, decoder = make_decoder(7)
+        fill(decoder, encoder, source="a")
+        decoder.quarantine_rows([0, 3, 5])
+        fill(decoder, encoder, source="b")
+        recovered = decoder.recover_segment().blocks
+        assert np.array_equal(recovered, loop_recover(decoder))
+        assert np.array_equal(recovered, segment.blocks)
+
+    def test_matches_after_a_restart(self):
+        _, encoder, decoder = make_decoder(8)
+        fill(decoder, encoder)
+        decoder.recover_segment()
+        other = Segment.random(PARAMS, np.random.default_rng(9), segment_id=4)
+        decoder._restart(4)
+        fill(decoder, Encoder(other, np.random.default_rng(10)))
+        recovered = decoder.recover_segment()
+        assert recovered.segment_id == 4
+        assert np.array_equal(recovered.blocks, loop_recover(decoder))
+        assert np.array_equal(recovered.blocks, other.blocks)

@@ -82,17 +82,38 @@ class TestDeterminism:
         """Per-item decisions must not depend on how the stream is cut
         into apply calls (reordering off — the documented exception)."""
         frames = make_frames(40)
-        whole = FaultPlan(seed=11, drop_rate=0.3, corrupt_rate=0.2,
-                          duplicate_rate=0.1)
-        split = FaultPlan(seed=11, drop_rate=0.3, corrupt_rate=0.2,
-                          duplicate_rate=0.1)
-        expected = whole.apply_frames(frames)
-        got = np.concatenate(
-            [split.apply_frames(frames[:17]), split.apply_frames(frames[17:])]
-        )
-        assert np.array_equal(got, expected)
-        assert split.log == whole.log
-        assert split.items_seen == whole.items_seen == 40
+        cases = [
+            dict(drop_rate=0.3, corrupt_rate=0.2, duplicate_rate=0.1),
+            dict(
+                drop_rate=0.3,
+                corrupt_rate=0.2,
+                duplicate_rate=0.1,
+                drop_indices=[3, 20],
+                corrupt_indices=[5, 16, 17, 39],
+                predicate=lambda index: index % 4 != 1,
+            ),
+            dict(corrupt_rate=0.2, delay_rate=0.3, max_delay=3, corrupt_indices=[16]),
+        ]
+        for knobs in cases:
+            whole = FaultPlan(seed=11, **knobs)
+            split = FaultPlan(seed=11, **knobs)
+            expected = whole.apply_frames(frames)
+            got = np.concatenate(
+                [split.apply_frames(frames[:17]), split.apply_frames(frames[17:])]
+            )
+            assert split.log == whole.log
+            assert split.counters == whole.counters
+            assert split.items_seen == whole.items_seen == 40
+            assert (
+                split._rng.bit_generator.state == whole._rng.bit_generator.state
+            )
+            if "delay_rate" in knobs:
+                # A delay displaces a frame within its own call, so only
+                # the delivered multiset is split-invariant.
+                assert whole.counters.delayed > 0
+                assert sorted(row_list(got)) == sorted(row_list(expected))
+            else:
+                assert np.array_equal(got, expected)
 
 
 class TestActions:
