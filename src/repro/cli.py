@@ -616,8 +616,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             print("error: need at least 1 peer and 1 segment", file=sys.stderr)
             return 2
         server, sessions = _record_serve_session(args)
-        # The registry keeps no counters (only span timings); the
-        # serving counters come from the server's and sessions' ledgers.
+        # The tracer keeps only span timings; the serving counters
+        # come from the server's and sessions' ledgers.
         document = snapshot_document(
             server.stats_snapshot(),
             *(session.stats.series("client") for session in sessions),

@@ -218,7 +218,7 @@ class RelayNode(EagerRounds):
         return frames
 
     def stats_snapshot(self) -> dict:
-        """A registry-shaped snapshot: every :class:`RelayStats` field as
+        """A counters/gauges/histograms snapshot: every :class:`RelayStats` field as
         a ``relay_*`` counter, plus the queue and buffer gauges."""
         snapshot = self.stats.series("relay")
         snapshot["gauges"].update(

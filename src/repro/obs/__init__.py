@@ -1,17 +1,19 @@
-"""Unified observability: metrics registry, span tracing, exporters.
+"""Unified observability: span tracing, histograms, exporters.
 
 The paper's results are *measurements* — per-kernel throughput, TB-0..5
 variant breakdowns, segment-pipeline timing — so the reproduction keeps
 first-class instrumentation next to the code it measures:
 
-* :class:`MetricsRegistry` (``repro.obs.registry``) — labeled gauges
-  and log-scale-bucket histograms: the process-wide span timings and
-  the autoscaler's control inputs.  Every counter lives in its
-  component's stats object (``repro.obs.stats``) and is exported by
-  that object's ``series()``.
 * :func:`trace` (``repro.obs.trace``) — nestable, thread-safe span
   timing on ``perf_counter_ns``; disabled by default so hot paths pay a
   branch, enabled with :func:`enable_tracing` / ``with tracing():``.
+  The :class:`Tracer` keeps one duration histogram per span name and
+  exports them as ``span_ns{span=...}``.
+* :class:`Histogram` (``repro.obs.registry``) — log-scale-bucket
+  distributions, owned by whatever fills them (the tracer, the load
+  harness), and :func:`merge_snapshots`, which folds snapshots.  Every
+  counter lives in its component's stats object (``repro.obs.stats``)
+  and is exported by that object's ``series()``.
 * exporters (``repro.obs.export``) — JSON snapshots, Prometheus text,
   and the flame-style per-round breakdown table behind ``repro stats``.
 """
@@ -25,15 +27,7 @@ from repro.obs.export import (
     save_snapshot,
     snapshot_document,
 )
-from repro.obs.registry import (
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    get_registry,
-    merge_snapshots,
-    quantile_from_buckets,
-    set_registry,
-)
+from repro.obs.registry import Histogram, merge_snapshots, quantile_from_buckets
 from repro.obs.trace import (
     SpanRecord,
     Tracer,
@@ -46,14 +40,11 @@ from repro.obs.trace import (
 )
 
 __all__ = [
-    "Gauge",
     "Histogram",
-    "MetricsRegistry",
     "SpanRecord",
     "Tracer",
     "disable_tracing",
     "enable_tracing",
-    "get_registry",
     "get_tracer",
     "load_snapshot",
     "merge_snapshots",
@@ -63,7 +54,6 @@ __all__ = [
     "render_prometheus",
     "round_breakdown",
     "save_snapshot",
-    "set_registry",
     "snapshot_document",
     "trace",
     "tracing",

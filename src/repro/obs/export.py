@@ -3,11 +3,11 @@
 Three ways out of the observability layer:
 
 * :func:`save_snapshot` / :func:`load_snapshot` — one JSON document
-  holding the registry snapshot, folded with any components'
+  holding the tracer's span histograms, folded with any components'
   ``stats_snapshot()`` or ``stats.series()`` exports, plus the retained
   span records; the soak workflow attaches it as a CI artifact and
   ``repro stats`` renders it back.
-* :func:`render_prometheus` — the registry snapshot in Prometheus
+* :func:`render_prometheus` — a snapshot in Prometheus
   exposition format (counters/gauges as-is, histograms as ``_count`` /
   ``_sum`` plus cumulative ``_bucket{le=...}`` series over the
   power-of-two bucket bounds).
@@ -25,12 +25,7 @@ import json
 import pathlib
 from dataclasses import dataclass
 
-from repro.obs.registry import (
-    MetricsRegistry,
-    bucket_bounds,
-    get_registry,
-    merge_snapshots,
-)
+from repro.obs.registry import bucket_bounds, merge_snapshots
 from repro.obs.trace import SpanRecord, Tracer, get_tracer
 
 __all__ = [
@@ -169,9 +164,10 @@ def render_breakdown_table(
 
 
 def render_metrics_summary(snapshot: dict | None = None) -> str:
-    """Human-readable registry summary (counters, gauges, histograms)."""
+    """Human-readable snapshot summary (counters, gauges, histograms);
+    defaults to the process tracer's span histograms."""
     if snapshot is None:
-        snapshot = get_registry().snapshot()
+        snapshot = get_tracer().snapshot()
     lines: list[str] = []
     counters = snapshot.get("counters", {})
     gauges = snapshot.get("gauges", {})
@@ -206,9 +202,10 @@ def _split_series(key: str) -> tuple[str, str]:
 
 
 def render_prometheus(snapshot: dict | None = None) -> str:
-    """The snapshot in Prometheus text exposition format."""
+    """The snapshot in Prometheus text exposition format; defaults to
+    the process tracer's span histograms."""
     if snapshot is None:
-        snapshot = get_registry().snapshot()
+        snapshot = get_tracer().snapshot()
     lines: list[str] = []
     seen_types: set[str] = set()
 
@@ -246,21 +243,15 @@ def render_prometheus(snapshot: dict | None = None) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def snapshot_document(
-    *series: dict,
-    registry: MetricsRegistry | None = None,
-    tracer: Tracer | None = None,
-) -> dict:
+def snapshot_document(*series: dict, tracer: Tracer | None = None) -> dict:
     """The combined metrics+spans snapshot as one JSON-able dict.
 
-    ``series`` are registry-shaped component exports (a server's
+    ``series`` are snapshot-shaped component exports (a server's
     ``stats_snapshot()``, a session's ``stats.series("client")``)
-    merged into the registry's snapshot, since the registry keeps no
-    counters: only span timings and the autoscaler's inputs.
+    merged into the tracer's snapshot, which holds only span timings.
     """
-    registry = registry if registry is not None else get_registry()
     tracer = tracer if tracer is not None else get_tracer()
-    metrics = registry.snapshot()
+    metrics = tracer.snapshot()
     return {
         "metrics": merge_snapshots(metrics, *series) if series else metrics,
         "spans": [
@@ -282,12 +273,11 @@ def snapshot_document(
 def save_snapshot(
     path: str | pathlib.Path,
     *series: dict,
-    registry: MetricsRegistry | None = None,
     tracer: Tracer | None = None,
 ) -> dict:
     """Write the combined metrics+spans snapshot JSON (``series`` as in
     :func:`snapshot_document`); returns the dict."""
-    document = snapshot_document(*series, registry=registry, tracer=tracer)
+    document = snapshot_document(*series, tracer=tracer)
     pathlib.Path(path).write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
     return document
 

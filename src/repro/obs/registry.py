@@ -1,42 +1,25 @@
-"""The metrics registry: span timings and the autoscaler's inputs.
+"""Log-scale histograms, their quantiles and the snapshot merge.
 
-A component's stats object is its ledger: ``ServerStats``,
-``RelayStats``, ``SessionStats`` (with its nested ``WireStats``),
-``ClusterStats``, ``SupervisorStats`` and ``AutoscalerStats`` are the
-only place their counters live, and an endpoint's ``stats_snapshot()``
-(built from :meth:`~repro.obs.stats.CumulativeStats.series`) is their
-export — it crosses processes, since a cluster worker ships its
-server's snapshot over the pipe.  Nothing mirrors those fields here.
-:class:`MetricsRegistry` holds only what nothing else keeps and
-something reads back:
-
-* the ``span_ns{span=...}`` histograms, one per span name, which
-  :mod:`repro.obs.trace` fills while tracing is enabled;
-* the gauge ``loadtest_utilization`` and
-* the histogram ``loadtest_admission_delay_rounds`` — the load
-  harness writes both each round and the autoscaler reads them as its
-  control inputs.
+Nothing here is process-wide: each :class:`Histogram` belongs to the
+one object that fills and reads it — the tracer keeps one per span name
+(:meth:`repro.obs.trace.Tracer.snapshot` exports them as
+``span_ns{span=...}``), and the load harness keeps one run-local
+admission-delay histogram that its autoscaler windows.  Every counter
+lives in its component's stats object and is exported by that object's
+:meth:`~repro.obs.stats.CumulativeStats.series`.
 
 Histograms are distributions over fixed log-scale (power-of-two)
-buckets, stored sparsely so an unused histogram costs nothing; gauges
-are last-observed values.  Labels are plain keyword arguments
-(``registry.histogram("span_ns", span="wire_pack")``); each distinct
-label set is its own series, exactly as in Prometheus.  Handles are
-memoized, so a call site may cache one or re-resolve it by name — both
-hit the same object.
+buckets, stored sparsely so an unused histogram costs nothing.
 
-Snapshots (:meth:`MetricsRegistry.snapshot`) are plain JSON-able dicts
-with ``counters``, ``gauges`` and ``histograms`` sections; the registry
-leaves ``counters`` empty, and the stats objects' ``series()`` exports
-fill it when :func:`merge_snapshots` folds them in.  The merge is
-**associative**: counters and histogram buckets add, gauges take the
-right-hand value (right-biased union).  Associativity is what makes
-per-thread or per-process snapshots composable in any grouping order —
-a property the test suite checks with Hypothesis.
+Snapshots are plain JSON-able dicts with ``counters``, ``gauges`` and
+``histograms`` sections; :func:`merge_snapshots` folds them together.
+The merge is **associative**: counters and histogram buckets add,
+gauges take the right-hand value (right-biased union).  Associativity
+is what makes per-thread or per-process snapshots composable in any
+grouping order — a property the test suite checks with Hypothesis.
 
-Thread safety: series creation takes the registry lock; each series
-mutates under its own lock, so concurrent observations never lose
-updates.
+Thread safety: each histogram mutates under its own lock, so
+concurrent observations never lose updates.
 """
 
 from __future__ import annotations
@@ -45,31 +28,12 @@ import math
 import threading
 
 __all__ = [
-    "Gauge",
     "Histogram",
-    "MetricsRegistry",
     "bucket_index",
     "bucket_bounds",
-    "get_registry",
     "merge_snapshots",
     "quantile_from_buckets",
-    "set_registry",
 ]
-
-#: Sorted ``(key, value)`` label pairs — the canonical hashable form.
-LabelItems = tuple[tuple[str, str], ...]
-
-
-def _label_items(labels: dict[str, object]) -> LabelItems:
-    return tuple(sorted((key, str(value)) for key, value in labels.items()))
-
-
-def _series_key(name: str, labels: LabelItems) -> str:
-    """Render the Prometheus-style series key ``name{a="1",b="x"}``."""
-    if not labels:
-        return name
-    inner = ",".join(f'{key}="{value}"' for key, value in labels)
-    return f"{name}{{{inner}}}"
 
 
 def bucket_index(value: float) -> int:
@@ -95,26 +59,6 @@ def bucket_bounds(index: int) -> tuple[float, float]:
     return (2.0**index, 2.0 ** (index + 1))
 
 
-class Gauge:
-    """A last-observed value (may go up or down)."""
-
-    __slots__ = ("name", "labels", "_lock", "_value")
-
-    def __init__(self, name: str, labels: LabelItems) -> None:
-        self.name = name
-        self.labels = labels
-        self._lock = threading.Lock()
-        self._value = 0.0
-
-    @property
-    def value(self) -> float:
-        return self._value
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self._value = float(value)
-
-
 class Histogram:
     """A distribution over sparse power-of-two buckets.
 
@@ -122,20 +66,9 @@ class Histogram:
     and spread survive snapshotting without storing raw observations.
     """
 
-    __slots__ = (
-        "name",
-        "labels",
-        "_lock",
-        "_buckets",
-        "_count",
-        "_sum",
-        "_min",
-        "_max",
-    )
+    __slots__ = ("_lock", "_buckets", "_count", "_sum", "_min", "_max")
 
-    def __init__(self, name: str, labels: LabelItems) -> None:
-        self.name = name
-        self.labels = labels
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._buckets: dict[int, int] = {}
         self._count = 0
@@ -175,6 +108,21 @@ class Histogram:
         """
         with self._lock:
             return quantile_from_buckets(self._buckets, self._count, q)
+
+    def snapshot(self) -> dict:
+        """The JSON-able payload a snapshot's ``histograms`` section holds
+        per series (see :func:`merge_snapshots`)."""
+        with self._lock:
+            return {
+                "count": self._count,
+                "sum": self._sum,
+                "min": None if self._count == 0 else self._min,
+                "max": None if self._count == 0 else self._max,
+                "buckets": {
+                    str(index): count
+                    for index, count in sorted(self._buckets.items())
+                },
+            }
 
 
 def quantile_from_buckets(
@@ -223,73 +171,6 @@ def quantile_from_buckets(
     return bucket_bounds(max(normalized))[1]
 
 
-class MetricsRegistry:
-    """A named, labeled collection of gauges and histograms."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._gauges: dict[tuple[str, LabelItems], Gauge] = {}
-        self._histograms: dict[tuple[str, LabelItems], Histogram] = {}
-
-    def _resolve(self, table: dict, factory, name: str, labels: dict):
-        key = (name, _label_items(labels))
-        metric = table.get(key)
-        if metric is None:
-            with self._lock:
-                metric = table.get(key)
-                if metric is None:
-                    metric = factory(name, key[1])
-                    table[key] = metric
-        return metric
-
-    def gauge(self, name: str, **labels: object) -> Gauge:
-        return self._resolve(self._gauges, Gauge, name, labels)
-
-    def histogram(self, name: str, **labels: object) -> Histogram:
-        return self._resolve(self._histograms, Histogram, name, labels)
-
-    # -- snapshotting -------------------------------------------------------
-
-    def snapshot(self) -> dict:
-        """A JSON-able view of every series (see :func:`merge_snapshots`)."""
-        gauges = {
-            _series_key(name, labels): metric.value
-            for (name, labels), metric in sorted(self._gauges.items())
-        }
-        histograms = {}
-        for (name, labels), metric in sorted(self._histograms.items()):
-            with metric._lock:
-                histograms[_series_key(name, labels)] = {
-                    "count": metric._count,
-                    "sum": metric._sum,
-                    "min": None if metric._count == 0 else metric._min,
-                    "max": None if metric._count == 0 else metric._max,
-                    "buckets": {
-                        str(index): count
-                        for index, count in sorted(metric._buckets.items())
-                    },
-                }
-        return {
-            "counters": {},
-            "gauges": gauges,
-            "histograms": histograms,
-        }
-
-    def reset(self) -> None:
-        """Zero every series without invalidating cached handles."""
-        with self._lock:
-            for gauge in self._gauges.values():
-                with gauge._lock:
-                    gauge._value = 0.0
-            for histogram in self._histograms.values():
-                with histogram._lock:
-                    histogram._buckets.clear()
-                    histogram._count = 0
-                    histogram._sum = 0.0
-                    histogram._min = math.inf
-                    histogram._max = -math.inf
-
-
 def _merge_histogram(left: dict, right: dict) -> dict:
     buckets = dict(left.get("buckets", {}))
     for index, count in right.get("buckets", {}).items():
@@ -306,7 +187,7 @@ def _merge_histogram(left: dict, right: dict) -> dict:
 
 
 def merge_snapshots(*snapshots: dict) -> dict:
-    """Fold registry snapshots together; associative by construction.
+    """Fold snapshots together; associative by construction.
 
     Counters and histogram contents add; gauges take the rightmost
     occurrence (right-biased union), which is the only merge rule for
@@ -330,22 +211,3 @@ def merge_snapshots(*snapshots: dict) -> dict:
         "gauges": {key: gauges[key] for key in sorted(gauges)},
         "histograms": {key: histograms[key] for key in sorted(histograms)},
     }
-
-
-#: The process-wide default registry the tracer and load harness write to.
-_default_registry = MetricsRegistry()
-_registry_lock = threading.Lock()
-
-
-def get_registry() -> MetricsRegistry:
-    """The current default registry (swap with :func:`set_registry`)."""
-    return _default_registry
-
-
-def set_registry(registry: MetricsRegistry) -> MetricsRegistry:
-    """Install ``registry`` as the default; returns the previous one."""
-    global _default_registry
-    with _registry_lock:
-        previous = _default_registry
-        _default_registry = registry
-    return previous

@@ -5,9 +5,9 @@ caller's back.  A caller wanting per-call or per-phase figures takes a
 :meth:`~CumulativeStats.snapshot` before and diffs with
 :meth:`~CumulativeStats.delta`, or calls :meth:`~CumulativeStats.reset`
 between phases.  A component's stats object is its one ledger:
-:meth:`~CumulativeStats.series` exports it in the registry's snapshot
-shape, and an endpoint's ``stats_snapshot()`` is built from that export
-(nothing mirrors the fields into the process registry).
+:meth:`~CumulativeStats.series` exports it as a counters/gauges/
+histograms snapshot, and an endpoint's ``stats_snapshot()`` is built
+from that export (nothing mirrors the fields into shared metric state).
 ``tests/test_stats_contract.py`` audits every subclass.
 """
 
@@ -64,7 +64,7 @@ class CumulativeStats:
         }
 
     def series(self, prefix: str) -> dict:
-        """The counters as a registry-shaped snapshot.
+        """The counters as a counters/gauges/histograms snapshot.
 
         Field ``F`` exports as the counter ``{prefix}_F``, and a nested
         stats field ``G`` exports its own fields under ``{prefix}_G``

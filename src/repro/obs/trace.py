@@ -14,9 +14,10 @@ function call and a branch, nothing else (the ``observability_overhead``
 benchmark pins both costs).  Enable with :func:`enable_tracing`, or
 scoped with ``with tracing():``.
 
-Every finished span is also observed into the default metrics registry
-(histogram ``span_ns{span=...}``), so a registry snapshot carries the
-span timings beside whatever component exports it is merged with.
+Every finished span is also observed into the tracer's own histogram
+for its name; :meth:`Tracer.snapshot` exports them as
+``span_ns{span=...}``, so a snapshot document carries the span timings
+beside whatever component exports it is merged with.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from time import perf_counter_ns
 
-from repro.obs.registry import get_registry
+from repro.obs.registry import Histogram
 
 __all__ = [
     "SpanRecord",
@@ -56,10 +57,6 @@ class SpanRecord:
     root_name: str
     thread_id: int
 
-    @property
-    def end_ns(self) -> int:
-        return self.start_ns + self.duration_ns
-
 
 class _ThreadState(threading.local):
     def __init__(self) -> None:
@@ -67,7 +64,8 @@ class _ThreadState(threading.local):
 
 
 class Tracer:
-    """Collects finished spans; one process-wide instance by default."""
+    """Collects finished spans and one duration histogram per span name;
+    one process-wide instance by default."""
 
     def __init__(self, capacity: int = DEFAULT_SPAN_CAPACITY) -> None:
         self.enabled = False
@@ -75,17 +73,28 @@ class Tracer:
         self._state = _ThreadState()
         self._root_lock = threading.Lock()
         self._root_seq = 0
-        # (registry, span name -> histogram handle), rebuilt when the
-        # default registry is swapped.  Keyed by the registry itself, not
-        # its id: a new registry may reuse a collected one's id.
-        self._span_histograms: tuple[object, dict[str, object]] = (None, {})
+        self._histograms: dict[str, Histogram] = {}
 
     def records(self) -> list[SpanRecord]:
         """The retained spans, oldest first (a copy)."""
         return list(self._records)
 
     def clear(self) -> None:
+        """Drop the retained spans and the span histograms."""
         self._records.clear()
+        self._histograms.clear()
+
+    def snapshot(self) -> dict:
+        """The span histograms as a snapshot (``span_ns{span="..."}``
+        series; see :func:`~repro.obs.registry.merge_snapshots`)."""
+        return {
+            "counters": {},
+            "gauges": {},
+            "histograms": {
+                f'span_ns{{span="{name}"}}': histogram.snapshot()
+                for name, histogram in sorted(self._histograms.items())
+            },
+        }
 
     def _next_root(self) -> int:
         with self._root_lock:
@@ -104,16 +113,9 @@ class Tracer:
             thread_id=threading.get_ident(),
         )
         self._records.append(record)
-        registry = get_registry()
-        owner, handles = self._span_histograms
-        if owner is not registry:
-            handles = {}
-            self._span_histograms = (registry, handles)
-        histogram = handles.get(span.name)
+        histogram = self._histograms.get(span.name)
         if histogram is None:
-            histogram = handles[span.name] = registry.histogram(
-                "span_ns", span=span.name
-            )
+            histogram = self._histograms.setdefault(span.name, Histogram())
         histogram.observe(duration_ns)
 
 
@@ -171,6 +173,7 @@ _tracer = Tracer()
 
 
 def get_tracer() -> Tracer:
+    """The process-wide tracer every :func:`trace` call writes to."""
     return _tracer
 
 
@@ -187,14 +190,17 @@ def trace(name: str, **labels: object):
 
 
 def tracing_enabled() -> bool:
+    """Whether :func:`trace` currently records spans."""
     return _tracer.enabled
 
 
 def enable_tracing() -> None:
+    """Start recording spans (see :func:`tracing` for a scoped form)."""
     _tracer.enabled = True
 
 
 def disable_tracing() -> None:
+    """Stop recording spans; :func:`trace` returns the shared no-op."""
     _tracer.enabled = False
 
 

@@ -172,40 +172,6 @@ class ChannelPipeline:
             current = stage.transmit(current)
         return current
 
-    @classmethod
-    def from_rates(
-        cls,
-        rng: np.random.Generator,
-        *,
-        corruption_rate: float = 0.0,
-        corruption_targets: str = "both",
-        loss_rate: float = 0.0,
-        duplicate_rate: float = 0.0,
-        max_displacement: int = 0,
-    ) -> "ChannelPipeline":
-        """Compose a standard impairment pipeline over one shared generator.
-
-        Every constructed stage draws from the *same*
-        ``numpy.random.Generator``, so a single seed reproduces the
-        whole pipeline's behaviour exactly — the composition contract
-        the deterministic fault harness (:mod:`repro.faults`) and the
-        soak tests rely on.  Stages apply in wire order: corruption
-        first (damage en route), then loss, duplication, and bounded
-        reordering; zero-rate stages are omitted.
-        """
-        stages: list = []
-        if corruption_rate:
-            stages.append(
-                CorruptingChannel(corruption_rate, rng, targets=corruption_targets)
-            )
-        if loss_rate:
-            stages.append(LossyChannel(loss_rate, rng))
-        if duplicate_rate:
-            stages.append(DuplicatingChannel(duplicate_rate, rng))
-        if max_displacement:
-            stages.append(ReorderingChannel(max_displacement, rng))
-        return cls(stages=stages)
-
 
 def blocks_needed_over_lossy_channel(
     num_blocks: int, loss_rate: float, *, safety: float = 1.1

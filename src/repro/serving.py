@@ -103,7 +103,7 @@ class ServingEndpoint(Protocol):
         ...
 
     def stats_snapshot(self) -> dict:
-        """A registry-shaped counters/gauges/histograms snapshot."""
+        """A counters/gauges/histograms snapshot."""
         ...
 
 

@@ -593,7 +593,7 @@ class StreamingServer(EagerRounds):
     def stats_snapshot(self) -> dict:
         """A JSON-able snapshot of this server's serving counters.
 
-        Shaped like a :meth:`repro.obs.MetricsRegistry.snapshot`, so
+        In the counters/gauges/histograms snapshot shape, so
         per-worker snapshots fold into a cluster rollup with
         :func:`repro.obs.merge_snapshots` (a worker process ships this
         dict over its pipe).  Every :class:`ServerStats` field is a

@@ -1,7 +1,7 @@
 """Large-scale traffic generation, autoscaling and the load harness.
 
 The package behind ``repro loadtest``: seeded arrival processes and
-popularity models (:mod:`repro.workloads.traffic`), the metrics-driven
+popularity models (:mod:`repro.workloads.traffic`), the watermark-driven
 :class:`~repro.workloads.autoscaler.Autoscaler` over the cluster's
 minimal-disruption ring, and the million-session harness
 (:mod:`repro.workloads.harness`) that prices the modelled mass against
@@ -10,8 +10,6 @@ byte-exactness through every scale event.
 """
 
 from repro.workloads.autoscaler import (
-    ADMISSION_DELAY_HISTOGRAM,
-    UTILIZATION_GAUGE,
     Autoscaler,
     AutoscalerConfig,
     AutoscalerStats,
@@ -33,8 +31,6 @@ from repro.workloads.traffic import (
 )
 
 __all__ = [
-    "ADMISSION_DELAY_HISTOGRAM",
-    "UTILIZATION_GAUGE",
     "AdmissionController",
     "Autoscaler",
     "AutoscalerConfig",

@@ -4,12 +4,13 @@ The PR 5 consistent-hash ring made worker membership cheap to change —
 removing a worker moves only its segments, and
 :meth:`~repro.cluster.router.ClusterRouter.expand` gives joins the same
 minimal-disruption bound — so scaling policy reduces to *when*, not
-*how*.  The :class:`Autoscaler` answers "when" from the observability
-layer rather than private harness state: it reads the
-``loadtest_utilization`` gauge and the windowed p99 of the
-``loadtest_admission_delay_rounds`` histogram (via cumulative bucket
-deltas — no raw observations stored), applies watermark hysteresis, and
-drives :meth:`~repro.cluster.cluster.ServingCluster.add_worker` /
+*how*.  The :class:`Autoscaler` answers "when" from two inputs the load
+harness hands it: each round's utilization, passed to
+:meth:`~Autoscaler.step`, and the harness's admission-delay
+:class:`~repro.obs.registry.Histogram`, whose windowed p99 it reads
+from cumulative bucket deltas (no raw observations stored).  It applies
+watermark hysteresis and drives
+:meth:`~repro.cluster.cluster.ServingCluster.add_worker` /
 :meth:`~repro.cluster.cluster.ServingCluster.remove_worker`.
 
 Policy shape (classic control-loop guards, each one test-covered):
@@ -32,18 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
-from repro.obs.registry import (
-    Gauge,
-    Histogram,
-    get_registry,
-    quantile_from_buckets,
-)
+from repro.obs.registry import Histogram, quantile_from_buckets
 from repro.obs.stats import CumulativeStats
-
-#: Gauge the load harness publishes and the autoscaler reads.
-UTILIZATION_GAUGE = "loadtest_utilization"
-#: Histogram of admission delays (rounds spent queued before admission).
-ADMISSION_DELAY_HISTOGRAM = "loadtest_admission_delay_rounds"
 
 
 @dataclass(frozen=True)
@@ -129,17 +120,15 @@ class AutoscalerStats(CumulativeStats):
 
 
 class Autoscaler:
-    """Watches obs metrics; grows and shrinks the cluster's ring.
+    """Watches load and admission delay; grows and shrinks the ring.
 
     Args:
         cluster: the :class:`~repro.cluster.cluster.ServingCluster`
             (duck-typed: ``num_workers``, ``live_workers``,
             ``add_worker``, ``remove_worker``).
         config: thresholds and guards.
-        utilization: gauge to read (default: the registry's
-            ``loadtest_utilization``).
-        admission_delay: histogram to window (default: the registry's
-            ``loadtest_admission_delay_rounds``).
+        admission_delay: the cumulative histogram of admission delays
+            (rounds spent queued) to window.
     """
 
     def __init__(
@@ -147,16 +136,11 @@ class Autoscaler:
         cluster,
         config: AutoscalerConfig | None = None,
         *,
-        utilization: Gauge | None = None,
-        admission_delay: Histogram | None = None,
+        admission_delay: Histogram,
     ) -> None:
-        registry = get_registry()
         self.cluster = cluster
         self.config = config or AutoscalerConfig()
-        self._g_util = utilization or registry.gauge(UTILIZATION_GAUGE)
-        self._h_delay = admission_delay or registry.histogram(
-            ADMISSION_DELAY_HISTOGRAM
-        )
+        self._h_delay = admission_delay
         self.stats = AutoscalerStats()
         self.events: list[ScaleEvent] = []
         self._up_streak = 0
@@ -185,15 +169,15 @@ class Autoscaler:
 
     # -- the control loop --------------------------------------------------
 
-    def step(self, round_index: int) -> ScaleEvent | None:
+    def step(self, round_index: int, utilization: float) -> ScaleEvent | None:
         """One control-loop evaluation; acts at most once.
 
-        Reads the gauges/histograms, updates the hysteresis streaks,
+        Takes the round's ``utilization`` (demand over capacity),
+        windows the delay histogram, updates the hysteresis streaks,
         and — if every guard passes — adds or removes exactly one
         worker.  Returns the acted :class:`ScaleEvent`, else ``None``.
         """
         config = self.config
-        utilization = self._g_util.value
         delay_p99 = self.window_delay_p99()
         self.stats.decisions += 1
 

@@ -23,10 +23,11 @@ population the way large-scale simulators do:
 Admission follows the cluster's shed philosophy: a session that cannot
 be admitted this round is answered :class:`~repro.errors.RetryLater`
 and **stays queued** — load shedding paces, it never drops.  Each
-admission observes its queueing delay (in rounds) into the
-``loadtest_admission_delay_rounds`` histogram, and demand over capacity
-lands in the ``loadtest_utilization`` gauge — the two series the
-:class:`~repro.workloads.autoscaler.Autoscaler` steers by.
+admission observes its queueing delay (in rounds) into the run's
+admission-delay histogram, and each round hands demand over capacity
+to the :class:`~repro.workloads.autoscaler.Autoscaler` as its
+utilization — the two inputs it steers by.  The report's p50/p99
+admission delays come from the same histogram.
 """
 
 from __future__ import annotations
@@ -43,23 +44,13 @@ from repro.errors import ConfigurationError, RetryExhaustedError, RetryLater
 from repro.faults import ChurnPlan
 from repro.gpu.spec import GTX280, DeviceSpec
 from repro.kernels.cost_model import EncodeScheme, encode_bandwidth
-from repro.obs.registry import (
-    bucket_index,
-    get_registry,
-    quantile_from_buckets,
-)
+from repro.obs.registry import Histogram
 from repro.obs.stats import CumulativeStats
 from repro.rlnc.block import CodingParams
 from repro.rlnc.wire import VERSION2
 from repro.streaming.client import ClientSession, receive_round
 from repro.streaming.session import MediaProfile
-from repro.workloads.autoscaler import (
-    ADMISSION_DELAY_HISTOGRAM,
-    UTILIZATION_GAUGE,
-    Autoscaler,
-    AutoscalerConfig,
-    ScaleEvent,
-)
+from repro.workloads.autoscaler import Autoscaler, AutoscalerConfig, ScaleEvent
 from repro.workloads.traffic import (
     FlashCrowd,
     PoissonArrivals,
@@ -207,9 +198,10 @@ def run_loadtest(
     ``arrivals`` to override with a diurnal or custom process.  Each
     round, in order: traffic draw (arrivals, churn departures, flash
     factor), modelled service against the cost-model capacity,
-    admission from the FIFO queue into the headroom, metric publication
-    (utilization gauge, delay histogram), one autoscaler step, then one
-    real serve round for the sampled cohort.
+    admission from the FIFO queue into the headroom (each admission's
+    delay observed into the delay histogram), one autoscaler step on
+    the round's utilization, then one real serve round for the sampled
+    cohort.
 
     Everything derives from ``seed`` — arrival counts, segment draws,
     dwell times, churn, ring placement, coding coefficients — so two
@@ -272,15 +264,11 @@ def run_loadtest(
     )
     per_session_demand = profile.blocks_per_second_per_peer * round_seconds
 
-    registry = get_registry()
-    g_util = registry.gauge(UTILIZATION_GAUGE)
-    h_delay = registry.histogram(ADMISSION_DELAY_HISTOGRAM)
-
     stats = LoadStats()
     admission = AdmissionController()
-    #: run-local mirror of the delay histogram (the registry one is
-    #: process-cumulative across bench runs).
-    delay_buckets: dict[int, int] = {}
+    #: Admission delays in rounds: the autoscaler's windowed p99 and
+    #: the report's p50/p99.
+    h_delay = Histogram()
 
     # Modelled population: structure-of-arrays over active sessions.
     remaining = np.empty(0, dtype=np.float64)
@@ -297,9 +285,7 @@ def run_loadtest(
     )
     start = time.perf_counter()
     try:
-        scaler = Autoscaler(
-            cluster, config, utilization=g_util, admission_delay=h_delay
-        )
+        scaler = Autoscaler(cluster, config, admission_delay=h_delay)
         segments = make_workload_segments(num_segments, params, seed)
         for segment, _ in segments:
             cluster.publish(segment)
@@ -381,19 +367,14 @@ def run_loadtest(
                 for delay, count in delay_groups:
                     for _ in range(count):
                         h_delay.observe(float(delay))
-                    index = bucket_index(float(delay))
-                    delay_buckets[index] = (
-                        delay_buckets.get(index, 0) + count
-                    )
             shed = admission.shed()
             stats.shed_responses += len(shed)
 
             active = len(remaining)
             peak_active = max(peak_active, active)
             stats.rounds += 1
-            g_util.set(utilization)
 
-            event = scaler.step(round_index)
+            event = scaler.step(round_index, utilization)
             if event is not None:
                 peak_workers = max(peak_workers, cluster.num_workers)
 
@@ -460,8 +441,8 @@ def run_loadtest(
         peak_active_sessions=peak_active,
         final_active_sessions=len(remaining),
         waiting_at_end=admission.waiting,
-        admission_delay_p50=quantile_from_buckets(delay_buckets, None, 0.50),
-        admission_delay_p99=quantile_from_buckets(delay_buckets, None, 0.99),
+        admission_delay_p50=h_delay.quantile(0.50),
+        admission_delay_p99=h_delay.quantile(0.99),
         scale_ups=scale_ups,
         scale_downs=scale_downs,
         peak_workers=peak_workers,

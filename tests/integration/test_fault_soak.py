@@ -42,11 +42,11 @@ REORDER_WINDOW = 3
 def ledgers():
     """``(prefix, stats)`` of every soak server and session.
 
-    When ``REPRO_OBS_SNAPSHOT`` names a path, the observability
-    registry is dumped after the soak, folded with each of these
-    ledgers' series (the server, client and wire counters), so the soak
-    workflows can archive the cumulative server/client/wire/decoder
-    counters as an artifact.
+    When ``REPRO_OBS_SNAPSHOT`` names a path, a snapshot document is
+    saved after the soak: the tracer's span histograms (empty unless
+    tracing was on) folded with each of these ledgers' series (the
+    server, client and wire counters), so the soak workflows can archive
+    the cumulative server/client/wire counters as an artifact.
     """
     kept: list = []
     yield kept

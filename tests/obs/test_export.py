@@ -12,7 +12,7 @@ from repro.obs.export import (
     self_times,
     snapshot_document,
 )
-from repro.obs.registry import MetricsRegistry, merge_snapshots, set_registry
+from repro.obs.registry import Histogram, merge_snapshots
 from repro.obs.trace import SpanRecord, Tracer, get_tracer, trace, tracing
 
 
@@ -27,6 +27,17 @@ def span(name, duration_ns, *, depth=0, root=1, root_name=None, thread_id=1):
         root_name=root_name or name,
         thread_id=thread_id,
     )
+
+
+def snapshot_of(gauges=None, **observations):
+    """A snapshot holding ``gauges`` and one histogram per keyword."""
+    histograms = {}
+    for key, values in observations.items():
+        histogram = Histogram()
+        for value in values:
+            histogram.observe(value)
+        histograms[key] = histogram.snapshot()
+    return {"counters": {}, "gauges": gauges or {}, "histograms": histograms}
 
 
 class TestSelfTimes:
@@ -93,11 +104,9 @@ class TestRoundBreakdown:
 
 class TestPrometheus:
     def test_counters_gauges_histograms_render(self):
-        registry = MetricsRegistry()
-        registry.gauge("depth").set(2)
-        registry.histogram("lat").observe(3.0)
+        observed = snapshot_of({"depth": 2.0}, lat=[3.0])
         export = {"counters": {'frames{peer="1"}': 3}}
-        text = render_prometheus(merge_snapshots(export, registry.snapshot()))
+        text = render_prometheus(merge_snapshots(export, observed))
         assert "# TYPE frames counter" in text
         assert 'frames{peer="1"} 3' in text
         assert "# TYPE depth gauge" in text
@@ -109,77 +118,62 @@ class TestPrometheus:
         assert "lat_sum 3" in text
 
     def test_bucket_series_are_cumulative(self):
-        registry = MetricsRegistry()
-        for value in (1.0, 1.5, 3.0):
-            registry.histogram("lat").observe(value)
-        text = render_prometheus(registry.snapshot())
+        text = render_prometheus(snapshot_of(lat=[1.0, 1.5, 3.0]))
         assert 'lat_bucket{le="2"} 2' in text
         assert 'lat_bucket{le="4"} 3' in text
 
     def test_histogram_labels_compose_with_le(self):
-        registry = MetricsRegistry()
-        registry.histogram("span_ns", span="wire_pack").observe(2.0)
-        text = render_prometheus(registry.snapshot())
+        text = render_prometheus(snapshot_of(**{'span_ns{span="wire_pack"}': [2.0]}))
         assert 'span_ns_bucket{span="wire_pack",le="4"} 1' in text
 
 
 class TestSnapshotFiles:
     def test_save_load_round_trip(self, tmp_path):
-        registry = MetricsRegistry()
         tracer = Tracer()
         tracer.enabled = True
-        previous = set_registry(registry)
-        try:
-            path = tmp_path / "snap.json"
-            document = save_snapshot(
-                path, {"counters": {"c": 5}}, registry=registry, tracer=tracer
-            )
-            assert json.loads(path.read_text()) == document
-            metrics, records = load_snapshot(path)
-            assert metrics["counters"]["c"] == 5
-            assert records == []
-        finally:
-            set_registry(previous)
+        path = tmp_path / "snap.json"
+        document = save_snapshot(path, {"counters": {"c": 5}}, tracer=tracer)
+        assert json.loads(path.read_text()) == document
+        metrics, records = load_snapshot(path)
+        assert metrics["counters"]["c"] == 5
+        assert records == []
 
     def test_snapshot_document_includes_live_spans(self):
-        registry = MetricsRegistry()
-        previous = set_registry(registry)
         get_tracer().clear()
         try:
             with tracing():
                 with trace("unit_span", peer=7):
                     pass
-            document = snapshot_document(registry=registry)
+            document = snapshot_document()
             (recorded,) = [s for s in document["spans"] if s["name"] == "unit_span"]
             assert recorded["labels"] == {"peer": "7"}
             assert recorded["duration_ns"] >= 0
+            histograms = document["metrics"]["histograms"]
+            assert histograms['span_ns{span="unit_span"}']["count"] == 1
         finally:
             get_tracer().clear()
-            set_registry(previous)
 
     def test_loaded_spans_rebuild_breakdowns(self, tmp_path):
-        registry = MetricsRegistry()
         tracer = Tracer()
         tracer.enabled = True
         with span_on(tracer, "serve_round"):
             with span_on(tracer, "wire_pack"):
                 pass
-        previous = set_registry(registry)
-        try:
-            path = tmp_path / "snap.json"
-            save_snapshot(path, registry=registry, tracer=tracer)
-        finally:
-            set_registry(previous)
-        _, records = load_snapshot(path)
+        path = tmp_path / "snap.json"
+        save_snapshot(path, tracer=tracer)
+        metrics, records = load_snapshot(path)
+        assert set(metrics["histograms"]) == {
+            'span_ns{span="serve_round"}',
+            'span_ns{span="wire_pack"}',
+        }
         stages = {s.stage for s in round_breakdown(records)}
         assert "wire" in stages
 
     def test_metrics_summary_mentions_every_kind(self):
-        registry = MetricsRegistry()
-        registry.gauge("g").set(2)
-        registry.histogram("h").observe(4.0)
         export = {"counters": {"c": 1}}
-        text = render_metrics_summary(merge_snapshots(export, registry.snapshot()))
+        text = render_metrics_summary(
+            merge_snapshots(export, snapshot_of({"g": 2.0}, h=[4.0]))
+        )
         assert "counters:" in text
         assert "gauges:" in text
         assert "histograms:" in text

@@ -1,12 +1,12 @@
 """Stats snapshots across process boundaries: pickle, pipe, merge.
 
-The parallel cluster ships each worker's registry-shaped snapshot over
+The parallel cluster ships each worker's stats snapshot over
 a command pipe and folds the lot with :func:`merge_snapshots`.  These
 tests pin the contract that makes that sound:
 
 * partitioning a stream of metric operations across per-process
-  shards (a stats object for the counters, a registry for gauges and
-  histograms), shipping each shard's snapshot through a *real*
+  shards (a stats object for the counters, a histogram and a gauge
+  map beside it), shipping each shard's snapshot through a *real*
   ``multiprocessing.Pipe`` (an actual pickle round trip), and merging
   must equal applying every operation to one shard;
 * a snapshot built in a genuine child process merges identically.
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs import MetricsRegistry, merge_snapshots
+from repro.obs import Histogram, merge_snapshots
 from repro.obs.stats import CumulativeStats
 
 COUNTERS = ("blocks_served", "bytes_served", "rounds_served")
@@ -38,13 +38,22 @@ class ShardStats(CumulativeStats):
 
 @dataclass
 class Shard:
-    """One process's metrics: its stats ledger and its registry."""
+    """One process's metrics: its stats ledger, a histogram and gauges."""
 
     stats: ShardStats = field(default_factory=ShardStats)
-    registry: MetricsRegistry = field(default_factory=MetricsRegistry)
+    batch_bytes: Histogram = field(default_factory=Histogram)
+    gauges: dict = field(default_factory=dict)
 
     def snapshot(self):
-        return merge_snapshots(self.stats.series("shard"), self.registry.snapshot())
+        observed = {
+            "gauges": dict(self.gauges),
+            "histograms": (
+                {"batch_bytes": self.batch_bytes.snapshot()}
+                if self.batch_bytes.count
+                else {}
+            ),
+        }
+        return merge_snapshots(self.stats.series("shard"), observed)
 
 operations = st.lists(
     st.tuples(
@@ -73,10 +82,10 @@ def apply(target, shard, kind, name_index, amount):
         name = COUNTERS[name_index]
         setattr(target.stats, name, getattr(target.stats, name) + amount)
     elif kind == "histogram":
-        target.registry.histogram("batch_bytes").observe(float(amount))
+        target.batch_bytes.observe(float(amount))
     else:
         # disjoint per-shard labels, like the cluster's worker="N"
-        target.registry.gauge("queue_depth", shard=str(shard)).set(float(amount))
+        target.gauges[f'queue_depth{{shard="{shard}"}}'] = float(amount)
 
 
 @settings(deadline=None, max_examples=50)

@@ -1,12 +1,11 @@
 """One counter ledger: each component counts in its stats object only.
 
-A serving run leaves the process registry with no counter and no gauge,
-on every substrate: a component's ``stats_snapshot()`` (or
-``stats.series()``) is its export, and the registry keeps only span
-timings (none here: tracing is off) and the load harness's control
-inputs (no load test runs here).  Because a worker process ships its
-server's snapshot over the pipe, a serial and a parallel cluster given
-the same seeded work export the same counters.
+A serving run leaves no shared metric state behind, on every
+substrate: a component's ``stats_snapshot()`` (or ``stats.series()``)
+is its export, and the one process-wide observability object, the
+tracer, keeps only span timings (none here: tracing is off).  Because a
+worker process ships its server's snapshot over the pipe, a serial and
+a parallel cluster given the same seeded work export the same counters.
 """
 
 import numpy as np
@@ -16,7 +15,7 @@ from repro.cluster import ServingCluster, SupervisorConfig
 from repro.faults import FaultPlan
 from repro.gpu import GTX280
 from repro.multicast import MulticastTree
-from repro.obs.registry import MetricsRegistry, set_registry
+from repro.obs.trace import get_tracer
 from repro.rlnc import CodingParams, Segment
 from repro.streaming import ClientSession, MediaProfile, StreamingServer, drive_sessions
 from tests.cluster.conftest import capped_workers
@@ -29,12 +28,12 @@ PEERS = 4
 
 
 @pytest.fixture
-def registry():
-    """A private process registry for the test's duration."""
-    fresh = MetricsRegistry()
-    previous = set_registry(fresh)
-    yield fresh
-    set_registry(previous)
+def tracer():
+    """The process tracer, cleared before and after the test."""
+    tracer = get_tracer()
+    tracer.clear()
+    yield tracer
+    tracer.clear()
 
 
 def segments():
@@ -109,14 +108,9 @@ RUNS = {
 
 class TestRegistryHoldsNoComponentCounters:
     @pytest.mark.parametrize("run", list(RUNS), ids=list(RUNS))
-    def test_serving_run_leaves_no_component_series(self, registry, run):
+    def test_serving_run_leaves_no_component_series(self, tracer, run):
         snapshot, sessions = RUNS[run]()
-        left = registry.snapshot()
-        assert left["counters"] == {}
-        assert left["gauges"] == {}
-        assert [
-            key for key in left["histograms"] if not key.startswith("span_ns{")
-        ] == []
+        assert tracer.snapshot() == {"counters": {}, "gauges": {}, "histograms": {}}
         # The ledgers did count: the export is where the counters are.
         assert any(value > 0 for value in snapshot["counters"].values())
         client = sessions[0].stats.series("client")["counters"]
@@ -125,7 +119,7 @@ class TestRegistryHoldsNoComponentCounters:
 
 
 class TestSubstratesExportOneLedger:
-    def test_serial_and_parallel_counters_agree(self, registry):
+    def test_serial_and_parallel_counters_agree(self):
         serial, serial_sessions = cluster_run(False)
         parallel, parallel_sessions = cluster_run(True)
         # Pipe bytes are the one series only the parallel substrate has.

@@ -5,10 +5,11 @@ Three laws, checked with Hypothesis:
 * **transparency** — the serving pipeline produces byte-identical coded
   blocks with tracing enabled and disabled (instrumentation observes,
   never participates);
-* **round-trippability** — registry snapshots, with a stats object's
-  ``series()`` export folded in, survive JSON encode/decode unchanged;
+* **round-trippability** — histogram and gauge snapshots, with a stats
+  object's ``series()`` export folded in, survive JSON encode/decode
+  unchanged;
 * **associativity** — merging per-thread snapshots gives the same total
-  in any grouping order, so sharded registries compose.
+  in any grouping order, so sharded histograms compose.
 """
 
 import json
@@ -20,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.gpu import GTX280
-from repro.obs.registry import MetricsRegistry, merge_snapshots
+from repro.obs.registry import Histogram, merge_snapshots
 from repro.obs.stats import CumulativeStats
 from repro.obs.trace import get_tracer, tracing
 from repro.rlnc import CodingParams, Segment
@@ -101,12 +102,15 @@ def build_snapshot(counters, gauges, observations):
     tally = Tally()
     for name, amount in counters:
         setattr(tally, name, getattr(tally, name) + amount)
-    registry = MetricsRegistry()
-    for name, value in gauges:
-        registry.gauge(name).set(value)
+    histogram = Histogram()
     for value in observations:
-        registry.histogram("hist").observe(value)
-    return merge_snapshots(tally.series("tally"), registry.snapshot())
+        histogram.observe(value)
+    observed = {
+        "counters": {},
+        "gauges": {name: float(value) for name, value in gauges},
+        "histograms": {"hist": histogram.snapshot()} if observations else {},
+    }
+    return merge_snapshots(tally.series("tally"), observed)
 
 
 class TestSnapshotProperties:
@@ -137,21 +141,20 @@ class TestSnapshotProperties:
         )
     )
     def test_per_thread_registries_merge_to_the_global_total(self, per_thread):
-        registries = [MetricsRegistry() for _ in per_thread]
+        histograms = [Histogram() for _ in per_thread]
         threads = []
 
-        def worker(registry, amounts):
-            histogram = registry.histogram("hits")
+        def worker(histogram, amounts):
             for amount in amounts:
                 histogram.observe(float(amount))
 
-        for registry, amounts in zip(registries, per_thread):
-            thread = threading.Thread(target=worker, args=(registry, amounts))
+        for histogram, amounts in zip(histograms, per_thread):
+            thread = threading.Thread(target=worker, args=(histogram, amounts))
             threads.append(thread)
             thread.start()
         for thread in threads:
             thread.join()
-        snapshots = [registry.snapshot() for registry in registries]
+        snapshots = [{"histograms": {"hits": h.snapshot()}} for h in histograms]
         merged = merge_snapshots(*snapshots)
         hits = merged["histograms"].get("hits", {})
         assert hits.get("count", 0) == sum(len(amounts) for amounts in per_thread)

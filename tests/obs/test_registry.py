@@ -1,4 +1,4 @@
-"""Unit tests for the metrics registry."""
+"""Unit tests for histograms, quantiles and the snapshot merge."""
 
 import json
 import threading
@@ -7,15 +7,13 @@ import pytest
 
 from repro.obs.registry import (
     UNDERFLOW_BUCKET,
-    MetricsRegistry,
+    Histogram,
     bucket_bounds,
     bucket_index,
-    get_registry,
     merge_snapshots,
     quantile_from_buckets,
-    set_registry,
 )
-from repro.obs.trace import get_tracer, trace, tracing
+from repro.obs.trace import Tracer
 
 
 class TestBuckets:
@@ -43,85 +41,45 @@ class TestBuckets:
         assert high == 0.0
 
 
-class TestMetrics:
-    def test_gauge_keeps_the_last_set_value(self):
-        registry = MetricsRegistry()
-        gauge = registry.gauge("depth")
-        assert gauge.value == 0
-        gauge.set(10)
-        gauge.set(3)
-        assert gauge.value == 3
+def histogram_of(*values):
+    histogram = Histogram()
+    for value in values:
+        histogram.observe(value)
+    return histogram
 
+
+class TestMetrics:
     def test_histogram_tracks_count_sum_min_max(self):
-        registry = MetricsRegistry()
-        histogram = registry.histogram("latency")
-        for value in (1.0, 3.0, 8.0):
-            histogram.observe(value)
+        histogram = histogram_of(1.0, 3.0, 8.0)
         assert histogram.count == 3
         assert histogram.sum == 12.0
         assert histogram.buckets() == {0: 1, 1: 1, 3: 1}
-
-    def test_handles_are_memoized(self):
-        registry = MetricsRegistry()
-        assert registry.gauge("x") is registry.gauge("x")
-        assert registry.histogram("x", a=1) is registry.histogram("x", a=1)
-        assert registry.histogram("x", a=1) is not registry.histogram("x", a=2)
-        assert registry.gauge("x", a=1, b=2) is registry.gauge("x", b=2, a=1)
+        assert histogram.snapshot() == {
+            "count": 3,
+            "sum": 12.0,
+            "min": 1.0,
+            "max": 8.0,
+            "buckets": {"0": 1, "1": 1, "3": 1},
+        }
+        assert Histogram().snapshot()["min"] is None
 
     def test_labels_make_distinct_series(self):
-        registry = MetricsRegistry()
-        registry.gauge("served", scheme="table_5").set(3)
-        registry.gauge("served", scheme="loop").set(4)
-        registry.histogram("span_ns", span="wire_pack").observe(2.0)
-        snapshot = registry.snapshot()
-        assert snapshot["gauges"]['served{scheme="loop"}'] == 4
-        assert snapshot["gauges"]['served{scheme="table_5"}'] == 3
-        assert snapshot["histograms"]['span_ns{span="wire_pack"}']["count"] == 1
+        tracer = Tracer()
+        tracer.enabled = True
+        for name in ("wire_pack", "gpu_encode", "wire_pack"):
+            with tracer_span(tracer, name):
+                pass
+        snapshot = tracer.snapshot()
+        assert snapshot["histograms"]['span_ns{span="wire_pack"}']["count"] == 2
+        assert snapshot["histograms"]['span_ns{span="gpu_encode"}']["count"] == 1
         assert snapshot["counters"] == {}
+        assert snapshot["gauges"] == {}
 
 
-class TestRegistryLifecycle:
-    def test_reset_zeroes_but_keeps_handles_live(self):
-        registry = MetricsRegistry()
-        gauge = registry.gauge("g")
-        histogram = registry.histogram("h")
-        gauge.set(7)
-        histogram.observe(2.0)
-        registry.reset()
-        assert gauge.value == 0
-        assert histogram.count == 0
-        histogram.observe(4.0)
-        assert registry.snapshot()["histograms"]["h"]["count"] == 1
+def tracer_span(tracer, name):
+    from repro.obs.trace import _Span
 
-    def test_spans_traced_after_reset_reach_the_snapshot(self):
-        """The tracer caches its ``span_ns`` handles; ``reset`` keeps them
-        registered, so the next traced span still lands in the snapshot."""
-        registry = MetricsRegistry()
-        previous = set_registry(registry)
-        try:
-            with tracing():
-                with trace("before_reset"):
-                    pass
-                registry.reset()
-                with trace("before_reset"):
-                    pass
-                with trace("after_reset"):
-                    pass
-        finally:
-            set_registry(previous)
-            get_tracer().clear()
-        histograms = registry.snapshot()["histograms"]
-        assert histograms['span_ns{span="before_reset"}']["count"] == 1
-        assert histograms['span_ns{span="after_reset"}']["count"] == 1
-
-    def test_set_registry_swaps_default(self):
-        fresh = MetricsRegistry()
-        previous = set_registry(fresh)
-        try:
-            assert get_registry() is fresh
-        finally:
-            set_registry(previous)
-        assert get_registry() is previous
+    return _Span(tracer, name, {})
 
 
 class TestSnapshotsAndMerge:
@@ -133,10 +91,11 @@ class TestSnapshotsAndMerge:
         return {"counters": counters, "gauges": {}, "histograms": {}}
 
     def test_snapshot_is_json_round_trippable(self):
-        registry = MetricsRegistry()
-        registry.gauge("g").set(1.5)
-        registry.histogram("h").observe(9.0)
-        snapshot = registry.snapshot()
+        snapshot = {
+            "counters": {},
+            "gauges": {"g": 1.5},
+            "histograms": {"h": histogram_of(9.0).snapshot()},
+        }
         assert json.loads(json.dumps(snapshot)) == snapshot
         merged = merge_snapshots(self.make(('c{peer="3"}', 2)), snapshot)
         assert json.loads(json.dumps(merged)) == merged
@@ -148,20 +107,15 @@ class TestSnapshotsAndMerge:
         assert merged["counters"] == {"a": 1, "b": 5, "c": 4}
 
     def test_merge_is_right_biased_for_gauges(self):
-        registry = MetricsRegistry()
-        registry.gauge("depth").set(3)
-        left = registry.snapshot()
-        registry.gauge("depth").set(9)
-        right = registry.snapshot()
+        left = {"gauges": {"depth": 3.0}}
+        right = {"gauges": {"depth": 9.0}}
         assert merge_snapshots(left, right)["gauges"]["depth"] == 9
         assert merge_snapshots(right, left)["gauges"]["depth"] == 3
 
     def test_merge_histograms_preserves_count_sum_min_max(self):
-        first = MetricsRegistry()
-        first.histogram("h").observe(1.0)
-        second = MetricsRegistry()
-        second.histogram("h").observe(16.0)
-        merged = merge_snapshots(first.snapshot(), second.snapshot())
+        first = {"histograms": {"h": histogram_of(1.0).snapshot()}}
+        second = {"histograms": {"h": histogram_of(16.0).snapshot()}}
+        merged = merge_snapshots(first, second)
         payload = merged["histograms"]["h"]
         assert payload["count"] == 2
         assert payload["sum"] == 17.0
@@ -170,8 +124,7 @@ class TestSnapshotsAndMerge:
         assert payload["buckets"] == {"0": 1, "4": 1}
 
     def test_concurrent_increments_never_lose_updates(self):
-        registry = MetricsRegistry()
-        histogram = registry.histogram("hits")
+        histogram = Histogram()
 
         def worker():
             for _ in range(1000):
@@ -227,10 +180,7 @@ class TestQuantileFromBuckets:
             quantile_from_buckets({0: 1}, None, 1.5)
 
     def test_histogram_quantile_matches_free_function(self):
-        registry = MetricsRegistry()
-        histogram = registry.histogram("delay")
-        for value in (1.0, 1.5, 3.0, 5.0, 40.0):
-            histogram.observe(value)
+        histogram = histogram_of(1.0, 1.5, 3.0, 5.0, 40.0)
         assert histogram.quantile(0.5) == quantile_from_buckets(
             histogram.buckets(), 5, 0.5
         )
@@ -239,8 +189,7 @@ class TestQuantileFromBuckets:
     def test_windowed_delta_sees_only_new_observations(self):
         # The load-harness trick: p99 over a window = quantile of the
         # positive delta between two cumulative bucket snapshots.
-        registry = MetricsRegistry()
-        histogram = registry.histogram("delay")
+        histogram = Histogram()
         for _ in range(1000):
             histogram.observe(1.0)
         before = histogram.buckets()

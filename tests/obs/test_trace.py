@@ -1,11 +1,10 @@
 """Unit tests for the span tracer."""
 
-import gc
 import threading
 
 import pytest
 
-from repro.obs.registry import MetricsRegistry, set_registry
+from repro.obs.export import snapshot_document
 from repro.obs.trace import (
     Tracer,
     get_tracer,
@@ -127,36 +126,43 @@ class TestEnabledPath:
 
 class TestRegistryMirror:
     def test_spans_mirror_into_span_ns_histogram(self):
-        fresh = MetricsRegistry()
-        previous = set_registry(fresh)
-        try:
-            with tracing():
-                with trace("mirrored"):
-                    pass
-                with trace("mirrored"):
-                    pass
-            payload = fresh.snapshot()["histograms"]['span_ns{span="mirrored"}']
-            assert payload["count"] == 2
-            assert payload["sum"] > 0
-        finally:
-            set_registry(previous)
+        with tracing() as tracer:
+            with trace("mirrored"):
+                pass
+            with trace("mirrored"):
+                pass
+        payload = tracer.snapshot()["histograms"]['span_ns{span="mirrored"}']
+        assert payload["count"] == 2
+        assert payload["sum"] > 0
+        assert payload["sum"] == sum(r.duration_ns for r in tracer.records())
 
-    def test_each_swapped_in_registry_gets_its_spans(self):
-        # A collected registry's id is soon reused by a new one; the
-        # new registry must still receive the spans traced under it.
-        for _ in range(30):
-            fresh = MetricsRegistry()
-            previous = set_registry(fresh)
-            try:
-                with tracing():
-                    with trace("swapped"):
-                        pass
-            finally:
-                set_registry(previous)
-            histograms = fresh.snapshot()["histograms"]
-            assert histograms['span_ns{span="swapped"}']["count"] == 1
-            del fresh
-            gc.collect()
+
+class TestClear:
+    def test_clear_drops_records_and_span_histograms(self):
+        with tracing() as tracer:
+            with trace("before_clear"):
+                pass
+        assert tracer.records() and tracer.snapshot()["histograms"]
+        tracer.clear()
+        assert tracer.records() == []
+        assert tracer.snapshot() == {"counters": {}, "gauges": {}, "histograms": {}}
+
+    def test_spans_traced_after_clear_reach_the_snapshot_document(self):
+        with tracing() as tracer:
+            with trace("span_a"):
+                pass
+            tracer.clear()
+            with trace("span_a"):
+                pass
+            with trace("span_b"):
+                pass
+        document = snapshot_document()
+        assert set(document["metrics"]) == {"counters", "gauges", "histograms"}
+        histograms = document["metrics"]["histograms"]
+        assert set(histograms) == {'span_ns{span="span_a"}', 'span_ns{span="span_b"}'}
+        assert histograms['span_ns{span="span_a"}']["count"] == 1
+        assert histograms['span_ns{span="span_b"}']["count"] == 1
+        assert [span["name"] for span in document["spans"]] == ["span_a", "span_b"]
 
 
 class TestCapacity:

@@ -1,13 +1,13 @@
-"""Guard: only the observability layer and the load-test loop touch the
-process metrics registry.
+"""Guard: no component mirrors its counters into shared metric state.
 
 A component's stats object is its one ledger and ``series()`` exports
-it; the registry keeps only what no object holds and something reads
-back — the tracer's ``span_ns`` histograms and the autoscaler's two
-control inputs, which the load harness writes and the autoscaler reads.
-This test enforces that textually, so a future component cannot quietly
-mirror its counters into the registry again (where, on a parallel
-cluster, they would land in a worker process nobody reads).
+it.  There is no process-wide metrics registry: the tracer owns its
+``span_ns`` histograms, and the load harness owns the admission-delay
+histogram it hands its autoscaler.  This test enforces that textually,
+so a future component cannot quietly bring back a shared registry
+(where, on a parallel cluster, its series would land in a worker
+process nobody reads) or scatter histograms outside the layers that
+own them.
 """
 
 import re
@@ -17,43 +17,60 @@ import repro
 
 SRC_ROOT = Path(repro.__file__).resolve().parent
 
-#: Where registry access is allowed (paths relative to ``repro``).
-ALLOWED_PACKAGE = Path("obs")
-ALLOWED_MODULES = {Path("workloads/autoscaler.py"), Path("workloads/harness.py")}
-
-#: Fetching the default registry, or resolving a series on any registry
-#: (``registry.gauge("name")``, the removed ``obs_counter`` helpers).
-FORBIDDEN = re.compile(
-    r"\bget_registry\s*\("
-    r"|\.(?:counter|gauge|histogram)\s*\("
+#: The registry API and its helpers, forbidden everywhere in ``repro``:
+#: the default-registry getter and setter, the registry class and the
+#: ``obs_*`` series helpers.  Outside ``obs/`` any series resolve
+#: (``x.gauge("name")``) is forbidden too.  (The names are spelled as
+#: patterns, so a plain search of the tree for them finds nothing.)
+REGISTRY_API = re.compile(
+    r"\b(?:[gs]et_registry|Metrics(?:Registry))\b"
     r"|\bobs_(?:counter|gauge|histogram)\b"
 )
+SERIES_RESOLVE = re.compile(r"\.(?:counter|gauge|histogram)\s*\(")
+#: Building a histogram; only the owners below may.
+HISTOGRAM_BUILD = re.compile(r"\bHistogram\s*\(")
+
+#: Packages (relative to ``repro``) that may build histograms: the
+#: tracer's span timings and the load harness's admission delays.
+HISTOGRAM_OWNERS = (Path("obs"), Path("workloads"))
 
 
-def scanned_modules():
+def offenders():
     for path in sorted(SRC_ROOT.rglob("*.py")):
         relative = path.relative_to(SRC_ROOT)
-        if relative.parts[0] == ALLOWED_PACKAGE.name or relative in ALLOWED_MODULES:
-            continue
-        yield path
+        in_obs = relative.parts[0] == "obs"
+        owner = any(relative.parts[0] == p.name for p in HISTOGRAM_OWNERS)
+        for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+            if (
+                REGISTRY_API.search(line)
+                or (not in_obs and SERIES_RESOLVE.search(line))
+                or (not owner and HISTOGRAM_BUILD.search(line))
+            ):
+                yield f"{relative}:{lineno}: {line.strip()}"
 
 
 def test_no_registry_access_outside_obs_and_the_load_loop():
-    offenders = []
-    for path in scanned_modules():
-        for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-            if FORBIDDEN.search(line):
-                offenders.append(
-                    f"{path.relative_to(SRC_ROOT)}:{lineno}: {line.strip()}"
-                )
-    assert not offenders, (
+    found = list(offenders())
+    assert not found, (
         "count in the component's stats object and export it with "
-        "series(); registry access found:\n" + "\n".join(offenders)
+        "series(); shared metric state found:\n" + "\n".join(found)
     )
 
 
+def test_patterns_catch_the_removed_api():
+    for line in (
+        "registry = " + "get" + "_registry()",
+        "previous = " + "set" + "_registry(fresh)",
+        "Metrics" + "Registry()",
+        "obs_counter('x').inc()",
+    ):
+        assert REGISTRY_API.search(line), line
+    assert SERIES_RESOLVE.search('registry.gauge("util").set(1)')
+    assert HISTOGRAM_BUILD.search("delay = Histogram()")
+    assert not HISTOGRAM_BUILD.search("delay: Histogram | None")
+
+
 def test_allowed_modules_still_exist():
-    # If the load loop moves, the allow-list must move with it.
-    assert (SRC_ROOT / ALLOWED_PACKAGE).is_dir()
-    for allowed in ALLOWED_MODULES:
-        assert (SRC_ROOT / allowed).is_file(), allowed
+    # If an owner moves, the allow-list must move with it.
+    for owner in HISTOGRAM_OWNERS:
+        assert (SRC_ROOT / owner).is_dir(), owner

@@ -226,6 +226,30 @@ class TestRunLoadtest:
                 second, field.name
             ), f"report field {field.name} diverged between replays"
 
+    def test_pinned_flash_crowd_decisions(self):
+        # 10^5 modelled sessions, one worker allowed to grow to two and
+        # a 3x flash crowd at round 30: the delay quantiles and the
+        # scale events this shape produced when the admission delays
+        # were also mirrored into shared metric state, pinned so that
+        # moving the histogram cannot move a decision.
+        report = run_loadtest(
+            target_sessions=100_000,
+            rounds=80,
+            seed=11,
+            sample_peers=4,
+            initial_workers=1,
+            autoscaler_config=AutoscalerConfig(max_workers=2),
+            flash_crowds=(
+                FlashCrowd(start_round=30, duration_rounds=15, multiplier=3.0),
+            ),
+        )
+        assert report.stats.admitted == 118_361
+        assert report.admission_delay_p50 == 24.55004515647701
+        assert report.admission_delay_p99 == 63.20003381091247
+        assert [(e.round_index, e.action) for e in report.events] == [(4, "up")]
+        assert (report.scale_ups, report.scale_downs) == (1, 0)
+        assert report.byte_exact
+
 
 class TestClusterStatsAcrossAutoscale:
     def test_deltas_sum_to_cumulative_across_scale_events(self):
