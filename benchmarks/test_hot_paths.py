@@ -30,7 +30,7 @@ from repro.gf256.engine import ENGINE, Gf256Engine
 from repro.gpu import GTX280
 from repro.kernels import EncodeScheme, GpuEncoder
 from repro.rlnc import CodingParams, Encoder, ProgressiveDecoder, Segment, unpack_blocks
-from repro.rlnc._reference import ReferenceProgressiveDecoder
+from tests.rlnc._reference import ReferenceProgressiveDecoder
 from repro.streaming import MediaProfile, StreamingServer
 
 ARTIFACT = pathlib.Path(__file__).parent.parent / "BENCH_hot_paths.json"

@@ -90,10 +90,6 @@ class LtDecoder:
         self.symbols_received = 0
 
     @property
-    def decoded_count(self) -> int:
-        return len(self._decoded)
-
-    @property
     def is_complete(self) -> bool:
         return len(self._decoded) == self.num_blocks
 

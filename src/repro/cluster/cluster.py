@@ -6,8 +6,9 @@ the consistent-hash :class:`~repro.cluster.ring.HashRing`, and the
 :class:`~repro.cluster.router.ClusterRouter` sends every block request
 to the segment's owner.  The cluster implements the same
 :class:`~repro.serving.ServingEndpoint` surface as a single server, so
-:class:`~repro.streaming.client.ClientSession` and
-:func:`~repro.streaming.client.drive_sessions` drive either unchanged.
+:class:`~repro.streaming.client.ClientSession` and the round driver
+(:func:`~repro.streaming.rounds.drive`, behind ``drive_sessions``)
+drive either unchanged.
 
 Execution model — one round path, two interchangeable worker handles:
 

@@ -27,7 +27,8 @@ from repro.faults import ChaosPlan, WorkerKillPlan
 from repro.gpu.spec import GTX280, DeviceSpec
 from repro.rlnc.block import CodingParams, Segment
 from repro.rlnc.wire import VERSION2
-from repro.streaming.client import ClientSession, receive_round
+from repro.streaming.client import ClientSession
+from repro.streaming.rounds import drive
 from repro.streaming.session import MediaProfile
 
 
@@ -98,9 +99,11 @@ def run_cluster_workload(
 
     Peer ``i`` fetches segment ``i % num_segments`` to full rank over
     the wire path (v2 frames by default, so every block arrives stamped
-    with its worker's id).  Each round: incomplete sessions run their
-    NACK ``pre_round``, the cluster drains one coalesced round on every
-    live worker, sessions absorb their frame slices.  A
+    with its worker's id), all of them in one
+    :func:`~repro.streaming.rounds.drive`: each round, incomplete
+    sessions run their NACK ``pre_round``, the cluster drains one
+    coalesced round on every live worker, sessions absorb their frame
+    slices.  A
     ``per_peer_round_quota`` stretches delivery over multiple rounds
     (each peer needs ``ceil(n / quota)``), which is what gives a
     mid-flight failure a window to land in.  When a
@@ -170,64 +173,63 @@ def run_cluster_workload(
         dropped_worker: int | None = None
         drop_round: int | None = None
         moved: dict[int, int] = {}
-        frames: dict = {}
         rounds = 0
 
-        def progress() -> float:
-            return (
+        def fire_plans() -> None:
+            """Fire the kill or chaos drop due before round ``rounds``."""
+            nonlocal killed_worker, kill_round, moved, dropped_worker, drop_round
+            kill_due = kill_plan is not None and not kill_plan.fired
+            drop_due = chaos_plan is not None and not chaos_plan.drop_fired
+            if not (kill_due or drop_due):
+                return
+            progress = (
                 sum(s.decoder.rank for s in sessions if s.decoder is not None)
                 / total_rank
             )
-
-        while rounds < max_rounds:
-            live = [
-                s
-                for s in sessions
-                if s.peer_id not in undecoded and not s.complete
-            ]
-            if not live:
-                break
-            if kill_plan is not None and not kill_plan.fired:
+            if progress >= 1.0:
+                # Every session is complete: no round follows.
+                return
+            if kill_due:
                 result = kill_plan.maybe_kill(
-                    cluster, progress=progress(), round_index=rounds
+                    cluster, progress=progress, round_index=rounds
                 )
                 if result is not None:
                     killed_worker = kill_plan.victim
                     kill_round = rounds
                     moved = result
-            if chaos_plan is not None and not chaos_plan.drop_fired:
+            if drop_due:
                 victim = chaos_plan.maybe_drop(
-                    cluster, progress=progress(), round_index=rounds
+                    cluster, progress=progress, round_index=rounds
                 )
                 if victim is not None:
                     dropped_worker = victim
                     drop_round = rounds
-            for session in live:
-                try:
-                    session.pre_round()
-                except RetryExhaustedError:
-                    undecoded.add(session.peer_id)
-            frames = cluster.serve_round(version=wire_version)
-            receiving = [s for s in live if s.peer_id not in undecoded]
-            receive_round(
-                receiving,
-                [frames.get(session.peer_id) for session in receiving],
+
+        fire_plans()
+        try:
+            for _ in drive(
+                cluster,
+                sessions,
+                version=wire_version,
                 on_exhausted=lambda session, _: undecoded.add(session.peer_id),
-            )
-            rounds += 1
-            if (
-                cluster.supervisor is not None
-                and cluster.supervisor.down_workers
+                max_rounds=max_rounds,
             ):
-                # Degraded cadence: a real deployment's rounds have a
-                # period, but this loop spins them in microseconds — so
-                # while a worker is down, give the supervisor's restart
-                # backoff wall-clock room before the starved sessions
-                # burn through their RetryLater budget.
-                time.sleep(cluster.supervisor.config.backoff_base)
-        # Drop the last round's ring views so closing the cluster can
-        # unmap its shared memory cleanly.
-        frames = {}
+                rounds += 1
+                if (
+                    cluster.supervisor is not None
+                    and cluster.supervisor.down_workers
+                ):
+                    # Degraded cadence: a real deployment's rounds have a
+                    # period, but this loop spins them in microseconds —
+                    # so while a worker is down, give the supervisor's
+                    # restart backoff wall-clock room before the starved
+                    # sessions burn through their RetryLater budget.
+                    time.sleep(cluster.supervisor.config.backoff_base)
+                fire_plans()
+        except RetryExhaustedError:
+            # Out of rounds: the sessions still fetching count as
+            # undecoded below.
+            pass
         supervision_stats = (
             cluster.supervisor.stats.snapshot()
             if cluster.supervisor is not None

@@ -103,14 +103,6 @@ class CoalescingStats:
     transactions: int = 0
     bytes_moved: int = 0
 
-    @property
-    def transactions_per_request_group(self) -> float:
-        if self.requests == 0:
-            return 0.0
-        return self.transactions / max(1, self._groups)
-
-    _groups: int = 0
-
 
 class CoalescingModel:
     """Counts memory transactions for half-warp global accesses.
@@ -150,7 +142,6 @@ class CoalescingModel:
         self.stats.requests += len(byte_addresses)
         self.stats.transactions += transactions
         self.stats.bytes_moved += len(byte_addresses) * access_bytes
-        self.stats._groups += 1
         return transactions
 
     def _is_strictly_coalesced(

@@ -1,26 +1,27 @@
-"""Lock-step and pipelined distribution drivers over one endpoint API.
+"""Lock-step versus pipelined distribution over one endpoint API.
 
 The tentpole experiment: the same workload — every peer fetches one
 segment through the NACK-driven :class:`~repro.streaming.client
-.ClientSession` transport — driven two ways against any
+.ClientSession` transport — driven by the one round driver,
+:func:`~repro.streaming.rounds.drive`, in its two modes against any
 :class:`~repro.serving.ServingEndpoint`:
 
 * :func:`run_lockstep` — the classic loop: requests, one serve round,
   intake, repeat.  Round latency is the *sum* of the encode, transmit
   and decode stages.
 * :func:`run_pipelined` — double-buffered: round ``r``'s
-  ``begin_round`` fires first, then round ``r-1``'s frames (already
-  collected, endpoint wire slots are double-buffered) are absorbed by
-  the decoders *while* round ``r`` encodes, then ``collect_round``
-  barriers.  Steady-state round latency approaches
-  ``max(encode, transmit, decode)``.
+  ``begin_round`` fires first, then round ``r-1``'s frames (copied
+  out at its collect) are absorbed by the decoders *while* round ``r``
+  encodes, then ``collect_round`` barriers.  Steady-state round
+  latency approaches ``max(encode, transmit, decode)``.
 
-Both drivers place each peer's full ``n``-block demand up front, so the
+Both modes place each peer's full ``n``-block demand up front, so the
 endpoint's queue evolution — grant carving by quota and carryover, rng
 draws, v2 sequence stamps — is *identical* in both modes and the wire
 byte streams match exactly (:meth:`PipelineRunReport.byte_exact`).
-NACK top-ups (dependent draws, injected loss) are issued only at
-fully-drained barriers, where the two modes' endpoint states coincide;
+Pipelined NACK top-ups (dependent draws, injected loss) are issued
+only at fully-drained barriers, where the two modes' endpoint states
+coincide;
 under injected loss the pipelined mode still recovers rank, it just no
 longer promises wire-level identity.
 
@@ -36,7 +37,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 
-from repro.errors import ConfigurationError, RetryExhaustedError, WireError
+from repro.errors import ConfigurationError, WireError
 from repro.faults import FaultPlan
 from repro.gpu.spec import GTX280, DeviceSpec
 from repro.kernels.cost_model import (
@@ -48,8 +49,9 @@ from repro.multicast.timeline import OverlapReport, TimelineModel
 from repro.obs.trace import trace
 from repro.rlnc.block import Segment
 from repro.rlnc.wire import VERSION2, frame_sequence, frame_size, frame_worker_id
-from repro.streaming.client import ClientSession, receive_round
+from repro.streaming.client import ClientSession
 from repro.streaming.nic import GIGABIT_ETHERNET, NicModel
+from repro.streaming.rounds import drive
 
 
 @dataclass(frozen=True)
@@ -146,14 +148,14 @@ def _drive(
     max_rounds: int = 10_000,
     timeline: bool = True,
 ) -> PipelineRunReport:
-    """The shared driver body (see module docstring for the two modes).
+    """One run in either mode (see the module docstring).
 
     Args:
         endpoint: any :class:`~repro.serving.ServingEndpoint`; must
             already hold ``segment`` (``publish`` it first).
         peers: peer ids to run sessions for.
         segment: the segment every peer fetches.
-        pipelined: loop shape — lock-step or double-buffered.
+        pipelined: the driver's mode — lock-step or double-buffered.
         quota: the endpoint's ``per_peer_round_quota``, used only to
             *predict* the round schedule for the timeline model (the
             endpoint itself already enforces it).
@@ -210,7 +212,6 @@ def _drive(
 
     state = _RunState(
         endpoint=endpoint,
-        sessions=sessions,
         model=model,
         nic=nic,
         decode_bw=decode_bw,
@@ -218,19 +219,34 @@ def _drive(
         spec=spec,
         scheme=scheme,
         params=params,
-        checksum=checksum,
         version=version,
     )
-    loop = _pipelined_loop if pipelined else _lockstep_loop
-    with trace("multicast_drive", mode="pipelined" if pipelined else "lockstep"):
-        loop(state, max_rounds)
+    mode = "pipelined" if pipelined else "lockstep"
+    with trace("multicast_drive", mode=mode):
+        gpu_before = state.gpu_seconds()
+        for frames in drive(
+            endpoint,
+            sessions,
+            checksum=checksum,
+            version=version,
+            pipelined=pipelined,
+            max_rounds=max_rounds,
+        ):
+            # The ledger moves only inside the round's serve, so the
+            # change since the last round is this round's encode.
+            gpu_after = state.gpu_seconds()
+            if frames:
+                state.record_round(
+                    frames, None if gpu_before is None else gpu_after - gpu_before
+                )
+            gpu_before = gpu_after
 
     payload_hash = hashlib.sha256()
     for session in sorted(sessions, key=lambda s: s.peer_id):
         payload_hash.update(session.finish_segment(segment.original_length).to_bytes())
     overlap = model.report() if model is not None and model.rounds_observed else None
     return PipelineRunReport(
-        mode="pipelined" if pipelined else "lockstep",
+        mode=mode,
         rounds=state.rounds,
         delivered_frames=state.frames_delivered,
         delivered_bytes=state.bytes_delivered,
@@ -242,13 +258,12 @@ def _drive(
 
 
 class _RunState:
-    """Mutable bookkeeping shared by the two loop shapes."""
+    """One run's round ledger: digests, sequence tagging, timeline stages."""
 
     def __init__(
         self,
         *,
         endpoint,
-        sessions,
         model,
         nic,
         decode_bw,
@@ -256,11 +271,9 @@ class _RunState:
         spec,
         scheme,
         params,
-        checksum,
         version,
     ) -> None:
         self.endpoint = endpoint
-        self.sessions = sessions
         self.model = model
         self.nic = nic
         self.decode_bw = decode_bw
@@ -268,7 +281,6 @@ class _RunState:
         self.spec = spec
         self.scheme = scheme
         self.params = params
-        self.checksum = checksum
         self.version = version
         self.rounds = 0
         self.frames_delivered = 0
@@ -276,9 +288,6 @@ class _RunState:
         self.wire_hash = hashlib.sha256()
         self.traces: list[RoundTrace] = []
         self._next_sequence: dict[tuple[int, int | None], int] = {}
-
-    def incomplete(self) -> list[ClientSession]:
-        return [s for s in self.sessions if not s.complete]
 
     def gpu_seconds(self) -> float | None:
         """The endpoint's cumulative modelled GPU ledger, if it has one."""
@@ -290,7 +299,7 @@ class _RunState:
         return None
 
     def record_round(
-        self, frames: dict[int, bytes], encode_seconds: float | None
+        self, frames: dict, encode_seconds: float | None
     ) -> None:
         """Account one served round: digests, tagging, timeline stages."""
         index = self.rounds
@@ -367,84 +376,6 @@ class _RunState:
             self._next_sequence[stream] = sequence + 1
             first, _ = spans.get(stream, (sequence, sequence))
             spans[stream] = (first, sequence + 1)
-
-
-def _lockstep_loop(state: _RunState, max_rounds: int) -> None:
-    """requests -> serve -> intake, strictly in sequence."""
-    iterations = 0
-    while state.incomplete():
-        if iterations >= max_rounds:
-            raise RetryExhaustedError(
-                f"lock-step distribution incomplete after {max_rounds} rounds"
-            )
-        iterations += 1
-        for session in state.incomplete():
-            session.pre_round()
-        frames: dict[int, bytes] = {}
-        if state.endpoint.pending_blocks > 0:
-            before = state.gpu_seconds()
-            served = state.endpoint.serve_round(
-                checksum=state.checksum, version=state.version
-            )
-            after = state.gpu_seconds()
-            frames = {pid: bytes(view) for pid, view in served.items()}
-            state.record_round(
-                frames, None if before is None else after - before
-            )
-        active = state.incomplete()
-        receive_round(active, [frames.get(session.peer_id) for session in active])
-
-
-def _pipelined_loop(state: _RunState, max_rounds: int) -> None:
-    """begin round r, intake round r-1 while it encodes, collect r."""
-    iterations = 0
-    ticket = None
-    gpu_before: float | None = None
-    pending: dict[int, bytes] | None = None
-    while True:
-        incomplete = state.incomplete()
-        if not incomplete and ticket is None and pending is None:
-            break
-        if iterations >= 2 * max_rounds:
-            raise RetryExhaustedError(
-                f"pipelined distribution incomplete after {max_rounds} rounds"
-            )
-        iterations += 1
-        if (
-            ticket is None
-            and pending is None
-            and incomplete
-            and state.endpoint.pending_blocks == 0
-        ):
-            # Fully-drained barrier: endpoint state here is identical to
-            # the lock-step path's, so NACK top-ups land byte-exactly.
-            for session in incomplete:
-                session.pre_round()
-            if state.endpoint.pending_blocks == 0:
-                # Tick the retry/backoff clock.
-                receive_round(incomplete, [None] * len(incomplete))
-                continue
-        if ticket is None and state.endpoint.pending_blocks > 0:
-            gpu_before = state.gpu_seconds()
-            ticket = state.endpoint.begin_round(
-                checksum=state.checksum, version=state.version
-            )
-        if pending is not None:
-            # The overlap window: round r-1 decodes while round r encodes.
-            active = state.incomplete()
-            receive_round(active, [pending.get(session.peer_id) for session in active])
-            pending = None
-        if ticket is not None:
-            served = state.endpoint.collect_round(ticket)
-            ticket = None
-            gpu_after = state.gpu_seconds()
-            # Copy out of the endpoint's double-buffered wire slots (or
-            # worker shm) before the next begin_round reuses them.
-            pending = {pid: bytes(view) for pid, view in served.items()}
-            state.record_round(
-                pending,
-                None if gpu_before is None else gpu_after - gpu_before,
-            )
 
 
 def _predict_schedule(

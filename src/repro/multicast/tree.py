@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.errors import ConfigurationError, RetryExhaustedError
+from repro.errors import ConfigurationError
 from repro.faults import FaultPlan
 from repro.multicast.relay import RelayNode, RelayStats
 from repro.obs.trace import trace
@@ -38,7 +38,8 @@ from repro.rlnc.block import Segment
 from repro.rlnc.wire import VERSION2, WireStats, frame_size
 # perfbench's traced run patches this name: its "rlnc.wire.unpack" boundary.
 from repro.rlnc.wire import unpack_frame  # noqa: F401
-from repro.streaming.client import ClientSession, receive_round
+from repro.streaming.client import ClientSession
+from repro.streaming.rounds import drive, receive_round
 from repro.streaming.session import MediaProfile
 
 
@@ -108,28 +109,36 @@ class RelayUplink:
         self._wire_key = (params.num_blocks, params.block_size, checksum, wire_version)
         self._segment_id: int | None = None
 
-    def pre_round(self, segment_id: int) -> None:
+    @property
+    def complete(self) -> bool:
+        """True when the relay holds the current segment at full rank."""
+        return self.relay.held(self._segment_id) >= self._target
+
+    def begin_segment(self, segment_id: int) -> None:
+        """Start topping the relay up on ``segment_id``."""
+        self._segment_id = segment_id
+
+    def pre_round(self) -> None:
         """Ask the parent for the rank the relay still misses."""
-        missing = self._target - self.relay.held(segment_id)
+        missing = self._target - self.relay.held(self._segment_id)
         if missing <= 0:
             return
         pending = self._view.blocks_pending
         if pending >= missing:
             return
-        self.parent.request_blocks(self.peer_id, segment_id, missing - pending)
+        self.parent.request_blocks(self.peer_id, self._segment_id, missing - pending)
 
-    def intake(self, segment_id: int, wire_bytes) -> int:
+    def intake(self, wire_bytes) -> int:
         """Unpack one round's frames into the relay; returns blocks kept.
 
-        A cohort of one of :func:`~repro.streaming.client.receive_round`:
+        A cohort of one of :func:`~repro.streaming.rounds.receive_round`:
         the round is verified as one frame matrix.  An intact frame of
         another segment — a stale grant from the previous segment's
         rounds — is dropped uncounted.
         """
-        self._segment_id = segment_id
         return receive_round([self], [wire_bytes])[0]
 
-    # -- the receive step's hooks (see receive_round) -----------------------
+    # -- the receive step's hooks (see rounds.receive_round) ---------------
 
     @property
     def _sink(self) -> object:
@@ -277,59 +286,50 @@ class MulticastTree:
     ) -> TreeReport:
         """Push one segment from the root to every leaf.
 
-        Each synchronized tree round: uplinks top up their relays from
-        the root (one root serve round feeds all relays' asks at once —
-        the root coalesces them like any other peers), then each relay
-        serves its cohort a recoded round.  Leaves join as soon as
-        their relay holds *anything* — recoded blocks of a relay below
-        full rank still carry rank — and their NACK loops repair any
-        losses hop-locally.
+        Each synchronized tree round steps one
+        :func:`~repro.streaming.rounds.drive` per hop in turn: the
+        root's over the uplinks (one root round feeds all relays' asks
+        at once — the root coalesces them like any other peers), then
+        each relay's over its cohort, a recoded round.  A cohort joins
+        as soon as its relay holds *anything* — recoded blocks of a
+        relay below full rank still carry rank — and its leaves' NACK
+        loops repair any losses hop-locally.  The tree is done when
+        every cohort's driver is.
 
         Raises:
             RetryExhaustedError: the tree did not complete within
                 ``max_rounds`` (or a leaf's retry budget ran out).
         """
         segment_id = segment.segment_id
-        for session in self.leaf_sessions:
-            session.begin_segment(segment_id)
-        for uplink in self.uplinks:
-            uplink._segment_id = segment_id
+        for receiver in (*self.uplinks, *self.leaf_sessions):
+            receiver.begin_segment(segment_id)
+        wire = {"checksum": self.checksum, "version": self.wire_version}
+        uplink_rounds = drive(self.root, self.uplinks, max_rounds=max_rounds, **wire)
+        # Each cohort's driver starts once its relay holds rank, with the
+        # tree's round budget less the rounds already spent.
+        leaf_rounds: list = [None] * len(self.relays)
+        fetching = list(range(len(self.relays)))
         rounds = 0
         with trace("multicast_tree", relays=len(self.relays)):
-            while any(not s.complete for s in self.leaf_sessions):
-                if rounds >= max_rounds:
-                    raise RetryExhaustedError(
-                        f"tree distribution incomplete after {max_rounds} rounds"
-                    )
-                for uplink in self.uplinks:
-                    uplink.pre_round(segment_id)
-                if self.root.pending_blocks > 0:
-                    frames = self.root.serve_round(
-                        checksum=self.checksum,
-                        version=self.wire_version,
-                    )
-                    receive_round(
-                        self.uplinks,
-                        [frames.get(uplink.peer_id) for uplink in self.uplinks],
-                    )
-                for relay, cohort in zip(self.relays, self.cohorts):
-                    if relay.held(segment_id) == 0:
-                        continue
-                    active = [s for s in cohort if not s.complete]
-                    for session in active:
-                        session.pre_round()
-                    served = (
-                        relay.serve_round(
-                            checksum=self.checksum,
-                            version=self.wire_version,
+            while fetching:
+                stepped = next(uplink_rounds, None) is not None
+                for index in list(fetching):
+                    if leaf_rounds[index] is None:
+                        relay = self.relays[index]
+                        if relay.held(segment_id) == 0:
+                            continue
+                        leaf_rounds[index] = drive(
+                            relay,
+                            self.cohorts[index],
+                            max_rounds=max_rounds - rounds,
+                            **wire,
                         )
-                        if relay.pending_requests
-                        else {}
-                    )
-                    receive_round(
-                        active, [served.get(session.peer_id) for session in active]
-                    )
-                rounds += 1
+                    if next(leaf_rounds[index], None) is None:
+                        fetching.remove(index)
+                    else:
+                        stepped = True
+                if stepped:
+                    rounds += 1
         expected = segment.to_bytes()
         payload_ok = all(
             session.finish_segment(segment.original_length).to_bytes()

@@ -84,12 +84,17 @@ class Histogram:
     def sum(self) -> float:
         return self._sum
 
-    def observe(self, value: float) -> None:
+    def observe(self, value: float, count: int = 1) -> None:
+        """Record ``value`` ``count`` (>= 1) times, as one call.
+
+        The sum grows by ``value * count``: exact for whole-number
+        values, and within rounding of ``count`` single calls otherwise.
+        """
         index = bucket_index(value)
         with self._lock:
-            self._buckets[index] = self._buckets.get(index, 0) + 1
-            self._count += 1
-            self._sum += value
+            self._buckets[index] = self._buckets.get(index, 0) + count
+            self._count += count
+            self._sum += value * count
             if value < self._min:
                 self._min = value
             if value > self._max:

@@ -94,10 +94,6 @@ class MultiSegmentDecoder:
         """True once ``expected_segments`` segments have fully decoded."""
         return len(self._completed) >= expected_segments
 
-    def completed_segments(self) -> list[Segment]:
-        """All fully decoded segments, ordered by segment id."""
-        return [self._completed[sid] for sid in sorted(self._completed)]
-
     def recover_bytes(self, expected_segments: int, total_length: int) -> bytes:
         """Reassemble the stream once all expected segments are decoded.
 

@@ -41,8 +41,10 @@ class ServingEndpoint(Protocol):
     simulated GPU), :class:`ServingCluster` (N of them behind a
     consistent-hash ring) and the recoding
     :class:`~repro.multicast.relay.RelayNode` (an interior node of a
-    multicast tree).  :class:`ClientSession` and
-    :func:`drive_sessions` are written against this protocol only, so
+    multicast tree).  :class:`ClientSession` and the one round driver,
+    :func:`~repro.streaming.rounds.drive` (behind
+    :func:`drive_sessions`, :meth:`ClientSession.fetch_segment` and
+    every other fetch loop), are written against this protocol only, so
     transports and tests never care which side of the scale-out line —
     or which level of a distribution tree — they run on.
 

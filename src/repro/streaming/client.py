@@ -29,8 +29,6 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from repro.errors import (
     ConfigurationError,
     RetryExhaustedError,
@@ -38,18 +36,12 @@ from repro.errors import (
 )
 from repro.faults import FaultPlan
 from repro.obs.stats import CumulativeStats
-from repro.obs.trace import trace
-from repro.rlnc.block import BlockBatch, Segment
-from repro.rlnc.decoder import ProgressiveDecoder, consume_cohort
-from repro.rlnc.wire import (
-    VERSION2,
-    WireStats,
-    frame_rows,
-    frame_size,
-    unpack_cohort,
-)
+from repro.rlnc.block import Segment
+from repro.rlnc.decoder import ProgressiveDecoder
+from repro.rlnc.wire import VERSION2, WireStats, frame_size
 # perfbench's traced run patches this name: its "rlnc.wire.unpack" boundary.
 from repro.rlnc.wire import unpack_frame  # noqa: F401
+from repro.streaming.rounds import drive, receive_round
 from repro.streaming.session import MediaProfile
 
 if TYPE_CHECKING:
@@ -173,124 +165,6 @@ class StreamingClient:
 # -- the fault-tolerant transport ------------------------------------------
 
 
-def receive_round(receivers, deliveries, *, on_exhausted=None) -> list[int]:
-    """The one receive step: a cohort's round, verified and absorbed at once.
-
-    ``receivers`` are :class:`ClientSession` and
-    :class:`~repro.multicast.tree.RelayUplink` objects, ``deliveries[i]``
-    receiver ``i``'s slice of the round (``None`` when the round
-    granted it nothing); a single receiver is a cohort of one.
-
-    Each receiver, in order, opens its round (a session counts it, and
-    raises :class:`~repro.errors.RetryExhaustedError` past
-    ``max_rounds_per_segment``), views its delivery as one frame matrix
-    (a torn tail counts as malformed) and passes it through its
-    ``fault_plan`` if it has one.  The survivors of receivers sharing a
-    geometry are stacked and verified by one
-    :func:`~repro.rlnc.wire.unpack_cohort` pass under one
-    ``wire_unpack`` span, damage counted in each receiver's own
-    :class:`~repro.rlnc.wire.WireStats`, and every receiver's intact
-    rows of its segment go to its decoder through one
-    :func:`~repro.rlnc.decoder.consume_cohort` call.  Then each
-    receiver, in order, settles its round (a session's retry and
-    backoff bookkeeping).
-
-    A receiver whose settling could raise (a session with no retry
-    left) closes the cohort it is in, and later receivers start a new
-    one, so when it raises, every receiver's fault plan, wire stats and
-    decoder stand exactly as a loop of single intakes leaves them: the
-    receivers after it have not been touched.  With ``on_exhausted``,
-    a receiver's :class:`~repro.errors.RetryExhaustedError` is handed to
-    ``on_exhausted(receiver, error)`` instead and the round goes on, as
-    a loop that catches per receiver would.
-
-    Returns:
-        Each receiver's result: the innovative rows for a session, the
-        rows a relay kept for an uplink (0 for a receiver that raised
-        into ``on_exhausted``).
-    """
-    results = [0] * len(receivers)
-    cohort: list[tuple[int, object, int, np.ndarray]] = []
-    for index, (receiver, data) in enumerate(zip(receivers, deliveries)):
-        if cohort and (
-            receiver._wire_key != cohort[0][1]._wire_key
-            or any(receiver._sink is other._sink for _, other, _, _ in cohort)
-        ):
-            _receive_cohort(cohort, results, on_exhausted)
-            cohort = []
-        try:
-            segment_id = receiver._open_round()
-        except BaseException as error:
-            # As in a loop of intakes, the receivers before it finish.
-            _receive_cohort(cohort, results, on_exhausted)
-            cohort = []
-            if on_exhausted is None or not isinstance(error, RetryExhaustedError):
-                raise
-            on_exhausted(receiver, error)
-            continue
-        frames = frame_rows(data, receiver._frame_bytes, receiver.wire)
-        if receiver.fault_plan is not None and len(frames):
-            frames = receiver.fault_plan.apply_frames(frames)
-        cohort.append((index, receiver, segment_id, frames))
-        if on_exhausted is None and receiver._settle_may_raise():
-            _receive_cohort(cohort, results, on_exhausted)
-            cohort = []
-    _receive_cohort(cohort, results, on_exhausted)
-    return results
-
-
-def _receive_cohort(cohort, results: list[int], on_exhausted) -> None:
-    """Verify, absorb and settle one cohort of :func:`receive_round`."""
-    if not cohort:
-        return
-    receivers = [receiver for _, receiver, _, _ in cohort]
-    sizes = [len(frames) for *_, frames in cohort]
-    stacked = (
-        cohort[0][3]
-        if len(cohort) == 1
-        else np.concatenate([frames for *_, frames in cohort])
-    )
-    n, k, checksum, version = receivers[0]._wire_key
-    with trace("wire_unpack", receivers=len(cohort)):
-        coefficients, payloads, bounds, foreign = unpack_cohort(
-            stacked,
-            sizes,
-            [segment_id for _, _, segment_id, _ in cohort],
-            num_blocks=n,
-            block_size=k,
-            checksum=checksum,
-            version=version,
-            stats=[receiver.wire for receiver in receivers],
-        )
-    rows = [stop - start for start, stop in bounds]
-    takers, decoders, sources = [], [], []
-    for position, receiver in enumerate(receivers):
-        taken = receiver._take_round(rows[position], foreign[position], sizes[position])
-        if taken is not None:
-            takers.append(position)
-            decoders.append(taken[0])
-            sources.append(taken[1])
-    kept: list[int | None] = [None] * len(cohort)
-    taken_bounds = [bounds[position] for position in takers]
-    if len(takers) == 1:
-        # A lone decoder absorbs through its own consume_batch (the same
-        # call with one job), so its intake stays that method's.
-        (start, stop), decoder = taken_bounds[0], decoders[0]
-        batch = BlockBatch(coefficients[start:stop], payloads[start:stop])
-        kept[takers[0]] = decoder.consume_batch(batch, source=sources[0])
-    elif takers:
-        counts = consume_cohort(decoders, coefficients, payloads, taken_bounds, sources)
-        for position, count in zip(takers, counts):
-            kept[position] = count
-    for position, (index, receiver, _, _) in enumerate(cohort):
-        try:
-            results[index] = receiver._settle_round(rows[position], kept[position])
-        except RetryExhaustedError as error:
-            if on_exhausted is None:
-                raise
-            on_exhausted(receiver, error)
-
-
 @dataclass
 class SessionStats(CumulativeStats):
     """Accounting for one :class:`ClientSession` lifetime.
@@ -320,14 +194,14 @@ class ClientSession:
     """A reliable, NACK-driven fetch loop over the serving pipeline.
 
     One round of the protocol is ``pre_round`` (decide whether to ask
-    the server for missing rank), the server's
-    ``serve_round`` (driven by the caller or by
-    :meth:`fetch_segment`), then
+    the server for missing rank), the server's ``serve_round``, then
     :meth:`intake` (lenient unpack + decoder absorb + retry
-    bookkeeping).  Loss and corruption — optionally injected
-    deterministically through a :class:`~repro.faults.FaultPlan` — are
-    repaired by re-requesting ``n - rank`` fresh coded blocks, backed
-    off exponentially after rounds that make no rank progress.
+    bookkeeping); :func:`~repro.streaming.rounds.drive` runs that loop
+    for one session (:meth:`fetch_segment`) or many.  Loss and
+    corruption — optionally injected deterministically through a
+    :class:`~repro.faults.FaultPlan` — are repaired by re-requesting
+    ``n - rank`` fresh coded blocks, backed off exponentially after
+    rounds that make no rank progress.
 
     Args:
         server: the serving side (shared by all sessions under test) —
@@ -494,14 +368,14 @@ class ClientSession:
 
         ``wire_bytes`` is the peer's slice of the server round (or
         ``None`` when the round granted it nothing): a cohort of one of
-        :func:`receive_round`.  The round is viewed as one frame
-        matrix, passes through the fault plan (if any), and is verified
-        against this session's geometry: checksum failures, malformed
-        frames and intact frames of another segment are counted in
-        :attr:`SessionStats.wire` and charged to the upstream's
-        corruption ledger — never absorbed.  A round with an
-        outstanding request but no rank progress counts as a miss and
-        arms exponential backoff.
+        :func:`~repro.streaming.rounds.receive_round`.  The round is
+        viewed as one frame matrix, passes through the fault plan (if
+        any), and is verified against this session's geometry:
+        checksum failures, malformed frames and intact frames of
+        another segment are counted in :attr:`SessionStats.wire` and
+        charged to the upstream's corruption ledger — never absorbed.
+        A round with an outstanding request but no rank progress counts
+        as a miss and arms exponential backoff.
 
         Raises:
             RetryExhaustedError: after ``max_retries`` consecutive
@@ -509,7 +383,7 @@ class ClientSession:
         """
         return receive_round([self], [wire_bytes])[0]
 
-    # -- the receive step's hooks (see receive_round) -----------------------
+    # -- the receive step's hooks (see rounds.receive_round) ---------------
 
     @property
     def _sink(self) -> object:
@@ -578,11 +452,11 @@ class ClientSession:
     ) -> Segment:
         """Fetch one segment to completion, driving server rounds.
 
-        The single-session convenience loop: each iteration runs
-        ``pre_round`` → ``serve_round`` → ``intake`` until the
-        decoder reaches full rank.  Multi-session tests drive the same
-        primitives through :func:`drive_sessions` instead, so every
-        session shares each server round.
+        The single-session convenience loop: :func:`~repro.streaming
+        .rounds.drive` over this session alone, bounded by its own
+        ``max_rounds_per_segment``.  Multi-session tests drive the same
+        loop through :func:`drive_sessions` instead, so every session
+        shares each server round.
 
         Raises:
             RetryExhaustedError: when the retry budget runs out.
@@ -590,12 +464,14 @@ class ClientSession:
                 mid-fetch — the clean rejection, never a stale view.
         """
         self.begin_segment(segment_id)
-        while not self.complete:
-            self.pre_round()
-            frames = self.server.serve_round(
-                checksum=self.checksum, version=self.wire_version
-            )
-            self.intake(frames.get(self.peer_id))
+        for _ in drive(
+            self.server,
+            [self],
+            checksum=self.checksum,
+            version=self.wire_version,
+            max_rounds=None,
+        ):
+            pass
         return self.finish_segment(original_length)
 
     # -- internals ---------------------------------------------------------
@@ -630,10 +506,9 @@ def drive_sessions(
     """Drive shared server rounds until every session's segment completes.
 
     The multi-peer counterpart of :meth:`ClientSession.fetch_segment`:
-    each round, every unfinished session gets its ``pre_round`` ask, the
-    server serves one coalesced round, and every unfinished session
-    intakes its slice.  All sessions must agree on wire settings since
-    one server round serves them all.
+    :func:`~repro.streaming.rounds.drive` over every session, so each
+    server round is one coalesced round for all of them.  All sessions
+    must agree on wire settings since one server round serves them all.
 
     Returns:
         The number of server rounds driven.
@@ -651,16 +526,9 @@ def drive_sessions(
             raise ConfigurationError(
                 "all driven sessions must share wire_version and checksum"
             )
-    rounds = 0
-    while any(not session.complete for session in sessions):
-        if rounds >= max_rounds:
-            raise RetryExhaustedError(
-                f"sessions still incomplete after {max_rounds} rounds"
-            )
-        active = [session for session in sessions if not session.complete]
-        for session in active:
-            session.pre_round()
-        frames = server.serve_round(checksum=checksum, version=version)
-        receive_round(active, [frames.get(session.peer_id) for session in active])
-        rounds += 1
-    return rounds
+    return sum(
+        1
+        for _ in drive(
+            server, sessions, checksum=checksum, version=version, max_rounds=max_rounds
+        )
+    )

@@ -40,7 +40,7 @@ import numpy as np
 
 from repro.cluster.cluster import ClusterStats, ServingCluster
 from repro.cluster.harness import make_workload_segments
-from repro.errors import ConfigurationError, RetryExhaustedError, RetryLater
+from repro.errors import ConfigurationError, RetryLater
 from repro.faults import ChurnPlan
 from repro.gpu.spec import GTX280, DeviceSpec
 from repro.kernels.cost_model import EncodeScheme, encode_bandwidth
@@ -48,7 +48,8 @@ from repro.obs.registry import Histogram
 from repro.obs.stats import CumulativeStats
 from repro.rlnc.block import CodingParams
 from repro.rlnc.wire import VERSION2
-from repro.streaming.client import ClientSession, receive_round
+from repro.streaming.client import ClientSession
+from repro.streaming.rounds import drive
 from repro.streaming.session import MediaProfile
 from repro.workloads.autoscaler import Autoscaler, AutoscalerConfig, ScaleEvent
 from repro.workloads.traffic import (
@@ -307,7 +308,15 @@ def run_loadtest(
             session.begin_segment(int(cohort_targets[peer_id].popleft()))
 
         peak_workers = cluster.num_workers
-        frames: dict = {}
+        # The sampled round: one step per harness round, under whatever
+        # membership the autoscaler decided for it.
+        sampled_rounds = drive(
+            cluster,
+            cohort,
+            version=VERSION2,
+            on_exhausted=lambda session, _: exhausted.add(session.peer_id),
+            max_rounds=rounds,
+        )
         for round_index in range(rounds):
             active = len(remaining)
             traffic = generator.draw(
@@ -365,8 +374,7 @@ def run_loadtest(
                 remaining = np.concatenate([remaining, joined])
                 stats.admitted += admitted
                 for delay, count in delay_groups:
-                    for _ in range(count):
-                        h_delay.observe(float(delay))
+                    h_delay.observe(float(delay), count)
             shed = admission.shed()
             stats.shed_responses += len(shed)
 
@@ -392,39 +400,20 @@ def run_loadtest(
                 view = cluster.connect(peer_id)
                 cohort[peer_id]._session = view
                 stats.flaps += 1
+            next(sampled_rounds, None)
             for peer_id, session in enumerate(cohort):
-                if peer_id in exhausted or session.complete:
+                if peer_id in exhausted or not session.complete:
                     continue
-                try:
-                    session.pre_round()
-                except RetryExhaustedError:
-                    exhausted.add(peer_id)
-            frames = cluster.serve_round(version=VERSION2)
-            receiving = [
-                peer_id for peer_id in range(len(cohort)) if peer_id not in exhausted
-            ]
-            receive_round(
-                [cohort[peer_id] for peer_id in receiving],
-                [frames.get(peer_id) for peer_id in receiving],
-                on_exhausted=lambda session, _: exhausted.add(session.peer_id),
-            )
-            for peer_id in receiving:
-                session = cohort[peer_id]
-                if peer_id in exhausted:
-                    continue
-                if session.complete:
-                    segment_id = session._segment_id
-                    _, origin = segments[segment_id]
-                    recovered = session.finish_segment(len(origin))
-                    if recovered.to_bytes() == origin:
-                        verified += 1
-                    else:
-                        mismatched += 1
-                    if cohort_targets[peer_id]:
-                        session.begin_segment(
-                            int(cohort_targets[peer_id].popleft())
-                        )
-        frames = {}
+                _, origin = segments[session._segment_id]
+                recovered = session.finish_segment(len(origin))
+                if recovered.to_bytes() == origin:
+                    verified += 1
+                else:
+                    mismatched += 1
+                if cohort_targets[peer_id]:
+                    session.begin_segment(int(cohort_targets[peer_id].popleft()))
+        # Release the last round's frame views before the cluster closes.
+        sampled_rounds.close()
         cluster_stats = cluster.stats.snapshot()
         final_workers = cluster.num_workers
         scaler_events = tuple(scaler.events)

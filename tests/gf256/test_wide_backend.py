@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from repro.gf256 import regionops
 from repro.gf256.engine import ENGINE, Gf256Engine
 from repro.gf256.tables import MUL_TABLE
-from repro.rlnc._reference import ReferenceProgressiveDecoder
+from tests.rlnc._reference import ReferenceProgressiveDecoder
 from repro.rlnc.block import CodedBlock, CodingParams, Segment
 from repro.rlnc.decoder import ProgressiveDecoder
 from repro.rlnc.encoder import Encoder

@@ -6,7 +6,7 @@ one ``(m, frame_size)`` byte matrix (``rlnc.wire.frame_rows`` ->
 each receiver cut the round into one ``bytes`` per frame, ran a list of
 frames through the fault plan's per-item schedule (pinned in
 ``tests/test_fault_schedule.py``) and called ``unpack_frame`` once per
-frame.  That path is pinned below, as ``rlnc/_reference.py`` pins the
+frame.  That path is pinned below, as ``tests/rlnc/_reference.py`` pins the
 seed decoder, and the matrix path must match it row for row and count
 for count.  The one intended difference: a frame whose only damage is a
 cleared checksum flag used to parse as an unprotected frame and be
@@ -198,6 +198,7 @@ def make_uplink(*, version=VERSION2, checksum=True, fault_plan=None):
         checksum=checksum,
         wire_version=version,
     )
+    uplink.begin_segment(SEGMENT)
     return uplink, relay
 
 
@@ -269,7 +270,7 @@ class TestDamagedRows:
     def test_relay_rejects_cleared_checksum_flag(self):
         wire = flag_and_magic_round()
         uplink, relay = make_uplink()
-        assert uplink.intake(SEGMENT, wire) == 6
+        assert uplink.intake(wire) == 6
         assert uplink.wire.frames_ok == 6
         assert uplink.wire.checksum_failures + uplink.wire.malformed == 2
         _, payloads = relay_rows(relay)
@@ -286,7 +287,7 @@ class TestDamagedRows:
         assert session.stats.wire.malformed == 1
         assert np.array_equal(stacked(consumed)[1], expected)
         uplink, relay = make_uplink()
-        assert uplink.intake(SEGMENT, wire) == 7
+        assert uplink.intake(wire) == 7
         assert uplink.wire.malformed == 1
         assert np.array_equal(relay_rows(relay)[1], expected)
 
@@ -305,7 +306,7 @@ class TestDamagedRows:
         assert session.stats.wire.malformed == 1
         assert np.array_equal(stacked(consumed)[1], expected)
         uplink, relay = make_uplink(checksum=False)
-        assert uplink.intake(SEGMENT, bytes(data)) == 7
+        assert uplink.intake(bytes(data)) == 7
         assert uplink.wire.malformed == 1
 
     def test_both_receivers_record_the_unpack_span(self):
@@ -314,7 +315,7 @@ class TestDamagedRows:
         uplink, _ = make_uplink()
         with tracing():
             session.intake(wire)
-            uplink.intake(SEGMENT, wire)
+            uplink.intake(wire)
         names = [record.name for record in get_tracer().records()]
         get_tracer().clear()
         assert names.count("wire_unpack") == 2
@@ -429,7 +430,7 @@ def test_receivers_match_the_per_frame_path(case):
         version=version, checksum=checksum, fault_plan=plan()
     )
     for wire in wires:
-        uplink.intake(SEGMENT, wire)
+        uplink.intake(wire)
     assert uplink.wire.frames_ok == relay_stats.frames_ok
     assert uplink.wire.frames_dropped == relay_stats.frames_dropped
     for got, want in zip(relay_rows(relay), relay_decoder.accepted_rows()):

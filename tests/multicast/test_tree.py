@@ -221,15 +221,16 @@ class TestRelayUplink:
         root = make_root(segment)
         relay = RelayNode(PROFILE, rng=np.random.default_rng(1))
         uplink = RelayUplink(root, relay, 0)
+        uplink.begin_segment(segment.segment_id)
         rounds = 0
         while relay.held(segment.segment_id) < PARAMS.num_blocks:
-            uplink.pre_round(segment.segment_id)
+            uplink.pre_round()
             frames = root.serve_round(format="frames", version=2)
-            uplink.intake(segment.segment_id, frames.get(0))
+            uplink.intake(frames.get(0))
             rounds += 1
             assert rounds < 50
         assert relay.held(segment.segment_id) == PARAMS.num_blocks
-        uplink.pre_round(segment.segment_id)  # saturated: no new ask
+        uplink.pre_round()  # saturated: no new ask
         assert root.pending_blocks == 0
 
     def test_damaged_frames_dropped_not_ingested(self):
@@ -238,10 +239,11 @@ class TestRelayUplink:
         relay = RelayNode(PROFILE, rng=np.random.default_rng(1))
         plan = FaultPlan(seed=3, corrupt_rate=1.0)
         uplink = RelayUplink(root, relay, 0, fault_plan=plan)
-        uplink.pre_round(segment.segment_id)
+        uplink.begin_segment(segment.segment_id)
+        uplink.pre_round()
         frames = root.serve_round(format="frames", version=2)
         served = len(bytes(frames[0])) // uplink._frame_bytes
-        kept = uplink.intake(segment.segment_id, frames.get(0))
+        kept = uplink.intake(frames.get(0))
         # Every frame is accounted: damaged ones dropped and counted,
         # only verified ones buffered.  Seed 3 flips the checksum flag
         # of frame 1, which must be detected like any other damage.
@@ -258,6 +260,7 @@ class TestRelayUplink:
         root = make_root(segment)
         relay = RelayNode(PROFILE, rng=np.random.default_rng(1))
         uplink = RelayUplink(root, relay, 0)
+        uplink.begin_segment(segment.segment_id)
         n = PARAMS.num_blocks
         coefficients, payloads = Encoder(
             segment, np.random.default_rng(2)
@@ -265,17 +268,18 @@ class TestRelayUplink:
         coefficients[-1], payloads[-1] = coefficients[0], payloads[0]
         kept = relay.ingest(BlockBatch(coefficients=coefficients, payloads=payloads))
         assert kept == relay.held(segment.segment_id) == n - 1
-        uplink.pre_round(segment.segment_id)
+        uplink.pre_round()
         assert root.pending_blocks == 1
         frames = root.serve_round(version=2)
-        assert uplink.intake(segment.segment_id, frames.get(0)) == 1
+        assert uplink.intake(frames.get(0)) == 1
         assert relay.held(segment.segment_id) == n
-        uplink.pre_round(segment.segment_id)
+        uplink.pre_round()
         assert root.pending_blocks == 0
 
     def test_empty_intake_is_a_no_op(self):
         relay = RelayNode(PROFILE, rng=np.random.default_rng(1))
         root = make_root(make_segment())
         uplink = RelayUplink(root, relay, 0)
-        assert uplink.intake(0, None) == 0
-        assert uplink.intake(0, b"") == 0
+        uplink.begin_segment(0)
+        assert uplink.intake(None) == 0
+        assert uplink.intake(b"") == 0

@@ -63,6 +63,18 @@ class TestMetrics:
         }
         assert Histogram().snapshot()["min"] is None
 
+    @pytest.mark.parametrize(
+        "groups", [[(5.0, 3)], [(0.0, 2), (7.0, 1), (24.0, 40), (7.0, 6)]]
+    )
+    def test_counted_observe_equals_single_calls(self, groups):
+        grouped, single = Histogram(), Histogram()
+        for value, count in groups:
+            grouped.observe(value, count)
+            for _ in range(count):
+                single.observe(value)
+        assert grouped.snapshot() == single.snapshot()
+        assert grouped.quantile(0.99) == single.quantile(0.99)
+
     def test_labels_make_distinct_series(self):
         tracer = Tracer()
         tracer.enabled = True

@@ -30,7 +30,7 @@ from repro.rlnc import (
     pack_blocks,
     unpack_blocks,
 )
-from repro.rlnc._reference import ReferenceProgressiveDecoder
+from tests.rlnc._reference import ReferenceProgressiveDecoder
 
 
 def coded_stream(n, k, count, seed, *, dependent_every=0):

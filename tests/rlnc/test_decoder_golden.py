@@ -1,6 +1,6 @@
 """Golden-state tests: the vectorized decoder vs the pinned seed decoder.
 
-:class:`~repro.rlnc._reference.ReferenceProgressiveDecoder` preserves the
+``tests/rlnc/_reference.py``'s ``ReferenceProgressiveDecoder`` preserves the
 seed implementation byte for byte.  These tests replay *identical* block
 streams — innovative, linearly dependent, duplicate and zero-coefficient
 blocks alike — through both decoders and compare the complete internal
@@ -22,7 +22,7 @@ from repro.rlnc import (
     Segment,
     TwoStageDecoder,
 )
-from repro.rlnc._reference import ReferenceProgressiveDecoder
+from tests.rlnc._reference import ReferenceProgressiveDecoder
 
 
 def make_segment(n, k, seed):

@@ -420,15 +420,12 @@ def test_two_uplinks_into_one_relay_match_two_intakes():
         server = StreamingServer(GTX280, PROFILE, rng=np.random.default_rng(0))
         relay = RelayNode(PROFILE, rng=np.random.default_rng(1))
         uplinks = [RelayUplink(server, relay, peer) for peer in range(2)]
+        for uplink in uplinks:
+            uplink.begin_segment(SEGMENT)
         if cohort:
-            for uplink in uplinks:
-                uplink._segment_id = SEGMENT
             kept = receive_round(uplinks, deliveries)
         else:
-            kept = [
-                uplink.intake(SEGMENT, data)
-                for uplink, data in zip(uplinks, deliveries)
-            ]
+            kept = [uplink.intake(data) for uplink, data in zip(uplinks, deliveries)]
         rows, _ = relay._recoders[SEGMENT].decoder.dense_state()
         results.append((kept, rows.copy(), relay.stats.snapshot()))
     (kept_a, rows_a, stats_a), (kept_b, rows_b, stats_b) = results

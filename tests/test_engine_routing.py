@@ -4,11 +4,9 @@ The acceptance contract for the engine layer is architectural, not just
 behavioral: no module in the codec, streaming or CPU packages may reach
 around the engine and fancy-index the raw field tables directly.  This
 test enforces it textually so a future hot path cannot quietly fork the
-arithmetic again.
-
-``repro.rlnc._reference`` is the single sanctioned exception — it pins
-the seed-era decoder byte for byte for the golden tests and benchmarks,
-and exists precisely to keep using the old direct-table formulation.
+arithmetic again.  Every module in those packages is covered: the
+seed-era reference decoder, which keeps the old direct-table
+formulation on purpose, lives with the tests (``tests/rlnc/_reference.py``).
 """
 
 import re
@@ -21,9 +19,6 @@ SRC_ROOT = Path(repro.__file__).resolve().parent
 #: Packages whose bulk field operations must go through the engine.
 ROUTED_PACKAGES = ("rlnc", "streaming", "cpu")
 
-#: Modules allowed to touch the raw tables (path relative to ``repro``).
-EXEMPT = {Path("rlnc/_reference.py")}
-
 #: Raw-table bulk-gather patterns: the dense product table (name it at
 #: all and you are fancy-indexing it) and the classic sentinel-style
 #: log/exp gathers.  Scalar lookups (e.g. ``INV[lead]``) are allowed —
@@ -34,10 +29,7 @@ FORBIDDEN = re.compile(r"MUL_TABLE|(?<![_\w])(?:EXP|LOG)\s*\[")
 
 def routed_modules():
     for package in ROUTED_PACKAGES:
-        for path in sorted((SRC_ROOT / package).rglob("*.py")):
-            if path.relative_to(SRC_ROOT) in EXEMPT:
-                continue
-            yield path
+        yield from sorted((SRC_ROOT / package).rglob("*.py"))
 
 
 def test_no_direct_table_access_outside_gf256():
@@ -53,13 +45,6 @@ def test_no_direct_table_access_outside_gf256():
         "bulk GF(2^8) operations must route through repro.gf256.engine; "
         "direct table access found:\n" + "\n".join(offenders)
     )
-
-
-def test_exempt_reference_module_still_exists():
-    # If the pinned reference decoder is ever deleted or renamed, the
-    # exemption list above must be revisited along with the golden tests.
-    for exempt in EXEMPT:
-        assert (SRC_ROOT / exempt).is_file(), exempt
 
 
 def test_decoder_inverse_scalar_comes_from_engine():
